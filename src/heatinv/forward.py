@@ -13,10 +13,8 @@ from dataclasses import dataclass
 from typing import Callable, Union
 
 import numpy as np
-from scipy.linalg import solve_banded
-from scipy.signal import lfilter
 
-from .basis import BASIS_NORM, Mode, SineSeries, check_observation_point, mode_constants, project
+from .basis import BASIS_NORM, SineSeries, check_observation_point, mode_constants, project
 from .errors import DataError, DomainError
 from .grid import GridFn
 
@@ -27,48 +25,59 @@ TimeInput = Union[Callable, GridFn]
 SpaceInput = Union[Callable, SineSeries]
 
 
-def _phi12(z: float) -> tuple[float, float]:
-    """phi1(z) = (e^z - 1)/z and phi2(z) = (e^z - 1 - z)/z^2, stable for small |z|."""
-    if abs(z) < 1e-5:
-        phi1 = 1.0 + z / 2.0 + z * z / 6.0 + z ** 3 / 24.0
-        phi2 = 0.5 + z / 6.0 + z * z / 24.0 + z ** 3 / 120.0
-    else:
-        em1 = math.expm1(z)
-        phi1 = em1 / z
-        phi2 = (em1 - z) / (z * z)
-    return phi1, phi2
+#: a scan block spans at most this many decay lengths of the fastest mode
+_BLOCK_DECAY = 30.0
 
 
-def mode_evolve(mode: Mode, g_m: float, v: GridFn, h: GridFn) -> GridFn:
-    """Evolve one sine mode through u_m' + m^2 u_m = v(t) f_m'(0) + c_m h(t).
+def mode_evolve(g, v: GridFn, h: GridFn) -> np.ndarray:
+    """Evolve modes m = 1..M = len(g) of u_m' + m^2 u_m = v(t) f_m'(0) + c_m h(t); shape (M, n).
 
-    The forcing is taken piecewise linear between samples, which makes each
-    step an exact exponential-integrator update (order 2 overall, exact for
-    constant forcing).  u_m(0) equals g_m exactly.
+    Forcing piecewise linear between samples makes each step the exact update
+    u_k = a u_{k-1} + b_old f_{k-1} + b_new f_k with a = e^{-m^2 dt} (order 2,
+    exact for constant forcing), and u_m(0) = g[m-1] exactly.  All modes run
+    as one blocked prefix scan (Blelloch, "Prefix sums and their applications",
+    1990): with x_0 = g and x_k the forcing term of step k, a block of B
+    samples from s is one cumulative sum, u_{s+i} = a^i sum_{j<=i} a^{-j}
+    x_{s+j} + a^{i+1} u_{s-1}, with B short enough that a^{-B} <= e^30 for the
+    fastest mode; the carry u_{s-1} passes from block to block.
     """
     v.require_same_grid(h)
-    lam = mode.lam
-    dt = v.dt
-    n = v.n
-    forcing = mode.fprime0 * v.values + mode.c_m * h.values
+    g = np.atleast_1d(np.asarray(g, dtype=float))
+    if g.ndim != 1 or g.size < 1:
+        raise DomainError("initial mode values must form a non-empty 1-D array")
+    order, n, dt = g.size, v.n, v.dt
+    modes = [mode_constants(m) for m in range(1, order + 1)]
+    lam = np.array([md.lam for md in modes])
+    forcing = (np.outer([md.fprime0 for md in modes], v.values)
+               + np.outer([md.c_m for md in modes], h.values))
 
+    # phi1 = (e^z - 1)/z and phi2 = (e^z - 1 - z)/z^2, by series for small |z|
     z = -lam * dt
-    a = math.exp(z)
-    phi1, phi2 = _phi12(z)
-    b_new = dt * phi2            # weight of f_{k+1} in step k -> k+1
-    b_old = dt * (phi1 - phi2)   # weight of f_k
+    em1 = np.expm1(z)
+    small = np.abs(z) < 1e-5
+    phi1 = np.where(small, 1.0 + z / 2.0 + z * z / 6.0 + z ** 3 / 24.0, em1 / z)
+    phi2 = np.where(small, 0.5 + z / 6.0 + z * z / 24.0 + z ** 3 / 120.0, (em1 - z) / (z * z))
+    b_new = (dt * phi2)[:, None]           # weight of f_k in step k-1 -> k
+    b_old = (dt * (phi1 - phi2))[:, None]  # weight of f_{k-1}
 
-    # p_k: forced response with p_0 = 0, p_{k+1} = a p_k + b_old f_k + b_new f_{k+1}.
-    # lfilter realises y_k = b_new f_k + b_old f_{k-1} + a y_{k-1} with zero
-    # initial state, which differs from p by the homogeneous tail b_new f_0 a^k.
-    decay = np.exp(z * np.arange(n))
-    if n == 1:
-        p = np.zeros(1)
-    else:
-        y = lfilter([b_new, b_old], [1.0, -a], forcing)
-        p = y - (b_new * forcing[0]) * decay
-    u = g_m * decay + p
-    return GridFn(v.t0, dt, u)
+    block = min(n, max(1, int(_BLOCK_DECAY / (lam[-1] * dt))))
+    n_blocks = -(-n // block)
+    x = np.zeros((order, n_blocks * block))
+    x[:, 0] = g
+    x[:, 1:n] = b_old * forcing[:, :-1] + b_new * forcing[:, 1:]
+    x = x.reshape(order, n_blocks, block)
+
+    j = np.arange(block)
+    up = np.exp(np.outer(z, j))[:, None, :]  # a^j
+    x /= up
+    u = np.cumsum(x, axis=2)
+    u *= up
+    lead = np.exp(np.outer(z, j + 1))        # a^{i+1}, weight of the carry
+    carry = np.zeros((order, 1))
+    for blk in u.transpose(1, 0, 2):
+        blk += lead * carry
+        carry = blk[:, -1:]
+    return u.reshape(order, -1)[:, :n]
 
 
 @dataclass(frozen=True)
@@ -199,13 +208,7 @@ class SpectralSolution:
 
 def solve_spectral(p: ProblemInstance, order: int | None = None) -> SpectralSolution:
     """Evolve all modes m = 1..order with coefficients of g as initial data."""
-    order = p.order if order is None else order
-    v = p.v_grid()
-    h = p.h_grid()
-    g = p.g_coeffs(order)
-    modes = np.empty((order, p.n_samples))
-    for m in range(1, order + 1):
-        modes[m - 1] = mode_evolve(mode_constants(m), g[m - 1], v, h).values
+    modes = mode_evolve(p.g_coeffs(order), p.v_grid(), p.h_grid())
     return SpectralSolution(t0=0.0, dt=p.dt, modes=modes)
 
 
@@ -230,6 +233,8 @@ def solve_fd(p: ProblemInstance, nx: int) -> FDSolution:
     the time step is unrestricted by nx.  Boundary rows are pinned to v(t)
     and 0 strongly.
     """
+    from scipy.linalg import solve_banded  # only the oracle needs scipy
+
     if nx < 16:
         raise DomainError(f"need at least 16 spatial points, got {nx}")
     v = p.v_grid().values

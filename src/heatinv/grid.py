@@ -44,10 +44,6 @@ class GridFn:
             vals = np.array([float(fn(ti)) for ti in t])
         return cls(t0, dt, vals)
 
-    @classmethod
-    def constant(cls, value: float, t0: float, dt: float, n: int) -> "GridFn":
-        return cls(t0, dt, np.full(n, float(value)))
-
     @property
     def n(self) -> int:
         return self.values.size

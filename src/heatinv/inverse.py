@@ -17,7 +17,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.signal import savgol_filter
 
 from .basis import (
     BASIS_NORM,
@@ -39,6 +38,9 @@ from .grid import GridFn, rel_l2
 
 #: exact determinant of the (f_1'(0), c_1; f_3'(0), c_3) system
 DET_EXACT = -32.0 / (3.0 * math.pi)
+
+#: amplification e^{m^2 t_m} above which a peeled mode is flagged
+AMPLIFICATION_CAP = 1e12
 
 _EPS = float(np.finfo(float).eps)
 
@@ -86,6 +88,8 @@ class DerivativeScheme:
                 )
             if values.size < w:
                 raise DataError("series shorter than the smoothing window")
+            from scipy.signal import savgol_filter  # only smoothing needs scipy
+
             values = savgol_filter(values, w, self.smooth_polyorder)
         return values, _derivative(values, dt)
 
@@ -175,11 +179,21 @@ def _extend_to_zero(f: GridFn) -> GridFn:
 
 def forced_mode_values(v: GridFn, h: GridFn, order: int) -> np.ndarray:
     """Zero-initial-data Duhamel response of modes 1..order; shape (order, n)."""
-    v.require_same_grid(h)
-    out = np.empty((order, v.n))
-    for m in range(1, order + 1):
-        out[m - 1] = mode_evolve(mode_constants(m), 0.0, v, h).values
-    return out
+    return mode_evolve(np.zeros(order), v, h)
+
+
+def _forced_response(
+    v_hat: GridFn, h_hat: GridFn, y: float, order: int
+) -> tuple[GridFn, np.ndarray]:
+    """w(y, t) and the forced modes 1..order it sums, both from t = 0."""
+    if not 0.0 < y < math.pi:
+        raise DomainError(f"observation point must lie in (0, pi), got {y}")
+    v_hat.require_same_grid(h_hat)
+    v0 = _extend_to_zero(v_hat)
+    h0 = _extend_to_zero(h_hat)
+    modes = forced_mode_values(v0, h0, order)
+    fy = np.array([eval_basis(m, y) for m in range(1, order + 1)])
+    return GridFn(v0.t0, v0.dt, fy @ modes), modes
 
 
 def compute_w(v_hat: GridFn, h_hat: GridFn, y: float, order: int) -> GridFn:
@@ -188,14 +202,7 @@ def compute_w(v_hat: GridFn, h_hat: GridFn, y: float, order: int) -> GridFn:
     Inputs that start after t = 0 (burn-in trim) are extended back by linear
     extrapolation before integrating.
     """
-    if not 0.0 < y < math.pi:
-        raise DomainError(f"observation point must lie in (0, pi), got {y}")
-    v_hat.require_same_grid(h_hat)
-    v0 = _extend_to_zero(v_hat)
-    h0 = _extend_to_zero(h_hat)
-    modes = forced_mode_values(v0, h0, order)
-    fy = np.array([eval_basis(m, y) for m in range(1, order + 1)])
-    return GridFn(v0.t0, v0.dt, fy @ modes)
+    return _forced_response(v_hat, h_hat, y, order)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -377,7 +384,7 @@ def peel_sequential(
     depth: int,
     plan: PeelPlan | None = None,
     eval_times=None,
-    amplification_cap: float = 1e12,
+    amplification_cap: float = AMPLIFICATION_CAP,
     **plan_kwargs,
 ) -> PeelResult:
     """Sequential extraction of b_m from q(t) = sum_m b_m e^{-m^2 t}.
@@ -480,7 +487,7 @@ class InversionConfig:
     window: int | None = None
     noise_sigma: float | None = None
     divisor_threshold: float = DEFAULT_POINT_THRESHOLD
-    amplification_cap: float = 1e12
+    amplification_cap: float = AMPLIFICATION_CAP
 
     def __post_init__(self):
         if self.peel_method not in ("sequential", "lsq"):
@@ -568,11 +575,7 @@ def invert(obs: Observations, cfg: InversionConfig | None = None) -> Reconstruct
         "recover_vh", recover_vh, obs, g1, g3, cfg.deriv, cfg.burn_in
     )
 
-    v_full = _extend_to_zero(v_hat)
-    h_full = _extend_to_zero(h_hat)
-    forced = _stage("compute_w", forced_mode_values, v_full, h_full, cfg.order)
-    fy = np.array([eval_basis(m, obs.y) for m in range(1, cfg.order + 1)])
-    w = GridFn(v_full.t0, v_full.dt, fy @ forced)
+    w, forced = _stage("compute_w", _forced_response, v_hat, h_hat, obs.y, cfg.order)
 
     q = _stage("form_q", lambda: obs.uy - w)
 

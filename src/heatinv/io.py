@@ -11,7 +11,6 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import json
-import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -20,10 +19,11 @@ import numpy as np
 from .errors import ConfigError, DataError, ParseError
 from .forward import NoiseSpec, Observations, ProblemInstance
 from .grid import GridFn
-from .inverse import DerivativeScheme, InversionConfig, Reconstruction
+from .inverse import (AMPLIFICATION_CAP, DET_EXACT, DerivativeScheme, InversionConfig,
+                      PeelPlan, Reconstruction)
 from .presets import PRESETS, make_problem, preset_names
 from .regularize import NoiseStudy
-from .basis import DEFAULT_MODES, SineSeries
+from .basis import DEFAULT_MODES, DEFAULT_POINT_THRESHOLD, SineSeries
 
 
 def fmt(x: float) -> str:
@@ -62,8 +62,8 @@ class ExperimentConfig:
     schedule_method: str = "model"
     schedule_times: tuple[float, ...] | None = None
     window: int | None = None
-    divisor_threshold: float = 1e-3
-    amplification_cap: float = 1e12
+    divisor_threshold: float = DEFAULT_POINT_THRESHOLD
+    amplification_cap: float = AMPLIFICATION_CAP
 
     levels: tuple[float, ...] = (0.0, 1e-6, 1e-4)
     trials: int = 20
@@ -128,8 +128,6 @@ class ExperimentConfig:
         )
 
     def inversion_config(self, order: int | None = None) -> InversionConfig:
-        from .inverse import PeelPlan
-
         schedule = None
         if self.schedule_times is not None:
             times = np.asarray(self.schedule_times, dtype=float)
@@ -295,7 +293,6 @@ def write_reconstruction(
 
 def format_report(rec: Reconstruction, provenance: dict) -> str:
     d = rec.diagnostics
-    det_exact = -32.0 / (3.0 * math.pi)
     rows = [
         "heatinv reconstruction report",
         "=============================",
@@ -304,7 +301,7 @@ def format_report(rec: Reconstruction, provenance: dict) -> str:
         f"observation y : {provenance.get('y', 'n/a')}",
         "",
         f"determinant of the (mode 1, mode 3) system : {d.determinant:.12e}",
-        f"exact value -32/(3 pi)                     : {det_exact:.12e}",
+        f"exact value -32/(3 pi)                     : {DET_EXACT:.12e}",
         f"g1 = {fmt(rec.g1)}    g3 = {fmt(rec.g3)}",
         f"derivative scheme: {d.deriv_scheme}, burn-in {d.burn_in} samples",
         f"peeling: {d.peel_method}, design condition number {d.peel_condition:.6e}",

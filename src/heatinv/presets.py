@@ -14,7 +14,7 @@ from typing import Callable
 
 import numpy as np
 
-from .basis import BASIS_NORM, SineSeries
+from .basis import SineSeries
 from .errors import ConfigError
 from .forward import ProblemInstance
 
@@ -63,11 +63,6 @@ PRESETS: dict[str, Preset] = {
         g=SineSeries.from_sin_amplitudes([1.0, 0.6, 0.35, 0.2]),
     ),
 }
-
-#: exact sine coefficients of the 'steady' initial data: (1 - x/pi)_m = sqrt(2/pi)/m
-def steady_g_coeffs(order: int) -> np.ndarray:
-    return BASIS_NORM / np.arange(1, order + 1)
-
 
 def preset_names() -> list[str]:
     return sorted(PRESETS)

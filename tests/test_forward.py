@@ -2,11 +2,16 @@
 Crank-Nicolson oracle, observation synthesis."""
 
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from scipy.integrate import quad
 
+import heatinv
 from heatinv import (
     DataError,
     DomainError,
@@ -33,30 +38,56 @@ def _ones(n=101, dt=0.01):
     return GridFn(0.0, dt, np.ones(n))
 
 
+def _lfilter_modes(g, v, h):
+    """Per-mode reference for mode_evolve: the former scipy.signal.lfilter loop."""
+    from scipy.signal import lfilter
+
+    dt, n = v.dt, v.n
+    out = np.empty((len(g), n))
+    for m in range(1, len(g) + 1):
+        mode = mode_constants(m)
+        forcing = mode.fprime0 * v.values + mode.c_m * h.values
+        z = -mode.lam * dt
+        a = math.exp(z)
+        if abs(z) < 1e-5:
+            phi1 = 1.0 + z / 2.0 + z * z / 6.0 + z ** 3 / 24.0
+            phi2 = 0.5 + z / 6.0 + z * z / 24.0 + z ** 3 / 120.0
+        else:
+            phi1 = math.expm1(z) / z
+            phi2 = (math.expm1(z) - z) / (z * z)
+        b_new, b_old = dt * phi2, dt * (phi1 - phi2)
+        # lfilter starts from a zero state, which differs from the forced
+        # response p_0 = 0 by the homogeneous tail b_new f_0 a^k
+        decay = np.exp(z * np.arange(n))
+        p = lfilter([b_new, b_old], [1.0, -a], forcing) - (b_new * forcing[0]) * decay
+        out[m - 1] = g[m - 1] * decay + p
+    return out
+
+
 class TestModeEvolve:
     def test_homogeneous_decay(self):
-        u = mode_evolve(mode_constants(1), 1.0, _zeros(), _zeros())
-        np.testing.assert_allclose(u.values, np.exp(-u.times), atol=1e-13)
-        assert u.values[0] == 1.0  # initial value exact
+        u = mode_evolve([1.0], _zeros(), _zeros())[0]
+        np.testing.assert_allclose(u, np.exp(-_zeros().times), atol=1e-13)
+        assert u[0] == 1.0  # initial value exact
 
     def test_constant_source_closed_form(self):
         m1 = mode_constants(1)
-        u = mode_evolve(m1, 0.0, _zeros(), _ones())
-        np.testing.assert_allclose(u.values, m1.c_m * (1.0 - np.exp(-u.times)), atol=1e-13)
+        u = mode_evolve([0.0], _zeros(), _ones())[0]
+        np.testing.assert_allclose(u, m1.c_m * (1.0 - np.exp(-_ones().times)), atol=1e-13)
 
     def test_constant_source_quad_oracle(self):
         # independent oracle: adaptive quadrature of the Duhamel integral
         m1 = mode_constants(1)
-        u = mode_evolve(m1, 0.0, _zeros(), _ones())
+        h = _ones()
+        u = mode_evolve([0.0], _zeros(), h)[0]
         for t in (0.25, 0.6, 1.0):
             ref, _ = quad(lambda s: math.exp(-(t - s)) * m1.c_m, 0.0, t)
-            assert u.values[u.index_of(t)] == pytest.approx(ref, abs=1e-12)
+            assert u[h.index_of(t)] == pytest.approx(ref, abs=1e-12)
 
     def test_steady_state_preserved_exactly(self):
         # v = 1 with g_2 = sqrt(2/pi)/2 sits at equilibrium of mode 2
-        m2 = mode_constants(2)
-        u = mode_evolve(m2, SQ / 2.0, _ones(), _zeros())
-        np.testing.assert_allclose(u.values, SQ / 2.0, atol=1e-14)
+        u = mode_evolve([0.0, SQ / 2.0], _ones(), _zeros())[1]
+        np.testing.assert_allclose(u, SQ / 2.0, atol=1e-14)
 
     def test_smooth_forcing_second_order(self):
         # piecewise-linear forcing interpolation converges at order 2
@@ -66,15 +97,42 @@ class TestModeEvolve:
         for dt in (1e-2, 5e-3):
             n = int(round(t_final / dt)) + 1
             h = GridFn.sample(np.cos, 0.0, dt, n)
-            u = mode_evolve(m1, 0.0, GridFn(0.0, dt, np.zeros(n)), h)
+            u = mode_evolve([0.0], GridFn(0.0, dt, np.zeros(n)), h)[0]
             ref, _ = quad(lambda s: math.exp(-(t_final - s)) * m1.c_m * math.cos(s), 0.0, t_final,
                           epsabs=1e-14)
-            errs.append(abs(u.values[-1] - ref))
+            errs.append(abs(u[-1] - ref))
         assert errs[0] / errs[1] == pytest.approx(4.0, rel=0.2)
 
     def test_grid_mismatch(self):
         with pytest.raises(GridMismatchError):
-            mode_evolve(mode_constants(1), 0.0, _zeros(101), _zeros(100))
+            mode_evolve([0.0], _zeros(101), _zeros(100))
+
+    @pytest.mark.parametrize(
+        "order, t_final, dt",
+        [
+            (16, 6.0, 1e-4),   # the long record: 60 001 samples, many blocks
+            (64, 6.0, 1e-2),   # M^2 dt ~ 41: one sample per block
+            (16, 1e-2, 1e-2),  # n = 2
+            (16, 2e-2, 1e-2),  # n = 3
+        ],
+        ids=["long", "one-per-block", "n2", "n3"],
+    )
+    def test_parity_with_per_mode_lfilter(self, order, t_final, dt):
+        p = make_problem("generic", order, t_final, dt)
+        g, v, h = p.g_coeffs(), p.v_grid(), p.h_grid()
+        u = mode_evolve(g, v, h)
+        ref = _lfilter_modes(g, v, h)
+        assert u.shape == ref.shape == (order, p.n_samples)
+        assert np.max(np.abs(u - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+
+def test_import_loads_no_scipy():
+    # scipy is imported lazily, only by Savitzky-Golay smoothing and the FD oracle
+    code = "import sys, heatinv; print(sorted(m for m in sys.modules if m.startswith('scipy')))"
+    env = {**os.environ, "PYTHONPATH": str(Path(heatinv.__file__).resolve().parents[1])}
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, timeout=120, check=True)
+    assert proc.stdout.strip() == "[]"
 
 
 class TestSolveSpectral:
