@@ -88,10 +88,6 @@ class SineSeries:
         return self.coeffs.size
 
     @classmethod
-    def zeros(cls, order: int) -> "SineSeries":
-        return cls(np.zeros(order))
-
-    @classmethod
     def from_sin_amplitudes(cls, amplitudes) -> "SineSeries":
         """Build from plain sin(m x) amplitudes a_m, i.e. g = sum a_m sin(m x)."""
         a = np.asarray(amplitudes, dtype=float)

@@ -119,7 +119,7 @@ def cmd_invert(args) -> int:
     cfg = _load(args)
     obs, meta = read_observations(args.observations)
     # the observation files fix the forward truncation; reuse it for w(y, t)
-    order = int(meta.get("order", cfg.order))
+    order = cfg.order if obs.order is None else obs.order
     rec = invert(obs, cfg.inversion_config(order=order))
     out = _out_dir(args, cfg)
     # basename only: embedding a volatile absolute path would break the

@@ -206,9 +206,9 @@ class SpectralSolution:
         return np.outer(v.values, 1.0 - x / math.pi) + corrected.T @ fx
 
 
-def solve_spectral(p: ProblemInstance, order: int | None = None) -> SpectralSolution:
-    """Evolve all modes m = 1..order with coefficients of g as initial data."""
-    modes = mode_evolve(p.g_coeffs(order), p.v_grid(), p.h_grid())
+def solve_spectral(p: ProblemInstance) -> SpectralSolution:
+    """Evolve all modes m = 1..p.order with coefficients of g as initial data."""
+    modes = mode_evolve(p.g_coeffs(), p.v_grid(), p.h_grid())
     return SpectralSolution(t0=0.0, dt=p.dt, modes=modes)
 
 
@@ -314,6 +314,7 @@ class Observations:
     u3: GridFn
     uy: GridFn
     y: float
+    order: int | None = None  # mode truncation of the record, when known
 
     def __post_init__(self):
         self.u1.require_same_grid(self.u3)
@@ -326,7 +327,6 @@ def make_observations(
     p: ProblemInstance,
     y: float,
     noise: NoiseSpec | None = None,
-    point_threshold: float | None = None,
 ) -> Observations:
     """Generate the observation triple from the spectral solution.
 
@@ -335,8 +335,7 @@ def make_observations(
     """
     if p.order < 3:
         raise DomainError("observations need at least modes 1 and 3; use order >= 3")
-    kwargs = {} if point_threshold is None else {"threshold": point_threshold}
-    chk = check_observation_point(y, p.order, **kwargs)
+    chk = check_observation_point(y, p.order)
     if not chk.safe:
         raise DomainError(
             f"observation point y={y} unsafe: |sin({chk.worst_mode} y)| = "
@@ -359,4 +358,5 @@ def make_observations(
         u3=GridFn(0.0, p.dt, u3),
         uy=GridFn(0.0, p.dt, uy),
         y=float(y),
+        order=p.order,
     )

@@ -14,7 +14,7 @@ self-consistency against the observations it came from.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -41,6 +41,15 @@ DET_EXACT = -32.0 / (3.0 * math.pi)
 
 #: amplification e^{m^2 t_m} above which a peeled mode is flagged
 AMPLIFICATION_CAP = 1e12
+
+#: samples dropped at the head of v_hat, h_hat
+DEFAULT_BURN_IN = 2
+
+#: ridge of the provisional fit behind the peel schedule and peel_condition
+PROVISIONAL_RIDGE = 1e-12
+
+#: the methods plan_peel knows
+SCHEDULE_METHODS = ("model", "balance", "ladder")
 
 _EPS = float(np.finfo(float).eps)
 
@@ -111,7 +120,7 @@ def recover_vh(
     g1: float,
     g3: float,
     deriv: DerivativeScheme | None = None,
-    burn_in: int = 2,
+    burn_in: int = DEFAULT_BURN_IN,
 ) -> tuple[GridFn, GridFn, dict]:
     """Recover v(t) and h(t) from the two observed boundary modes.
 
@@ -245,19 +254,18 @@ class PeelPlan:
 
     times[m-1] is the evaluation time of mode m, windows[m-1] the odd number
     of neighbouring samples over which the instantaneous estimate is
-    averaged (1 = single-point evaluation).  `sigma` is the absolute noise
-    scale assumed by the scheduling model and `predicted` its per-mode error
-    forecast.
+    averaged (1 = single-point evaluation, the default); `predicted` is the
+    scheduling model's per-mode error forecast.
     """
 
     times: np.ndarray
-    windows: np.ndarray
-    sigma: float = 0.0
+    windows: np.ndarray | None = None
     predicted: np.ndarray | None = None
 
     def __post_init__(self):
         t = np.atleast_1d(np.asarray(self.times, dtype=float))
-        w = np.atleast_1d(np.asarray(self.windows, dtype=int))
+        w = np.ones(t.size, dtype=int) if self.windows is None else self.windows
+        w = np.atleast_1d(np.asarray(w, dtype=int))
         if t.size != w.size:
             raise ScheduleError("times and windows must have equal length")
         if np.any(w < 1) or np.any(w % 2 == 0):
@@ -270,11 +278,11 @@ class PeelPlan:
         return self.times.size
 
 
-def _noise_floor(q: GridFn, depth: int, ridge: float) -> tuple[np.ndarray, float]:
+def _noise_floor(q: GridFn, depth: int) -> tuple[np.ndarray, float]:
     """Provisional ridge fit of depth+1 modes; returns |b| estimates and an
     absolute noise scale from the late-time residual."""
     fit_depth = min(depth + 1, max(1, q.n - 1))
-    b_prov, _ = peel_lsq(q, fit_depth, reg=ridge)
+    b_prov, _ = peel_lsq(q, fit_depth, reg=PROVISIONAL_RIDGE)
     resid = q.values - _design_matrix(q.times, fit_depth) @ b_prov
     tail = resid[int(0.75 * q.n):]
     sigma = float(np.sqrt(np.mean(tail ** 2))) if tail.size else float(np.abs(resid).max())
@@ -289,8 +297,6 @@ def plan_peel(
     sigma: float | None = None,
     method: str = "model",
     window: int | None = None,
-    window_frac: float = 0.25,
-    ridge: float = 1e-12,
 ) -> PeelPlan:
     """Choose evaluation times balancing truncation decay against noise blow-up.
 
@@ -316,7 +322,7 @@ def plan_peel(
     """
     if depth < 1:
         raise DomainError(f"peeling depth must be >= 1, got {depth}")
-    if method not in ("model", "balance", "ladder"):
+    if method not in SCHEDULE_METHODS:
         raise ScheduleError(f"unknown scheduling method '{method}'")
     t = q.times
     n = q.n
@@ -326,7 +332,7 @@ def plan_peel(
         if window is not None:
             w = int(window)
         else:
-            w = int(round(window_frac / (m * m * dt)))
+            w = int(round(0.25 / (m * m * dt)))
             w = min(w, max(1, n // 8))
         return max(1, w) | 1
 
@@ -336,9 +342,9 @@ def plan_peel(
         half = t[0] + 0.5 * (t[-1] - t[0])
         times = half / np.arange(1, depth + 1)
         times = np.clip(times, t[0], t[-1])
-        return PeelPlan(times=times, windows=windows, sigma=0.0)
+        return PeelPlan(times=times, windows=windows)
 
-    b_abs, sigma_est = _noise_floor(q, depth, ridge)
+    b_abs, sigma_est = _noise_floor(q, depth)
     sigma_abs = max(sigma if sigma is not None else 0.0, sigma_est, 1e-300)
 
     if method == "balance":
@@ -350,7 +356,7 @@ def plan_peel(
             else:
                 tm = math.log(b_next / sigma_abs) / (m * m + (m + 1) ** 2)
                 times[m - 1] = min(max(tm, t[0]), t[-1])
-        return PeelPlan(times=times, windows=windows, sigma=sigma_abs)
+        return PeelPlan(times=times, windows=windows)
 
     # propagation-aware greedy minimisation over the grid
     k2 = np.arange(1, depth + 2) ** 2
@@ -370,7 +376,7 @@ def plan_peel(
         i = int(np.argmin(model))
         times[m - 1] = t[i]
         errs[m - 1] = model[i]
-    return PeelPlan(times=times, windows=windows, sigma=sigma_abs, predicted=errs)
+    return PeelPlan(times=times, windows=windows, predicted=errs)
 
 
 @dataclass(frozen=True)
@@ -385,26 +391,17 @@ def peel_sequential(
     q: GridFn,
     depth: int,
     plan: PeelPlan | None = None,
-    eval_times=None,
     amplification_cap: float = AMPLIFICATION_CAP,
-    **plan_kwargs,
 ) -> PeelResult:
     """Sequential extraction of b_m from q(t) = sum_m b_m e^{-m^2 t}.
 
     b_hat_m = e^{m^2 t_m} [ q(t_m) - sum_{k<m} b_hat_k e^{-k^2 t_m} ],
     the instantaneous estimate averaged over the plan's window around t_m.
-    Explicit `eval_times` (one per mode, single-point evaluation) override
-    the plan; with neither given, plan_peel picks the default schedule.
-    Amplification factors above the cap, and a plan forecast that is not
-    finite, are recorded as warnings, not failures.
+    Without a plan, plan_peel picks the default schedule.  Amplification
+    factors above the cap, and a plan forecast that is not finite, are
+    recorded as warnings, not failures.
     """
-    if eval_times is not None:
-        times = np.atleast_1d(np.asarray(eval_times, dtype=float))
-        if times.size != depth:
-            raise ScheduleError(f"need {depth} evaluation times, got {times.size}")
-        plan = PeelPlan(times=times, windows=np.ones(depth, dtype=int))
-    elif plan is None:
-        plan = plan_peel(q, depth, **plan_kwargs)
+    plan = plan or plan_peel(q, depth)
     if plan.depth != depth:
         raise ScheduleError(f"plan depth {plan.depth} does not match requested {depth}")
     if np.any(plan.times > q.t_end + 1e-12) or np.any(plan.times < q.t0 - 1e-12):
@@ -483,20 +480,19 @@ class InversionConfig:
     order: int = DEFAULT_MODES       # modes used when rebuilding w(y, t)
     depth: int = 4                   # peeling depth
     deriv: DerivativeScheme = field(default_factory=DerivativeScheme)
-    burn_in: int = 2                 # samples dropped at the head of v_hat, h_hat
+    burn_in: int = DEFAULT_BURN_IN   # samples dropped at the head of v_hat, h_hat
     peel_method: str = "sequential"  # or "lsq"
     ridge: float = 0.0               # ridge parameter of peel_lsq
     schedule: PeelPlan | None = None
     schedule_method: str = "model"
     window: int | None = None
-    noise_sigma: float | None = None
     divisor_threshold: float = DEFAULT_POINT_THRESHOLD
     amplification_cap: float = AMPLIFICATION_CAP
 
     def __post_init__(self):
         if self.peel_method not in ("sequential", "lsq"):
             raise DomainError(f"unknown peeling method '{self.peel_method}'")
-        if self.schedule_method not in ("model", "balance", "ladder"):
+        if self.schedule_method not in SCHEDULE_METHODS:
             raise DomainError(f"unknown scheduling method '{self.schedule_method}'")
         if self.order < 3:
             raise DomainError("need at least modes 1..3 to rebuild the forced response")
@@ -523,25 +519,7 @@ class Diagnostics:
     warnings: tuple[str, ...]
 
     def to_dict(self) -> dict:
-        return {
-            "determinant": self.determinant,
-            "deriv_scheme": self.deriv_scheme,
-            "burn_in": self.burn_in,
-            "peel_method": self.peel_method,
-            "peel_condition": self.peel_condition,
-            "amplification": list(map(float, self.amplification)),
-            "predicted_mode_error": (
-                None
-                if self.predicted_mode_error is None
-                else list(map(float, self.predicted_mode_error))
-            ),
-            "divisors": list(map(float, self.divisors)),
-            "rejected_modes": list(self.rejected_modes),
-            "residual_u1": self.residual_u1,
-            "residual_u3": self.residual_u3,
-            "residual_uy": self.residual_uy,
-            "warnings": list(self.warnings),
-        }
+        return asdict(self)
 
 
 @dataclass(frozen=True)
@@ -584,6 +562,10 @@ def invert(obs: Observations, cfg: InversionConfig | None = None) -> Reconstruct
     q = _stage("form_q", lambda: obs.uy - w)
 
     warnings: list[str] = []
+    if obs.order is not None and cfg.order < obs.order:
+        warnings.append(
+            f"order {cfg.order} is below the {obs.order}-mode truncation of the observations"
+        )
     if cfg.peel_method == "lsq":
         b_hat, cond = _stage("peel", peel_lsq, q, cfg.depth, cfg.ridge)
         amp = np.ones(cfg.depth)
@@ -596,7 +578,6 @@ def invert(obs: Observations, cfg: InversionConfig | None = None) -> Reconstruct
                 plan_peel,
                 q,
                 cfg.depth,
-                sigma=cfg.noise_sigma,
                 method=cfg.schedule_method,
                 window=cfg.window,
             )
@@ -608,7 +589,9 @@ def invert(obs: Observations, cfg: InversionConfig | None = None) -> Reconstruct
         amp = result.amplification
         predicted = result.plan.predicted
         warnings.extend(result.warnings)
-        _, cond = _stage("peel_condition", peel_lsq, q, cfg.depth, max(cfg.ridge, 1e-12))
+        _, cond = _stage(
+            "peel_condition", peel_lsq, q, cfg.depth, max(cfg.ridge, PROVISIONAL_RIDGE)
+        )
 
     assembled = _stage("assemble_g", assemble_g, b_hat, obs.y, cfg.divisor_threshold)
 

@@ -22,7 +22,7 @@ from .forward import NoiseSpec, Observations, ProblemInstance
 from .grid import GridFn
 from .inverse import DET_EXACT, DerivativeScheme, InversionConfig, PeelPlan, Reconstruction
 from .presets import PRESETS, make_problem, preset_names
-from .regularize import NoiseStudy
+from .regularize import NoiseStudy, check_study
 from .basis import DEFAULT_MODES, SineSeries
 
 
@@ -83,7 +83,13 @@ class ExperimentConfig:
             val = getattr(self, name)
             if val is not None:
                 object.__setattr__(self, name, tuple(float(x) for x in val))
+        for f in dataclasses.fields(self):
+            val = getattr(self, f.name)
+            if any(isinstance(x, float) and not math.isfinite(x)
+                   for x in (val if isinstance(val, tuple) else (val,))):
+                raise ConfigError(f"{f.name} must be finite, got {val}")
         try:
+            check_study(self.levels, self.trials)
             self.inversion_config()
         except DomainError as exc:
             raise ConfigError(str(exc)) from None
@@ -120,18 +126,11 @@ class ExperimentConfig:
         return ProblemInstance(h=h, v=v, g=g, order=self.order,
                                t_final=self.t_final, dt=self.dt)
 
-    def noise_spec(self, seed: int | None = None) -> NoiseSpec:
-        return NoiseSpec(
-            kind=self.noise_kind,
-            level=self.noise_level,
-            seed=self.seed if seed is None else seed,
-        )
+    def noise_spec(self) -> NoiseSpec:
+        return NoiseSpec(kind=self.noise_kind, level=self.noise_level, seed=self.seed)
 
     def inversion_config(self, order: int | None = None) -> InversionConfig:
-        schedule = None
-        if self.schedule_times is not None:
-            times = np.asarray(self.schedule_times, dtype=float)
-            schedule = PeelPlan(times=times, windows=np.ones(times.size, dtype=int))
+        schedule = None if self.schedule_times is None else PeelPlan(self.schedule_times)
         return InversionConfig(
             order=self.order if order is None else order,
             depth=self.depth,
@@ -159,9 +158,25 @@ def save_config(cfg: ExperimentConfig, path: str | Path) -> None:
     write_json(path, cfg.to_dict())
 
 
+def _plain(x):
+    """x with ndarrays and numpy scalars as plain values and every float that
+    is not finite as None, so that the JSON text is standard."""
+    if isinstance(x, dict):
+        return {k: _plain(v) for k, v in x.items()}
+    if isinstance(x, (list, tuple)):
+        return [_plain(v) for v in x]
+    if isinstance(x, np.ndarray):
+        return x.tolist() if np.isfinite(x).all() else _plain(x.tolist())
+    if isinstance(x, np.generic):
+        x = x.item()
+    return None if isinstance(x, float) and not math.isfinite(x) else x
+
+
 def write_json(path: str | Path, payload) -> None:
-    """Every JSON file heatinv writes: indented, keys sorted, newline-terminated."""
-    Path(path).write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    """Every JSON file heatinv writes: strict JSON (a float that is not finite
+    becomes null), indented, keys sorted, newline-terminated."""
+    text = json.dumps(_plain(payload), indent=2, sort_keys=True, allow_nan=False)
+    Path(path).write_text(text + "\n")
 
 
 def _write_table(path: str | Path, title: str, meta: dict, header, rows) -> None:
@@ -258,16 +273,13 @@ def read_observations(path: str | Path) -> tuple[Observations, dict]:
     dt = float(meta.get("dt", t[1] - t[0] if t.size > 1 else 1.0))
     _require_grid(t, t[0], dt, f"time column is not the uniform grid with dt = {dt}")
     u1, u3, uy = (GridFn(t[0], dt, data[:, j]) for j in (1, 2, 3))
-    return Observations(u1=u1, u3=u3, uy=uy, y=float(meta["y"])), meta
+    order = None if meta.get("order") is None else int(meta["order"])
+    return Observations(u1=u1, u3=u3, uy=uy, y=float(meta["y"]), order=order), meta
 
 
 # ---------------------------------------------------------------------------
 # reconstructions
 # ---------------------------------------------------------------------------
-
-def _gridfn_dict(f: GridFn) -> dict:
-    return {"t0": f.t0, "dt": f.dt, "values": [float(x) for x in f.values]}
-
 
 def write_reconstruction(
     out_dir: str | Path, rec: Reconstruction, provenance: dict
@@ -279,11 +291,11 @@ def write_reconstruction(
     payload = {
         "g1": rec.g1,
         "g3": rec.g3,
-        "b_hat": [float(x) for x in rec.b_hat],
-        "g_coeffs": [float(x) for x in rec.g_coeffs.coeffs],
-        "g_sin_amplitudes": [float(x) for x in rec.g_coeffs.sin_amplitudes],
-        "v_hat": _gridfn_dict(rec.v_hat),
-        "h_hat": _gridfn_dict(rec.h_hat),
+        "b_hat": rec.b_hat,
+        "g_coeffs": rec.g_coeffs.coeffs,
+        "g_sin_amplitudes": rec.g_coeffs.sin_amplitudes,
+        "v_hat": dataclasses.asdict(rec.v_hat),
+        "h_hat": dataclasses.asdict(rec.h_hat),
         "diagnostics": rec.diagnostics.to_dict(),
         "provenance": provenance,
     }

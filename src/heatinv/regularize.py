@@ -51,26 +51,27 @@ class NoiseStudy:
     def records_at(self, level: float) -> list[TrialRecord]:
         return [r for r in self.records if r.level == level and r.ok]
 
-    def mean_b_err(self, level: float) -> np.ndarray:
-        rows = [r.b_err for r in self.records_at(level)]
+    def _stacked(self, level: float, metric: str) -> np.ndarray:
+        """One row of `metric` per successful trial at `level`."""
+        rows = [getattr(r, metric) for r in self.records_at(level)]
         if not rows:
             raise DataError(f"no successful trials at level {level}")
-        return np.mean(rows, axis=0)
+        return np.array(rows)
+
+    def mean_b_err(self, level: float) -> np.ndarray:
+        return np.mean(self._stacked(level, "b_err"), axis=0)
 
     def max_g_err(self, level: float) -> np.ndarray:
-        rows = [r.g_err for r in self.records_at(level)]
-        if not rows:
-            raise DataError(f"no successful trials at level {level}")
-        return np.max(rows, axis=0)
+        return np.max(self._stacked(level, "g_err"), axis=0)
 
     def mean_g_err(self, level: float) -> np.ndarray:
-        return np.mean([r.g_err for r in self.records_at(level)], axis=0)
+        return np.mean(self._stacked(level, "g_err"), axis=0)
 
     def mean_h_err(self, level: float) -> float:
-        return float(np.mean([r.h_rel_l2 for r in self.records_at(level)]))
+        return float(np.mean(self._stacked(level, "h_rel_l2")))
 
     def mean_v_err(self, level: float) -> float:
-        return float(np.mean([r.v_rel_l2 for r in self.records_at(level)]))
+        return float(np.mean(self._stacked(level, "v_rel_l2")))
 
     def n_failed(self) -> int:
         return sum(1 for r in self.records if not r.ok)
@@ -81,17 +82,17 @@ class NoiseStudy:
             "trials": self.trials,
             "base_seed": self.base_seed,
             "depth": self.depth,
-            "b_true": list(map(float, self.b_true)),
-            "g_true": list(map(float, self.g_true)),
+            "b_true": self.b_true,
+            "g_true": self.g_true,
             "n_failed": self.n_failed(),
             "per_level": {},
         }
         for lv in self.levels:
             if self.records_at(lv):
                 out["per_level"][repr(lv)] = {
-                    "mean_b_err": list(map(float, self.mean_b_err(lv))),
-                    "mean_g_err": list(map(float, self.mean_g_err(lv))),
-                    "max_g_err": list(map(float, self.max_g_err(lv))),
+                    "mean_b_err": self.mean_b_err(lv),
+                    "mean_g_err": self.mean_g_err(lv),
+                    "max_g_err": self.max_g_err(lv),
                     "mean_v_rel_l2": self.mean_v_err(lv),
                     "mean_h_rel_l2": self.mean_h_err(lv),
                 }
@@ -101,6 +102,19 @@ class NoiseStudy:
 def _trial_seed(base_seed: int, level_index: int, trial: int, trials: int) -> int:
     # distinct, reproducible, order-independent
     return base_seed + level_index * max(trials, 1) + trial
+
+
+def check_study(levels, trials: int) -> list[float]:
+    """The noise levels as floats; raises DomainError unless they are
+    non-negative and ascending and there is at least one trial."""
+    levels = [float(lv) for lv in levels]
+    if any(lv < 0 for lv in levels):
+        raise DomainError("noise levels must be non-negative")
+    if any(b > a for b, a in zip(levels, levels[1:])):
+        raise DomainError("noise levels must be ascending")
+    if trials < 1:
+        raise DomainError(f"need at least one trial, got {trials}")
+    return levels
 
 
 def run_noise_study(
@@ -123,13 +137,7 @@ def run_noise_study(
     instead of the flat error profile a recovery-optimised schedule aims
     for.
     """
-    levels = [float(lv) for lv in levels]
-    if any(lv < 0 for lv in levels):
-        raise DomainError("noise levels must be non-negative")
-    if any(b > a for b, a in zip(levels, levels[1:])):
-        raise DomainError("noise levels must be ascending")
-    if trials < 1:
-        raise DomainError(f"need at least one trial, got {trials}")
+    levels = check_study(levels, trials)
     if cfg is None:
         # match the problem's truncation: w(y, t) must carry the same modes
         # as the synthetic u(y, t) for the forced tails to cancel in q

@@ -269,6 +269,11 @@ class TestInvert:
         rec = invert(obs, InversionConfig(order=8, depth=2, schedule=plan))
         assert [w for w in rec.diagnostics.warnings if w.startswith("mode 2: schedule")]
 
+    def test_order_below_record_truncation_warned(self):
+        _, obs = observe("generic", order=16, t_final=6.0)
+        rec = invert(obs, InversionConfig(order=3, depth=2))
+        assert [w for w in rec.diagnostics.warnings if "order 3" in w and "16-mode" in w]
+
     def test_explicit_schedule_must_match_depth(self):
         from heatinv import InversionError, PeelPlan
 

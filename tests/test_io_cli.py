@@ -16,7 +16,9 @@ from heatinv import (
     NoiseSpec,
     Observations,
     ParseError,
+    PeelPlan,
     SineSeries,
+    invert,
     make_observations,
     make_problem,
     read_observations,
@@ -90,6 +92,19 @@ class TestExperimentConfig:
 
     def test_invalid_inversion_knob_simulates_nothing(self, tmp_path, capsys):
         (tmp_path / "c.json").write_text('{"peel_method": "bogus", "depth": 0}')
+        out = tmp_path / "out"
+        assert main(["simulate", "--config", str(tmp_path / "c.json"), "--out", str(out)]) == 2
+        assert json.loads(capsys.readouterr().err.strip())["error"] == "ConfigError"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("knobs", [
+        {"levels": [-1e-6]}, {"levels": [1e-4, 1e-6]}, {"trials": 0},
+        {"amplification_cap": math.inf}, {"ridge": math.nan},
+    ])
+    def test_bad_knob_rejected_at_load(self, tmp_path, capsys, knobs):
+        with pytest.raises(ConfigError):
+            ExperimentConfig(**knobs)
+        (tmp_path / "c.json").write_text(json.dumps(knobs))
         out = tmp_path / "out"
         assert main(["simulate", "--config", str(tmp_path / "c.json"), "--out", str(out)]) == 2
         assert json.loads(capsys.readouterr().err.strip())["error"] == "ConfigError"
@@ -185,6 +200,20 @@ class TestFormatPins:
             f"0,0,0,0,{nans}\n"
             f"0,1,1,0,{nans}\n"
         )
+
+
+class TestStrictJson:
+    def test_non_finite_written_as_null(self, tmp_path):
+        obs = make_obs("generic", order=8, t_final=4.0)
+        plan = PeelPlan([1.0, 0.5], predicted=np.array([1e-6, np.inf]))
+        rec = invert(obs, InversionConfig(order=8, depth=2, schedule=plan))
+        json_path, _ = write_reconstruction(tmp_path, rec, {})
+
+        def reject(token):
+            raise ValueError(f"non-standard JSON token {token}")
+
+        payload = json.loads(json_path.read_text(), parse_constant=reject)
+        assert payload["diagnostics"]["predicted_mode_error"] == [1e-6, None]
 
 
 class TestObservationFiles:
@@ -362,6 +391,19 @@ class TestCliInvert:
         rec = json.loads((tmp_path / "reconstruction.json").read_text())
         assert rec["provenance"]["order"] == 8
         assert rec["g_sin_amplitudes"][0] == pytest.approx(1.0, abs=1e-3)
+
+
+    def test_record_truncation_reaches_the_inversion(self, tmp_path):
+        # the C7 config: invert reuses the record's order, so nothing is flagged
+        cfg = ExperimentConfig(preset="fourmode", order=8, t_final=2.0, dt=2e-3, depth=4,
+                               noise_kind="relative", noise_level=1e-5, seed=13)
+        save_config(cfg, tmp_path / "c.json")
+        args = ["--config", str(tmp_path / "c.json"), "--out", str(tmp_path)]
+        assert main(["simulate", *args]) == 0
+        assert read_observations(tmp_path / "observations.csv")[0].order == 8
+        assert main(["invert", str(tmp_path / "observations.csv"), *args]) == 0
+        rec = json.loads((tmp_path / "reconstruction.json").read_text())
+        assert not [w for w in rec["diagnostics"]["warnings"] if "truncation" in w]
 
 
 class TestCliStudy:

@@ -9,6 +9,7 @@ import pytest
 from heatinv import (
     DataError,
     GridFn,
+    PeelPlan,
     ScheduleError,
     peel_lsq,
     peel_sequential,
@@ -23,7 +24,7 @@ def model_schedule_reference(q, depth):
     """plan_peel's 'model' schedule with the forecast summed term by term and
     no overflow handling; where nothing overflows (depth <= 10 on T = 6) the
     two must agree bit for bit."""
-    b_abs, sigma = _noise_floor(q, depth, 1e-12)
+    b_abs, sigma = _noise_floor(q, depth)
     sigma = max(sigma, 1e-300)
     t, dt = q.times, q.dt
     noise = sigma + 4.0 * np.finfo(float).eps * (b_abs @ np.exp(-np.outer(
@@ -54,12 +55,12 @@ class TestPeelSequential:
         b1 = SQ * math.sin(1.0)
         q = exp_sum([b1], 4.0, 1e-3)
         for t1 in (0.1, 1.0, 3.5):
-            res = peel_sequential(q, 1, eval_times=[t1])
+            res = peel_sequential(q, 1, plan=PeelPlan([t1]))
             assert res.b_hat[0] == pytest.approx(b1, abs=1e-12)
 
     def test_zero_input(self):
         q = GridFn(0.0, 1e-3, np.zeros(4001))
-        res = peel_sequential(q, 3, eval_times=[3.0, 2.0, 1.0])
+        res = peel_sequential(q, 3, plan=PeelPlan([3.0, 2.0, 1.0]))
         np.testing.assert_array_equal(res.b_hat, 0.0)
 
     def test_three_modes_default_schedule(self):
@@ -71,16 +72,16 @@ class TestPeelSequential:
     def test_schedule_beyond_horizon_rejected(self):
         q = exp_sum([1.0], 2.0, 1e-3)
         with pytest.raises(ScheduleError):
-            peel_sequential(q, 1, eval_times=[3.0])
+            peel_sequential(q, 1, plan=PeelPlan([3.0]))
 
     def test_wrong_number_of_times(self):
         q = exp_sum([1.0, 0.5], 2.0, 1e-3)
         with pytest.raises(ScheduleError):
-            peel_sequential(q, 2, eval_times=[1.0])
+            peel_sequential(q, 2, plan=PeelPlan([1.0]))
 
     def test_amplification_cap_warns_not_fails(self):
         q = exp_sum([1.0, 0.5], 6.0, 1e-3)
-        res = peel_sequential(q, 2, eval_times=[6.0, 5.0], amplification_cap=10.0)
+        res = peel_sequential(q, 2, plan=PeelPlan([6.0, 5.0]), amplification_cap=10.0)
         assert len(res.warnings) == 2
         assert "amplification" in res.warnings[0]
 
@@ -181,6 +182,6 @@ class TestDesignMatrix:
         # zero; the plan builders must never emit such a schedule
         b = (1.0, 0.5, 0.25)
         q = exp_sum(b, 4.0, 1e-3)
-        res = peel_sequential(q, 3, eval_times=[2.0, 2.0, 2.0])
+        res = peel_sequential(q, 3, plan=PeelPlan([2.0, 2.0, 2.0]))
         assert res.b_hat[1] == pytest.approx(0.0, abs=1e-12)
         assert res.b_hat[2] == pytest.approx(0.0, abs=1e-9)

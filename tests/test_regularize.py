@@ -1,11 +1,13 @@
 """Noise-study harness tests: determinism, baselines, amplification profiles."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
 
 from heatinv import (
+    DataError,
     DomainError,
     GridFn,
     InversionConfig,
@@ -74,8 +76,12 @@ class TestRunNoiseStudy:
         study = run_noise_study(p, 1.0, levels=[0.0], trials=2, base_seed=0)
         assert study.n_failed() == 2
         assert all(not r.ok and r.message for r in study.records)
-        with pytest.raises(Exception):
-            study.mean_b_err(0.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for aggregate in (study.mean_b_err, study.mean_g_err, study.max_g_err,
+                              study.mean_h_err, study.mean_v_err):
+                with pytest.raises(DataError):
+                    aggregate(0.0)
 
     def test_validation(self, fourmode_problem):
         with pytest.raises(DomainError):
