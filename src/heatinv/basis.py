@@ -67,6 +67,13 @@ def eval_basis(m: int, x):
     return float(out) if np.isscalar(x) else out
 
 
+def basis_at(y: float, order: int) -> np.ndarray:
+    """f_m(y) for m = 1..order at an interior point 0 < y < pi."""
+    if not 0.0 < y < math.pi:
+        raise DomainError(f"observation point must lie in (0, pi), got {y}")
+    return BASIS_NORM * np.sin(np.arange(1, order + 1) * y)
+
+
 @dataclass(frozen=True)
 class SineSeries:
     """Finite sine series sum_m coeffs[m-1] * f_m(x) on [0, pi]."""

@@ -9,12 +9,13 @@ Crank-Nicolson finite-difference oracle.  The observation triple
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, Union
 
 import numpy as np
 
-from .basis import BASIS_NORM, SineSeries, check_observation_point, mode_constants, project
+from .basis import (BASIS_NORM, SineSeries, basis_at, check_observation_point, mode_constants,
+                    project)
 from .errors import DataError, DomainError
 from .grid import GridFn
 
@@ -109,12 +110,8 @@ class ProblemInstance:
             raise DomainError(f"mode truncation must be >= 1, got {self.order}")
 
     @property
-    def n_steps(self) -> int:
-        return int(round(self.t_final / self.dt))
-
-    @property
     def n_samples(self) -> int:
-        return self.n_steps + 1
+        return int(round(self.t_final / self.dt)) + 1
 
     def _time_values(self, f: TimeInput) -> GridFn:
         if isinstance(f, GridFn):
@@ -129,9 +126,6 @@ class ProblemInstance:
     def v_grid(self) -> GridFn:
         return self._time_values(self.v)
 
-    def g_at(self, x):
-        return self.g(x)  # SineSeries instances are callable too
-
     def g_coeffs(self, order: int | None = None) -> np.ndarray:
         """Sine coefficients of g, padded or truncated to `order` modes."""
         order = self.order if order is None else order
@@ -145,8 +139,8 @@ class ProblemInstance:
     def compatibility(self) -> dict:
         """Corner-compatibility flags; incompatibility degrades accuracy only."""
         v0 = float(self.v_grid().values[0])
-        g0 = float(self.g_at(0.0))
-        gpi = float(self.g_at(math.pi))
+        g0 = float(self.g(0.0))
+        gpi = float(self.g(math.pi))
         return {
             "g0": g0,
             "v0": v0,
@@ -183,8 +177,7 @@ class SpectralSolution:
 
     def at_point(self, y: float) -> GridFn:
         """Pointwise synthesis u(y, t) = sum_m u_m(t) f_m(y)."""
-        fy = np.array([BASIS_NORM * math.sin(m * y) for m in range(1, self.order + 1)])
-        return GridFn(self.t0, self.dt, fy @ self.modes)
+        return GridFn(self.t0, self.dt, basis_at(y, self.order) @ self.modes)
 
     def field(self, x: np.ndarray, v: GridFn | None = None) -> np.ndarray:
         """Synthesis of u(x, t) on a spatial grid; shape (n, len(x)).
@@ -244,7 +237,7 @@ def solve_fd(p: ProblemInstance, nx: int) -> FDSolution:
     dt = p.dt
     r = dt / (2.0 * dx * dx)
 
-    g0 = np.asarray(p.g_at(x), dtype=float)
+    g0 = np.asarray(p.g(x), dtype=float)
     if not np.all(np.isfinite(g0)):
         raise DataError("initial data are not finite on the spatial grid")
 
@@ -294,13 +287,21 @@ class NoiseSpec:
         if self.level < 0.0:
             raise DataError(f"noise level must be non-negative, got {self.level}")
 
-    def sigma_for(self, values: np.ndarray) -> float:
+    def apply(self, obs: Observations) -> Observations:
+        """obs with this noise added: one default_rng(seed) draws, in the
+        order u1, u3, uy, level * scale * standard_normal(n) per series, where
+        scale is 1 ('absolute') or the series' sup norm ('relative').  A kind
+        'none' or a zero level returns obs itself."""
         if self.kind == "none" or self.level == 0.0:
-            return 0.0
-        if self.kind == "absolute":
-            return self.level
-        scale = float(np.max(np.abs(values)))
-        return self.level * scale
+            return obs
+        rng = np.random.default_rng(self.seed)
+
+        def noisy(f: GridFn) -> GridFn:
+            scale = 1.0 if self.kind == "absolute" else float(np.max(np.abs(f.values)))
+            return GridFn(f.t0, f.dt, f.values + (self.level * scale) * rng.standard_normal(f.n))
+
+        u1, u3, uy = (noisy(f) for f in (obs.u1, obs.u3, obs.uy))
+        return replace(obs, u1=u1, u3=u3, uy=uy)
 
     def to_dict(self) -> dict:
         return {"kind": self.kind, "level": self.level, "seed": self.seed}
@@ -330,8 +331,8 @@ def make_observations(
 ) -> Observations:
     """Generate the observation triple from the spectral solution.
 
-    u(y, t) is the truncated synthesis over the instance's M modes; optional
-    noise is added to the three observed series only.
+    u(y, t) is the truncated synthesis over the instance's M modes; the
+    optional noise is added to the three observed series by NoiseSpec.apply.
     """
     if p.order < 3:
         raise DomainError("observations need at least modes 1 and 3; use order >= 3")
@@ -342,21 +343,6 @@ def make_observations(
             f"{chk.min_abs_sin:.3e} below threshold {chk.threshold:.3e}"
         )
     sol = solve_spectral(p)
-    u1 = sol.mode(1).values.copy()
-    u3 = sol.mode(3).values.copy()
-    uy = sol.at_point(y).values.copy()
-
-    noise = noise or NoiseSpec()
-    if noise.kind != "none" and noise.level > 0.0:
-        rng = np.random.default_rng(noise.seed)
-        for series in (u1, u3, uy):
-            sigma = noise.sigma_for(series)
-            series += sigma * rng.standard_normal(series.size)
-
-    return Observations(
-        u1=GridFn(0.0, p.dt, u1),
-        u3=GridFn(0.0, p.dt, u3),
-        uy=GridFn(0.0, p.dt, uy),
-        y=float(y),
-        order=p.order,
-    )
+    clean = Observations(u1=sol.mode(1), u3=sol.mode(3), uy=sol.at_point(y), y=float(y),
+                         order=p.order)
+    return (noise or NoiseSpec()).apply(clean)

@@ -23,7 +23,7 @@ from .basis import (
     DEFAULT_MODES,
     DEFAULT_POINT_THRESHOLD,
     SineSeries,
-    eval_basis,
+    basis_at,
     mode_constants,
 )
 from .errors import (
@@ -195,13 +195,11 @@ def _forced_response(
     v_hat: GridFn, h_hat: GridFn, y: float, order: int
 ) -> tuple[GridFn, np.ndarray]:
     """w(y, t) and the forced modes 1..order it sums, both from t = 0."""
-    if not 0.0 < y < math.pi:
-        raise DomainError(f"observation point must lie in (0, pi), got {y}")
+    fy = basis_at(y, order)
     v_hat.require_same_grid(h_hat)
     v0 = _extend_to_zero(v_hat)
     h0 = _extend_to_zero(h_hat)
     modes = forced_mode_values(v0, h0, order)
-    fy = np.array([eval_basis(m, y) for m in range(1, order + 1)])
     return GridFn(v0.t0, v0.dt, fy @ modes), modes
 
 
@@ -294,7 +292,6 @@ def _noise_floor(q: GridFn, depth: int) -> tuple[np.ndarray, float]:
 def plan_peel(
     q: GridFn,
     depth: int,
-    sigma: float | None = None,
     method: str = "model",
     window: int | None = None,
 ) -> PeelPlan:
@@ -306,15 +303,15 @@ def plan_peel(
                  + (sigma + 4 eps env(t)) e^{m^2 t} / sqrt(w)   amplified noise
                  + sum_{k<m} err_k e^{(m^2-k^2) t}              inherited error
 
-    with |b_k| taken from a provisional ridge fit and env(t) the fitted
-    envelope of |q|.  method 'balance' applies the plain two-term rule
-    t_m = log(|b_{m+1}| / sigma) / (m^2 + (m+1)^2).  method 'ladder' needs
-    no data at all: t_m = (T/2) / m, so mode 1 is read at the midpoint of
-    the record and the noise multipliers e^{m^2 t_m} = e^{m T/2} grow
-    strictly with m; it is the no-knowledge default and the schedule used
-    by ill-posedness exhibits.  (Evaluating every mode at the same time
-    would telescope the bracket to zero, so the naive single-time choice
-    must be staggered like this.)
+    with |b_k| and the noise scale sigma from a provisional ridge fit and
+    env(t) the fitted envelope of |q|.  method 'balance' applies the plain
+    two-term rule t_m = log(|b_{m+1}| / sigma) / (m^2 + (m+1)^2).  method
+    'ladder' needs no data at all: t_m = (T/2) / m, so mode 1 is read at
+    the midpoint of the record and the noise multipliers e^{m^2 t_m} =
+    e^{m T/2} grow strictly with m; it is the no-knowledge default and the
+    schedule used by ill-posedness exhibits.  (Evaluating every mode at the
+    same time would telescope the bracket to zero, so the naive single-time
+    choice must be staggered like this.)
 
     Windows default to about a quarter of the local decay time of mode m,
     1/(4 m^2 dt) samples in total, which averages rounding noise without
@@ -345,7 +342,7 @@ def plan_peel(
         return PeelPlan(times=times, windows=windows)
 
     b_abs, sigma_est = _noise_floor(q, depth)
-    sigma_abs = max(sigma if sigma is not None else 0.0, sigma_est, 1e-300)
+    sigma_abs = max(sigma_est, 1e-300)
 
     if method == "balance":
         times = np.empty(depth)
@@ -452,11 +449,8 @@ def assemble_g(
     b_hat: np.ndarray, y: float, threshold: float = DEFAULT_POINT_THRESHOLD
 ) -> AssembledG:
     """g_m = b_m / f_m(y), rejecting modes with a near-vanishing divisor."""
-    if not 0.0 < y < math.pi:
-        raise DomainError(f"observation point must lie in (0, pi), got {y}")
     b_hat = np.atleast_1d(np.asarray(b_hat, dtype=float))
-    m = np.arange(1, b_hat.size + 1)
-    divisors = BASIS_NORM * np.sin(m * y)
+    divisors = basis_at(y, b_hat.size)
     coeffs = np.zeros_like(b_hat)
     rejected = []
     for j in range(b_hat.size):

@@ -88,6 +88,9 @@ class ExperimentConfig:
             if any(isinstance(x, float) and not math.isfinite(x)
                    for x in (val if isinstance(val, tuple) else (val,))):
                 raise ConfigError(f"{f.name} must be finite, got {val}")
+            integer = f.type == "int" or (f.type == "int | None" and val is not None)
+            if integer and (isinstance(val, bool) or not isinstance(val, int)):
+                raise ConfigError(f"{f.name} must be an integer, got {val!r}")
         try:
             check_study(self.levels, self.trials)
             self.inversion_config()
@@ -270,11 +273,22 @@ def read_observations(path: str | Path) -> tuple[Observations, dict]:
     t = data[:, 0]
     if "y" not in meta:
         raise ParseError("metadata does not define the observation point y")
-    dt = float(meta.get("dt", t[1] - t[0] if t.size > 1 else 1.0))
+    y = _meta_value(meta, "y", float)
+    dt = _meta_value(meta, "dt", float, t[1] - t[0] if t.size > 1 else 1.0)
     _require_grid(t, t[0], dt, f"time column is not the uniform grid with dt = {dt}")
     u1, u3, uy = (GridFn(t[0], dt, data[:, j]) for j in (1, 2, 3))
-    order = None if meta.get("order") is None else int(meta["order"])
-    return Observations(u1=u1, u3=u3, uy=uy, y=float(meta["y"]), order=order), meta
+    order = None if meta.get("order") is None else _meta_value(meta, "order", int)
+    return Observations(u1=u1, u3=u3, uy=uy, y=y, order=order), meta
+
+
+def _meta_value(meta: dict, key: str, kind: type, default=None):
+    """meta[key], or the default when absent, as a `kind`; a ParseError unless
+    it is a JSON number (an integer when kind is int)."""
+    val = meta.get(key, default)
+    if isinstance(val, bool) or not isinstance(val, int if kind is int else (int, float)):
+        noun = "an integer" if kind is int else "a number"
+        raise ParseError(f"metadata {key} must be {noun}, got {val!r}")
+    return kind(val)
 
 
 # ---------------------------------------------------------------------------

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .basis import eval_basis
+from .basis import basis_at
 from .errors import DataError, DomainError, HeatInvError
 from .forward import NoiseSpec, ProblemInstance, make_observations
 from .grid import GridFn, rel_l2
@@ -127,8 +127,10 @@ def run_noise_study(
 ) -> NoiseStudy:
     """Invert noisy observations at each relative noise level.
 
-    Each (level, trial) pair regenerates observations with its own seed and
-    runs the full pipeline; single-trial failures are recorded, not raised.
+    The clean observation record is built once; each (level, trial) pair
+    perturbs it with its own seed (NoiseSpec.apply) and runs the full
+    inversion.  A record that cannot be built (an unsafe y, say) raises;
+    a failure inside a single trial's inversion is recorded, not raised.
     Level 0 reproduces the clean baseline exactly.
 
     Without an explicit inversion config the peeling runs on the 'ladder'
@@ -145,8 +147,8 @@ def run_noise_study(
 
     depth = cfg.depth
     g_true = p.g_coeffs(depth)
-    fy = np.array([eval_basis(m, y) for m in range(1, depth + 1)])
-    b_true = g_true * fy
+    b_true = g_true * basis_at(y, depth)
+    clean = make_observations(p, y)
 
     v_true = p.v_grid()
     h_true = p.h_grid()
@@ -155,13 +157,9 @@ def run_noise_study(
     for li, level in enumerate(levels):
         for trial in range(trials):
             seed = _trial_seed(base_seed, li, trial, trials)
-            noise = NoiseSpec(kind="relative" if level > 0 else "none", level=level, seed=seed)
             try:
-                obs = make_observations(p, y, noise)
-                rec = invert(obs, cfg)
+                rec = invert(NoiseSpec("relative", level, seed).apply(clean), cfg)
                 k = int(round(rec.v_hat.t0 / rec.v_hat.dt))
-                v_ref = v_true.values[k:]
-                h_ref = h_true.values[k:]
                 records.append(
                     TrialRecord(
                         level=level,
@@ -170,8 +168,8 @@ def run_noise_study(
                         ok=True,
                         b_err=np.abs(rec.b_hat - b_true),
                         g_err=np.abs(rec.g_coeffs.coeffs - g_true),
-                        v_rel_l2=rel_l2(rec.v_hat.values, v_ref),
-                        h_rel_l2=rel_l2(rec.h_hat.values, h_ref),
+                        v_rel_l2=rel_l2(rec.v_hat.values, v_true.values[k:]),
+                        h_rel_l2=rel_l2(rec.h_hat.values, h_true.values[k:]),
                         peel_condition=rec.diagnostics.peel_condition,
                     )
                 )

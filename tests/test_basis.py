@@ -18,7 +18,22 @@ from heatinv import (
     project,
     synthesize,
 )
+from heatinv.basis import basis_at
+
 SQ = math.sqrt(2.0 / math.pi)
+
+
+class TestBasisAt:
+    def test_matches_eval_basis_bit_for_bit(self):
+        for y in (1.0, 0.3, 2.9, math.pi / 3 + 0.1):
+            fy = basis_at(y, 64)
+            assert fy.shape == (64,)
+            assert all(fy[m - 1] == eval_basis(m, y) for m in range(1, 65))
+
+    @pytest.mark.parametrize("y", [0.0, math.pi, -0.5, 4.0])
+    def test_interior_points_only(self, y):
+        with pytest.raises(DomainError, match=r"observation point must lie in \(0, pi\)"):
+            basis_at(y, 4)
 
 
 class TestModeConstants:

@@ -323,6 +323,27 @@ class TestMakeObservations:
         with pytest.raises(DomainError):
             make_observations(p, 1.0)
 
+    def test_clean_record_returned_unchanged(self):
+        p = make_problem("generic", 8, 1.0, 1e-2)
+        clean = make_observations(p, 1.0)
+        assert NoiseSpec().apply(clean) is clean
+        assert NoiseSpec("relative", 0.0, seed=5).apply(clean) is clean
+
+    @pytest.mark.parametrize("kind", ["absolute", "relative"])
+    def test_apply_draws_u1_u3_uy_in_order(self, kind):
+        p = make_problem("generic", 8, 1.0, 1e-2)
+        clean = make_observations(p, 1.0)
+        noisy = NoiseSpec(kind, 1e-3, seed=9).apply(clean)
+        direct = make_observations(p, 1.0, NoiseSpec(kind, 1e-3, seed=9))
+        rng = np.random.default_rng(9)
+        for name in ("u1", "u3", "uy"):
+            values = getattr(clean, name).values
+            scale = 1.0 if kind == "absolute" else np.max(np.abs(values))
+            expect = values + (1e-3 * scale) * rng.standard_normal(values.size)
+            np.testing.assert_array_equal(getattr(noisy, name).values, expect)
+            np.testing.assert_array_equal(getattr(direct, name).values, expect)
+        assert (noisy.y, noisy.order, noisy.u1.dt) == (clean.y, clean.order, clean.u1.dt)
+
     def test_absolute_noise_kind(self):
         p = make_problem("decay1", 4, 1.0, 1e-2)
         obs = make_observations(p, 1.0, NoiseSpec(kind="absolute", level=1e-2, seed=0))

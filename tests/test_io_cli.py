@@ -100,6 +100,8 @@ class TestExperimentConfig:
     @pytest.mark.parametrize("knobs", [
         {"levels": [-1e-6]}, {"levels": [1e-4, 1e-6]}, {"trials": 0},
         {"amplification_cap": math.inf}, {"ridge": math.nan},
+        {"trials": 2.5}, {"order": 4.5}, {"order": 4.0}, {"depth": 2.5}, {"seed": "1"},
+        {"smooth_window": True}, {"smooth_polyorder": 3.0}, {"burn_in": "2"}, {"window": 1.0},
     ])
     def test_bad_knob_rejected_at_load(self, tmp_path, capsys, knobs):
         with pytest.raises(ConfigError):
@@ -109,6 +111,10 @@ class TestExperimentConfig:
         assert main(["simulate", "--config", str(tmp_path / "c.json"), "--out", str(out)]) == 2
         assert json.loads(capsys.readouterr().err.strip())["error"] == "ConfigError"
         assert not out.exists()
+
+    def test_integer_knobs_accepted(self):
+        assert ExperimentConfig(window=3, trials=2, seed=0).window == 3
+        assert ExperimentConfig().window is None
 
     def test_inversion_defaults_shared(self):
         assert ExperimentConfig().inversion_config() == InversionConfig()
@@ -263,6 +269,24 @@ class TestObservationFiles:
         )
         with pytest.raises(DataError, match="uniform grid"):
             read_observations(path)
+
+    @pytest.mark.parametrize("key, value", [("order", "x"), ("y", "x"), ("dt", None)])
+    def test_malformed_meta_value_is_parse_error(self, tmp_path, capsys, key, value):
+        cfg = ExperimentConfig(preset="decay1", order=4, t_final=0.05, dt=1e-2)
+        save_config(cfg, tmp_path / "c.json")
+        assert main(["simulate", "--config", str(tmp_path / "c.json"), "--out", str(tmp_path)]) == 0
+        path = tmp_path / "observations.csv"
+        lines = path.read_text().splitlines(keepends=True)
+        meta = json.loads(lines[1].partition("=")[2])
+        meta[key] = value
+        lines[1] = "# meta = " + json.dumps(meta) + "\n"
+        path.write_text("".join(lines))
+        with pytest.raises(ParseError, match=f"metadata {key} must be"):
+            read_observations(path)
+        capsys.readouterr()
+        assert main(["invert", str(path), "--config", str(tmp_path / "c.json"),
+                     "--out", str(tmp_path / "out")]) == 2
+        assert json.loads(capsys.readouterr().err.strip())["error"] == "ParseError"
 
     def test_schedule_times_reach_the_peel(self):
         cfg = ExperimentConfig(preset="generic", schedule_times=(3.0, 1.5))

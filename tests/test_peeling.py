@@ -139,10 +139,10 @@ class TestPlanPeel:
     def test_balance_rule_matches_formula(self):
         b = (1.0, 0.5, 0.25)
         q = exp_sum(b, 12.0, 1e-3)
-        sigma = 1e-8
-        plan = plan_peel(q, 2, sigma=sigma, method="balance")
-        # t_m = log(|b_{m+1}|/sigma) / (m^2 + (m+1)^2), |b| from the
-        # provisional fit which is accurate on clean data
+        _, sigma = _noise_floor(q, 2)
+        plan = plan_peel(q, 2, method="balance")
+        # t_m = log(|b_{m+1}|/sigma) / (m^2 + (m+1)^2), |b| and sigma from
+        # the provisional fit, whose |b| is accurate on clean data
         expect1 = math.log(0.5 / sigma) / 5.0
         expect2 = math.log(0.25 / sigma) / 13.0
         assert plan.times[0] == pytest.approx(expect1, rel=1e-3)

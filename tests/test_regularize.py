@@ -1,5 +1,6 @@
 """Noise-study harness tests: determinism, baselines, amplification profiles."""
 
+import json
 import math
 import warnings
 
@@ -10,7 +11,9 @@ from heatinv import (
     DataError,
     DomainError,
     GridFn,
+    HeatInvError,
     InversionConfig,
+    NoiseSpec,
     amplification_profile,
     invert,
     make_observations,
@@ -18,6 +21,8 @@ from heatinv import (
     rel_l2,
     run_noise_study,
 )
+from heatinv.cli import main
+from heatinv.io import ExperimentConfig, save_config
 
 
 @pytest.fixture(scope="module")
@@ -82,6 +87,44 @@ class TestRunNoiseStudy:
                               study.mean_h_err, study.mean_v_err):
                 with pytest.raises(DataError):
                     aggregate(0.0)
+
+    def test_matches_per_trial_resimulation(self, fourmode_problem):
+        # reference: every trial re-simulates its own noisy record
+        p, levels, trials, base_seed = fourmode_problem, (0.0, 1e-6, 1e-4), 4, 7
+        cfg = InversionConfig(order=p.order, schedule_method="ladder", window=1)
+        study = run_noise_study(p, 1.0, levels, trials, base_seed=base_seed)
+        reference = []
+        for li, level in enumerate(levels):
+            for trial in range(trials):
+                seed = base_seed + li * trials + trial
+                noise = NoiseSpec("relative" if level > 0 else "none", level, seed)
+                try:
+                    reference.append((seed, invert(make_observations(p, 1.0, noise), cfg)))
+                except HeatInvError:
+                    reference.append((seed, None))
+        assert len(study.records) == len(reference)
+        for r, (seed, rec) in zip(study.records, reference):
+            assert r.seed == seed
+            assert r.ok == (rec is not None)
+            if rec is None:
+                continue
+            np.testing.assert_array_equal(r.b_err, np.abs(rec.b_hat - study.b_true))
+            np.testing.assert_array_equal(r.g_err, np.abs(rec.g_coeffs.coeffs - study.g_true))
+            k = int(round(rec.v_hat.t0 / rec.v_hat.dt))
+            assert r.v_rel_l2 == rel_l2(rec.v_hat.values, p.v_grid().values[k:])
+            assert r.h_rel_l2 == rel_l2(rec.h_hat.values, p.h_grid().values[k:])
+            assert r.peel_condition == rec.diagnostics.peel_condition
+
+    def test_unsafe_point_raises(self, fourmode_problem, tmp_path, capsys):
+        # sin(2 y) vanishes at y = pi/2: no record can be built, so no trial runs
+        with pytest.raises(DomainError, match="unsafe"):
+            run_noise_study(fourmode_problem, math.pi / 2, levels=[0.0], trials=2)
+        save_config(ExperimentConfig(preset="fourmode", order=8, t_final=0.2, dt=2e-3,
+                                     y=math.pi / 2, levels=(0.0,), trials=2), tmp_path / "c.json")
+        out = tmp_path / "out"
+        assert main(["study", "--config", str(tmp_path / "c.json"), "--out", str(out)]) == 2
+        assert json.loads(capsys.readouterr().err.strip())["error"] == "DomainError"
+        assert not (out / "study.csv").exists()
 
     def test_validation(self, fourmode_problem):
         with pytest.raises(DomainError):
