@@ -13,6 +13,7 @@ import hashlib
 import json
 import math
 from dataclasses import dataclass
+from itertools import chain
 from pathlib import Path
 
 import numpy as np
@@ -79,18 +80,20 @@ class ExperimentConfig:
             raise ConfigError("either a preset or explicit problem data must be given")
         if self.preset is not None and (self.h_csv or self.v_csv or self.g_amplitudes):
             raise ConfigError("a preset and explicit problem data are mutually exclusive")
-        for name in ("g_amplitudes", "schedule_times", "levels"):
-            val = getattr(self, name)
-            if val is not None:
-                object.__setattr__(self, name, tuple(float(x) for x in val))
         for f in dataclasses.fields(self):
             val = getattr(self, f.name)
-            if any(isinstance(x, float) and not math.isfinite(x)
-                   for x in (val if isinstance(val, tuple) else (val,))):
-                raise ConfigError(f"{f.name} must be finite, got {val}")
-            integer = f.type == "int" or (f.type == "int | None" and val is not None)
-            if integer and (isinstance(val, bool) or not isinstance(val, int)):
-                raise ConfigError(f"{f.name} must be an integer, got {val!r}")
+            kind = f.type.removesuffix(" | None")
+            if kind not in ("int", "float", "tuple[float, ...]") or (val is None and kind != f.type):
+                continue
+            number = int if kind == "int" else (int, float)
+            items = val if kind.startswith("tuple") else (val,)
+            if not isinstance(items, (list, tuple)) or not all(
+                    isinstance(x, number) and not isinstance(x, bool)
+                    and (isinstance(x, int) or math.isfinite(x)) for x in items):
+                noun = {"int": "an integer", "float": "a finite number"}.get(kind, "a number list")
+                raise ConfigError(f"{f.name} must be {noun}, got {val!r}")
+            if kind.startswith("tuple"):
+                object.__setattr__(self, f.name, tuple(map(float, val)))
         try:
             check_study(self.levels, self.trials)
             self.inversion_config()
@@ -161,36 +164,47 @@ def save_config(cfg: ExperimentConfig, path: str | Path) -> None:
     write_json(path, cfg.to_dict())
 
 
-def _plain(x):
-    """x with ndarrays and numpy scalars as plain values and every float that
-    is not finite as None, so that the JSON text is standard."""
+def _json(x, pad: str = "") -> str:
+    """json.dumps(x, indent=2, sort_keys=True, allow_nan=False) at indent `pad` for
+    str dict keys, with ndarrays and numpy scalars as plain values and every float
+    that is not finite as null; a list of floats is rendered in one join."""
+    if isinstance(x, (np.ndarray, np.generic)):
+        x = x.tolist()
+    if isinstance(x, float):
+        return float.__repr__(x) if math.isfinite(x) else "null"
+    if not x or not isinstance(x, (dict, list, tuple)):
+        return json.dumps(x)
+    inner = pad + "  "
     if isinstance(x, dict):
-        return {k: _plain(v) for k, v in x.items()}
-    if isinstance(x, (list, tuple)):
-        return [_plain(v) for v in x]
-    if isinstance(x, np.ndarray):
-        return x.tolist() if np.isfinite(x).all() else _plain(x.tolist())
-    if isinstance(x, np.generic):
-        x = x.item()
-    return None if isinstance(x, float) and not math.isfinite(x) else x
+        items = [f"{json.dumps(k)}: {_json(v, inner)}" for k, v in sorted(x.items())]
+        return "{\n" + inner + f",\n{inner}".join(items) + f"\n{pad}}}"
+    if all(isinstance(v, float) for v in x):
+        body = f",\n{inner}".join(map(float.__repr__, x))
+        if "n" in body:  # of all float reprs, only nan, inf and -inf hold an n
+            body = body.replace("-inf", "null").replace("inf", "null").replace("nan", "null")
+    else:
+        body = f",\n{inner}".join(_json(v, inner) for v in x)
+    return "[\n" + inner + body + f"\n{pad}]"
 
 
 def write_json(path: str | Path, payload) -> None:
     """Every JSON file heatinv writes: strict JSON (a float that is not finite
     becomes null), indented, keys sorted, newline-terminated."""
-    text = json.dumps(_plain(payload), indent=2, sort_keys=True, allow_nan=False)
-    Path(path).write_text(text + "\n")
+    Path(path).write_text(_json(payload) + "\n")
 
 
-def _write_table(path: str | Path, title: str, meta: dict, header, rows) -> None:
+def _write_table(path: str | Path, title: str, meta: dict, header, columns) -> None:
     """Every CSV heatinv writes: a '# heatinv <title>' line, the metadata as one
-    canonical JSON line, the column header, then one line per row.  Integers
-    are written as such, every other value with fmt."""
+    canonical JSON line, the column header, then the rows of `columns`, one
+    sequence per header cell.  A column of Python ints is written with %d,
+    every other with %.17g, the text of fmt."""
+    columns = [c.tolist() if isinstance(c, np.ndarray) else c for c in columns]
+    row = ",".join("%d" if all(type(x) is int for x in c) else "%.17g" for c in columns)
     lines = [f"# heatinv {title}",
              "# meta = " + json.dumps(meta, sort_keys=True, separators=(", ", ": ")),
-             ",".join(header)]
-    lines += [",".join([str(x) if isinstance(x, int) else fmt(x) for x in row]) for row in rows]
-    Path(path).write_text("\n".join(lines) + "\n")
+             ",".join(header), ""]
+    body = (row + "\n") * len(columns[0]) % tuple(chain.from_iterable(zip(*columns)))
+    Path(path).write_text("\n".join(lines) + body)
 
 
 def _read_table(
@@ -208,10 +222,15 @@ def _read_table(
     values: list[float] = []
     lines = Path(path).read_text().splitlines()
     for i, raw in enumerate(lines, start=1):
+        cells = raw.split(",")
+        if len(cells) == ncols:
+            try:
+                values.extend(map(float, cells))
+                continue
+            except ValueError:
+                pass
         line = raw.strip()
-        if not line:
-            continue
-        if line.startswith("#"):
+        if not line or line[0] == "#":
             body = line[1:].strip()
             if body.startswith("meta"):
                 try:
@@ -219,15 +238,13 @@ def _read_table(
                 except json.JSONDecodeError:
                     raise ParseError("metadata line is not valid JSON", line=i) from None
             continue
-        cells = line.split(",")
         if len(cells) != ncols:
             raise ParseError(f"expected {ncols} columns in {path}, got {len(cells)}", line=i)
-        try:
-            values += [float(c) for c in cells]
-        except ValueError:
-            if values or header is not None:
-                raise ParseError(f"non-numeric value in {path}", line=i) from None
-            header = (i, [c.strip() for c in cells])
+        # a header has no full row before it; drop the cells it did convert
+        if len(values) >= ncols or header is not None:
+            raise ParseError(f"non-numeric value in {path}", line=i)
+        values.clear()
+        header = (i, [c.strip() for c in cells])
     if not values:
         raise ParseError(f"no data rows found in {path}", line=len(lines))
     return meta, header, np.array(values).reshape(-1, ncols)
@@ -260,9 +277,8 @@ def _read_time_samples(path: str | None, dt: float, n: int) -> GridFn:
 
 def write_observations(path: str | Path, obs: Observations, meta: dict) -> None:
     """CSV with '#' metadata lines and columns t, u1, u3, uy."""
-    columns = (obs.u1.times, obs.u1.values, obs.u3.values, obs.uy.values)
     _write_table(path, "observations", meta, ["t", "u1", "u3", "uy"],
-                 zip(*(c.tolist() for c in columns)))
+                 (obs.u1.times, obs.u1.values, obs.u3.values, obs.uy.values))
 
 
 def read_observations(path: str | Path) -> tuple[Observations, dict]:
@@ -317,9 +333,8 @@ def write_reconstruction(
     write_json(json_path, payload)
 
     csv_path = out / "reconstruction.csv"
-    columns = (rec.v_hat.times, rec.v_hat.values, rec.h_hat.values)
     _write_table(csv_path, "reconstruction", provenance, ["t", "v_hat", "h_hat"],
-                 zip(*(c.tolist() for c in columns)))
+                 (rec.v_hat.times, rec.v_hat.values, rec.h_hat.values))
     return json_path, csv_path
 
 
@@ -385,7 +400,7 @@ def write_study(out_dir: str | Path, study: NoiseStudy, provenance: dict) -> lis
         if r.ok else [r.level, r.trial, r.seed, 0] + [math.nan] * (3 + 2 * depth)
         for r in study.records
     )
-    _write_table(csv_path, "noise study", provenance, header, rows)
+    _write_table(csv_path, "noise study", provenance, header, list(zip(*rows)))
 
     json_path = out / "study.json"
     write_json(json_path, {**study.to_dict(), "provenance": provenance})
@@ -397,21 +412,15 @@ def write_study(out_dir: str | Path, study: NoiseStudy, provenance: dict) -> lis
     mode_path = out / "error_vs_mode.dat"
     blocks = ["# heatinv study: mean absolute error of b_hat and g_hat per mode", stamp]
     for lv in study.levels:
-        if not study.records_at(lv):
-            continue
-        blocks.append(f'# level = {fmt(lv)}')
-        blocks.append("# m  mean_b_err  mean_g_err")
-        mb = study.mean_b_err(lv)
-        mg = study.mean_g_err(lv)
-        for m in range(1, depth + 1):
-            blocks.append(f"{m} {fmt(mb[m - 1])} {fmt(mg[m - 1])}")
-        blocks.append("")
-        blocks.append("")
+        if study.records_at(lv):
+            pairs = zip(study.mean_b_err(lv), study.mean_g_err(lv))
+            blocks += [f"# level = {fmt(lv)}", "# m  mean_b_err  mean_g_err"]
+            blocks += [f"{m} {fmt(b)} {fmt(g)}" for m, (b, g) in enumerate(pairs, 1)] + ["", ""]
     mode_path.write_text("\n".join(blocks).rstrip("\n") + "\n")
 
     level_path = out / "error_vs_level.dat"
-    rows = ["# heatinv study: mean relative L2 error of v_hat and h_hat per noise level", stamp]
-    rows.append("# level  mean_v_rel_l2  mean_h_rel_l2")
+    rows = ["# heatinv study: mean relative L2 error of v_hat and h_hat per noise level", stamp,
+            "# level  mean_v_rel_l2  mean_h_rel_l2"]
     for lv in study.levels:
         if study.records_at(lv):
             rows.append(f"{fmt(lv)} {fmt(study.mean_v_err(lv))} {fmt(study.mean_h_err(lv))}")

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import array_shapes, arrays
 
 from heatinv import (
     ConfigError,
@@ -26,14 +27,20 @@ from heatinv import (
 )
 from heatinv.cli import main
 from heatinv.inverse import DET_EXACT, Diagnostics, Reconstruction
-from heatinv.io import (ExperimentConfig, fmt, load_config, save_config, write_reconstruction,
-                        write_study)
+from heatinv.io import (ExperimentConfig, fmt, load_config, save_config, write_json,
+                        write_reconstruction, write_study)
 from heatinv.regularize import run_noise_study
 
 
 @given(st.floats(allow_nan=False, allow_infinity=False))
 def test_float_text_round_trip(x):
     assert float(fmt(x)) == x
+
+
+@given(st.floats())
+def test_percent_format_matches_fmt(x):
+    # the CSV writer formats a whole table with '%.17g'; fmt is the per-value text
+    assert "%.17g" % x == fmt(x)
 
 
 def make_obs(preset="decay1", order=4, t_final=0.02, dt=1e-3, noise=None):
@@ -102,6 +109,8 @@ class TestExperimentConfig:
         {"amplification_cap": math.inf}, {"ridge": math.nan},
         {"trials": 2.5}, {"order": 4.5}, {"order": 4.0}, {"depth": 2.5}, {"seed": "1"},
         {"smooth_window": True}, {"smooth_polyorder": 3.0}, {"burn_in": "2"}, {"window": 1.0},
+        {"y": "1.0"}, {"t_final": "0.05"}, {"ridge": "0"}, {"noise_level": True},
+        {"levels": ["0"]}, {"levels": "0"}, {"schedule_times": [1.0, None]}, {"dt": None},
     ])
     def test_bad_knob_rejected_at_load(self, tmp_path, capsys, knobs):
         with pytest.raises(ConfigError):
@@ -115,6 +124,10 @@ class TestExperimentConfig:
     def test_integer_knobs_accepted(self):
         assert ExperimentConfig(window=3, trials=2, seed=0).window == 3
         assert ExperimentConfig().window is None
+
+    def test_integers_accepted_for_float_knobs(self):
+        cfg = ExperimentConfig(preset="decay1", y=1, t_final=2, ridge=0, levels=[0, 1])
+        assert (cfg.y, cfg.t_final, cfg.ridge, cfg.levels) == (1, 2, 0, (0.0, 1.0))
 
     def test_inversion_defaults_shared(self):
         assert ExperimentConfig().inversion_config() == InversionConfig()
@@ -192,6 +205,46 @@ class TestFormatPins:
             "0.0040000000000000001,1e-300,2.5\n"
         )
 
+    def test_reconstruction_json(self, tmp_path):
+        diag = Diagnostics(determinant=DET_EXACT, deriv_scheme="central", burn_in=2,
+                           peel_method="lsq", peel_condition=1.0, amplification=np.ones(1),
+                           predicted_mode_error=np.array([np.inf]), divisors=np.ones(1),
+                           rejected_modes=(), residual_u1=0.0, residual_u3=0.0,
+                           residual_uy=0.0, warnings=())
+        rec = Reconstruction(v_hat=GridFn(0.002, 1e-3, [1 / 3, -0.0, 1e-300]),
+                             h_hat=GridFn(0.002, 1e-3, [-1 / 3, 0.0, 2.5]),
+                             g_coeffs=SineSeries([1.0]), b_hat=np.ones(1), g1=1.0, g3=0.0,
+                             diagnostics=diag)
+        json_path, _ = write_reconstruction(tmp_path, rec, {"seed": 7})
+        assert json_path.read_text() == (
+            '{\n  "b_hat": [\n    1.0\n  ],\n'
+            '  "diagnostics": {\n'
+            '    "amplification": [\n      1.0\n    ],\n'
+            '    "burn_in": 2,\n'
+            '    "deriv_scheme": "central",\n'
+            '    "determinant": -3.3953054526271007,\n'
+            '    "divisors": [\n      1.0\n    ],\n'
+            '    "peel_condition": 1.0,\n'
+            '    "peel_method": "lsq",\n'
+            '    "predicted_mode_error": [\n      null\n    ],\n'
+            '    "rejected_modes": [],\n'
+            '    "residual_u1": 0.0,\n'
+            '    "residual_u3": 0.0,\n'
+            '    "residual_uy": 0.0,\n'
+            '    "warnings": []\n'
+            '  },\n'
+            '  "g1": 1.0,\n'
+            '  "g3": 0.0,\n'
+            '  "g_coeffs": [\n    1.0\n  ],\n'
+            '  "g_sin_amplitudes": [\n    0.7978845608028654\n  ],\n'
+            '  "h_hat": {\n    "dt": 0.001,\n    "t0": 0.002,\n'
+            '    "values": [\n      -0.3333333333333333,\n      0.0,\n      2.5\n    ]\n  },\n'
+            '  "provenance": {\n    "seed": 7\n  },\n'
+            '  "v_hat": {\n    "dt": 0.001,\n    "t0": 0.002,\n'
+            '    "values": [\n      0.3333333333333333,\n      -0.0,\n      1e-300\n    ]\n  }\n'
+            '}\n'
+        )
+
     def test_study_csv_failed_rows(self, tmp_path):
         # the all-failed study of test_failed_trial_recorded_not_raised
         p = make_problem("fourmode", 8, 6e-3, 2e-3)
@@ -208,7 +261,44 @@ class TestFormatPins:
         )
 
 
+def plain(x):
+    """The former JSON payload conversion: ndarrays and numpy scalars as plain
+    values and every float that is not finite as None; the reference of
+    test_matches_json_dumps."""
+    if isinstance(x, dict):
+        return {k: plain(v) for k, v in x.items()}
+    if isinstance(x, (list, tuple)):
+        return [plain(v) for v in x]
+    if isinstance(x, np.ndarray):
+        return x.tolist() if np.isfinite(x).all() else plain(x.tolist())
+    if isinstance(x, np.generic):
+        x = x.item()
+    return None if isinstance(x, float) and not math.isfinite(x) else x
+
+
+edge_floats = st.one_of(st.floats(), st.sampled_from(
+    [math.nan, math.inf, -math.inf, -0.0, 5e-324, -2.2250738585072009e-308]))
+json_leaves = st.one_of(
+    st.none(), st.booleans(), st.integers(), st.text(max_size=5), edge_floats,
+    edge_floats.map(np.float64), st.integers(-2**62, 2**62).map(np.int64),
+    st.lists(edge_floats, max_size=8),
+    arrays(np.float64, array_shapes(min_dims=1, max_dims=2, min_side=0, max_side=4),
+           elements=edge_floats),
+    arrays(np.int64, array_shapes(max_dims=1, min_side=0, max_side=4)),
+)
+json_payloads = st.recursive(json_leaves, lambda kids: st.one_of(
+    st.lists(kids, max_size=4), st.lists(kids, max_size=4).map(tuple),
+    st.dictionaries(st.text(max_size=5), kids, max_size=4)), max_leaves=20)
+
+
 class TestStrictJson:
+    @given(json_payloads)
+    def test_matches_json_dumps(self, tmp_path_factory, payload):
+        path = tmp_path_factory.mktemp("json") / "payload.json"
+        write_json(path, payload)
+        assert path.read_text() == json.dumps(
+            plain(payload), indent=2, sort_keys=True, allow_nan=False) + "\n"
+
     def test_non_finite_written_as_null(self, tmp_path):
         obs = make_obs("generic", order=8, t_final=4.0)
         plan = PeelPlan([1.0, 0.5], predicted=np.array([1e-6, np.inf]))
@@ -240,6 +330,19 @@ class TestObservationFiles:
         path = tmp_path / "obs.csv"
         path.write_text('# meta = {"y": 1.0, "dt": 0.001}\nt,u1,u3,uy\n0,1,0\n')
         with pytest.raises(ParseError, match="line 3"):
+            read_observations(path)
+
+    def test_blank_and_comment_lines_between_rows(self, tmp_path):
+        path = tmp_path / "obs.csv"
+        head = '# meta = {"y": 1.0, "dt": 0.001}\nt,u1,u3,uy\n0,1,0,0\n'
+        path.write_text(head + "\n   \n# note,a,b,c\n  # indented\n0.001,2,0,0\n")
+        obs, _ = read_observations(path)
+        assert obs.u1.values.tolist() == [1.0, 2.0]
+        path.write_text(head + "\n# a note\n\n0.001,2,0\n")
+        with pytest.raises(ParseError, match="line 7"):
+            read_observations(path)
+        path.write_text(head + "\n# a note\n\n0.001,2,zap,0\n")
+        with pytest.raises(ParseError, match="line 7"):
             read_observations(path)
 
     def test_non_numeric_reports_line(self, tmp_path):
