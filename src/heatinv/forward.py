@@ -40,7 +40,9 @@ def mode_evolve(g, v: GridFn, h: GridFn) -> np.ndarray:
     1990): with x_0 = g and x_k the forcing term of step k, a block of B
     samples from s is one cumulative sum, u_{s+i} = a^i sum_{j<=i} a^{-j}
     x_{s+j} + a^{i+1} u_{s-1}, with B short enough that a^{-B} <= e^30 for the
-    fastest mode; the carry u_{s-1} passes from block to block.
+    fastest mode; the carry u_{s-1} passes from block to block.  Stacked v
+    and h of shape (rows, n) give a leading batch axis, shape (rows, M, n),
+    with every row's bits those of its own call.
     """
     v.require_same_grid(h)
     g = np.atleast_1d(np.asarray(g, dtype=float))
@@ -49,8 +51,9 @@ def mode_evolve(g, v: GridFn, h: GridFn) -> np.ndarray:
     order, n, dt = g.size, v.n, v.dt
     modes = [mode_constants(m) for m in range(1, order + 1)]
     lam = np.array([md.lam for md in modes])
-    forcing = (np.outer([md.fprime0 for md in modes], v.values)
-               + np.outer([md.c_m for md in modes], h.values))
+    forcing = np.array([md.fprime0 for md in modes])[:, None] * v.values[..., None, :]
+    forcing += np.array([md.c_m for md in modes])[:, None] * h.values[..., None, :]
+    batch = forcing.shape[:-2]
 
     # phi1 = (e^z - 1)/z and phi2 = (e^z - 1 - z)/z^2, by series for small |z|
     z = -lam * dt
@@ -63,22 +66,25 @@ def mode_evolve(g, v: GridFn, h: GridFn) -> np.ndarray:
 
     block = min(n, max(1, int(_BLOCK_DECAY / (lam[-1] * dt))))
     n_blocks = -(-n // block)
-    x = np.zeros((order, n_blocks * block))
-    x[:, 0] = g
-    x[:, 1:n] = b_old * forcing[:, :-1] + b_new * forcing[:, 1:]
-    x = x.reshape(order, n_blocks, block)
+    x = np.zeros((*batch, order, n_blocks * block))
+    x[..., 0] = g
+    np.multiply(b_old, forcing[..., :-1], out=x[..., 1:n])
+    forcing *= b_new
+    x[..., 1:n] += forcing[..., 1:]
+    del forcing
+    x = x.reshape(*batch, order, n_blocks, block)
 
     j = np.arange(block)
     up = np.exp(np.outer(z, j))[:, None, :]  # a^j
     x /= up
-    u = np.cumsum(x, axis=2)
+    u = np.cumsum(x, axis=-1, out=x)
     u *= up
     lead = np.exp(np.outer(z, j + 1))        # a^{i+1}, weight of the carry
     carry = np.zeros((order, 1))
-    for blk in u.transpose(1, 0, 2):
+    for blk in np.moveaxis(u, -2, 0):
         blk += lead * carry
-        carry = blk[:, -1:]
-    return u.reshape(order, -1)[:, :n]
+        carry = blk[..., -1:]
+    return u.reshape(*batch, order, -1)[..., :n]
 
 
 @dataclass(frozen=True)

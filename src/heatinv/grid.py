@@ -14,7 +14,11 @@ _REL_TOL = 1e-9
 
 @dataclass(frozen=True)
 class GridFn:
-    """A real function sampled on the uniform grid t0 + dt * k, k = 0..n-1."""
+    """A real function sampled on the uniform grid t0 + dt * k, k = 0..n-1.
+
+    values may also hold a stack of records on the one grid, shape (rows, n);
+    n and every method then act along the last axis.
+    """
 
     t0: float
     dt: float
@@ -22,8 +26,8 @@ class GridFn:
 
     def __post_init__(self):
         v = np.atleast_1d(np.asarray(self.values, dtype=float))
-        if v.ndim != 1 or v.size < 1:
-            raise DataError("grid values must form a non-empty 1-D array")
+        if v.ndim > 2 or v.size < 1:
+            raise DataError("grid values must form a non-empty 1-D array or a 2-D stack")
         if not np.all(np.isfinite(v)):
             raise DataError("grid values contain non-finite entries")
         if not self.dt > 0.0:
@@ -44,9 +48,20 @@ class GridFn:
             vals = np.array([float(fn(ti)) for ti in t])
         return cls(t0, dt, vals)
 
+    @classmethod
+    def stack(cls, fns) -> "GridFn":
+        """One (rows, n) GridFn from 1-D GridFns on a shared grid."""
+        for f in fns[1:]:
+            fns[0].require_same_grid(f)
+        return cls(fns[0].t0, fns[0].dt, np.stack([f.values for f in fns]))
+
+    def rows(self) -> list["GridFn"]:
+        """The records of a stack as 1-D GridFns (one for a single record)."""
+        return [GridFn(self.t0, self.dt, v) for v in np.atleast_2d(self.values)]
+
     @property
     def n(self) -> int:
-        return self.values.size
+        return self.values.shape[-1]
 
     @property
     def t_end(self) -> float:
@@ -59,7 +74,7 @@ class GridFn:
     def same_grid(self, other: "GridFn") -> bool:
         scale = max(abs(self.dt), abs(other.dt), 1e-300)
         return (
-            self.n == other.n
+            self.values.shape == other.values.shape
             and abs(self.dt - other.dt) <= _REL_TOL * scale
             and abs(self.t0 - other.t0) <= _REL_TOL * max(scale, abs(self.t0), abs(other.t0))
         )
@@ -84,7 +99,7 @@ class GridFn:
             raise DataError(f"cannot trim {k} samples from a grid of length {self.n}")
         if k == 0:
             return self
-        return GridFn(self.t0 + k * self.dt, self.dt, self.values[k:])
+        return GridFn(self.t0 + k * self.dt, self.dt, self.values[..., k:])
 
     def __sub__(self, other: "GridFn") -> "GridFn":
         self.require_same_grid(other)

@@ -8,7 +8,9 @@ q(y, t) = u(y, t) - w(y, t); divide by f_m(y) to obtain the sine
 coefficients of g.
 
 Every stage records diagnostics; the final reconstruction is checked for
-self-consistency against the observations it came from.
+self-consistency against the observations it came from.  The stages work
+along the last axis, so one pass inverts a stack of records that share a
+grid; `invert` runs a stack of one.
 """
 
 from __future__ import annotations
@@ -58,11 +60,12 @@ _EPS = float(np.finfo(float).eps)
 # stage 1: initial values of the observed modes
 # ---------------------------------------------------------------------------
 
-def extract_g13(obs: Observations) -> tuple[float, float]:
-    """g_1 = u_1(0), g_3 = u_3(0); the grid must start at t = 0."""
+def extract_g13(obs: Observations) -> tuple[np.ndarray, np.ndarray]:
+    """g_1 = u_1(0), g_3 = u_3(0), one per row of a stacked record; the grid
+    must start at t = 0."""
     if abs(obs.u1.t0) > 1e-12:
         raise PreconditionError(f"observation grid must start at t = 0, got t0 = {obs.u1.t0}")
-    return float(obs.u1.values[0]), float(obs.u3.values[0])
+    return obs.u1.values[..., 0], obs.u3.values[..., 0]
 
 
 # ---------------------------------------------------------------------------
@@ -71,9 +74,9 @@ def extract_g13(obs: Observations) -> tuple[float, float]:
 
 def _derivative(values: np.ndarray, dt: float) -> np.ndarray:
     """Second-order derivative: central stencils inside, one-sided at the ends."""
-    if values.size < 3:
+    if values.shape[-1] < 3:
         raise DataError("derivative stencil needs at least 3 samples")
-    return np.gradient(values, dt, edge_order=2)
+    return np.gradient(values, dt, axis=-1, edge_order=2)
 
 
 @dataclass(frozen=True)
@@ -82,7 +85,7 @@ class DerivativeScheme:
 
     smooth_window > 0 switches on Savitzky-Golay pre-smoothing (a moving
     local polynomial fit) before the finite-difference stencil; useful for
-    noisy data, off by default.
+    noisy data, off by default.  Each row of a stack is smoothed alone.
     """
 
     smooth_window: int = 0
@@ -95,11 +98,11 @@ class DerivativeScheme:
                 raise DataError(
                     f"smoothing window must be odd and exceed the polynomial order, got {w}"
                 )
-            if values.size < w:
+            if values.shape[-1] < w:
                 raise DataError("series shorter than the smoothing window")
             from scipy.signal import savgol_filter  # only smoothing needs scipy
 
-            values = savgol_filter(values, w, self.smooth_polyorder)
+            values = np.apply_along_axis(savgol_filter, -1, values, w, self.smooth_polyorder)
         return values, _derivative(values, dt)
 
     @property
@@ -144,8 +147,8 @@ def recover_vh(
     t = obs.u1.times
     dt = obs.u1.dt
 
-    f1 = obs.u1.values - g1 * np.exp(-t)
-    f3 = obs.u3.values - g3 * np.exp(-9.0 * t)
+    f1 = obs.u1.values - np.multiply.outer(g1, np.exp(-t))
+    f3 = obs.u3.values - np.multiply.outer(g3, np.exp(-9.0 * t))
     f1s, d1 = deriv.apply(f1, dt)
     f3s, d3 = deriv.apply(f3, dt)
     r1 = d1 + f1s
@@ -181,13 +184,15 @@ def _extend_to_zero(f: GridFn) -> GridFn:
     k = int(round(f.t0 / f.dt))
     if k == 0:
         return f
-    slope = (f.values[1] - f.values[0]) / f.dt if f.n > 1 else 0.0
-    head = f.values[0] + slope * f.dt * (np.arange(k) - k)
-    return GridFn(0.0, f.dt, np.concatenate([head, f.values]))
+    first = f.values[..., :1]
+    slope = (f.values[..., 1:2] - first) / f.dt if f.n > 1 else 0.0
+    head = first + slope * f.dt * (np.arange(k) - k)
+    return GridFn(0.0, f.dt, np.concatenate([head, f.values], axis=-1))
 
 
 def forced_mode_values(v: GridFn, h: GridFn, order: int) -> np.ndarray:
-    """Zero-initial-data Duhamel response of modes 1..order; shape (order, n)."""
+    """Zero-initial-data Duhamel response of modes 1..order; shape (order, n),
+    or (rows, order, n) for stacked inputs."""
     return mode_evolve(np.zeros(order), v, h)
 
 
@@ -394,9 +399,10 @@ def peel_sequential(
 
     b_hat_m = e^{m^2 t_m} [ q(t_m) - sum_{k<m} b_hat_k e^{-k^2 t_m} ],
     the instantaneous estimate averaged over the plan's window around t_m.
-    Without a plan, plan_peel picks the default schedule.  Amplification
-    factors above the cap, and a plan forecast that is not finite, are
-    recorded as warnings, not failures.
+    A stacked q peels every row on the one plan; b_hat then has shape
+    (rows, depth).  Without a plan, plan_peel picks the default schedule.
+    Amplification factors above the cap, and a plan forecast that is not
+    finite, are recorded as warnings, not failures.
     """
     plan = plan or plan_peel(q, depth)
     if plan.depth != depth:
@@ -406,18 +412,18 @@ def peel_sequential(
 
     t = q.times
     warnings: list[str] = []
-    b_hat = np.zeros(depth)
+    b_hat = np.zeros((*q.values.shape[:-1], depth))
     amp = np.empty(depth)
     for m in range(1, depth + 1):
         i = q.index_of(plan.times[m - 1])
         half = (int(plan.windows[m - 1]) - 1) // 2
         lo, hi = max(0, i - half), min(q.n, i + half + 1)
         ts = t[lo:hi]
-        bracket = q.values[lo:hi].copy()
+        bracket = q.values[..., lo:hi].copy()
         for k in range(1, m):
-            bracket -= b_hat[k - 1] * np.exp(-(k * k) * ts)
+            bracket -= b_hat[..., k - 1:k] * np.exp(-(k * k) * ts)
         m2 = m * m
-        b_hat[m - 1] = float(np.mean(np.exp(m2 * ts) * bracket))
+        b_hat[..., m - 1] = np.mean(np.exp(m2 * ts) * bracket, axis=-1)
         amp[m - 1] = math.exp(m2 * t[i])
         if amp[m - 1] > amplification_cap:
             warnings.append(
@@ -437,30 +443,33 @@ class AssembledG:
     """Sine coefficients of g with per-mode division diagnostics.
 
     Modes whose divisor |f_m(y)| falls below the threshold are rejected:
-    their coefficient is zeroed and the index recorded.
+    their coefficient is zeroed and the index recorded.  coeffs holds one row
+    per row of a stacked b_hat.
     """
 
-    series: SineSeries
+    coeffs: np.ndarray
     divisors: np.ndarray
     rejected: tuple[int, ...]
+
+    @property
+    def series(self) -> SineSeries:
+        return SineSeries(self.coeffs)
 
 
 def assemble_g(
     b_hat: np.ndarray, y: float, threshold: float = DEFAULT_POINT_THRESHOLD
 ) -> AssembledG:
-    """g_m = b_m / f_m(y), rejecting modes with a near-vanishing divisor."""
+    """g_m = b_m / f_m(y) along the last axis, rejecting modes with a
+    near-vanishing divisor; non-finite coefficients raise DataError."""
     b_hat = np.atleast_1d(np.asarray(b_hat, dtype=float))
-    divisors = basis_at(y, b_hat.size)
+    divisors = basis_at(y, b_hat.shape[-1])
+    keep = np.abs(divisors) >= threshold * BASIS_NORM
     coeffs = np.zeros_like(b_hat)
-    rejected = []
-    for j in range(b_hat.size):
-        if abs(divisors[j]) < threshold * BASIS_NORM:
-            rejected.append(j + 1)
-        else:
-            coeffs[j] = b_hat[j] / divisors[j]
-    return AssembledG(
-        series=SineSeries(coeffs), divisors=divisors, rejected=tuple(rejected)
-    )
+    coeffs[..., keep] = b_hat[..., keep] / divisors[keep]
+    if not np.all(np.isfinite(coeffs)):
+        raise DataError("coefficient vector contains non-finite entries")
+    rejected = tuple(int(j) + 1 for j in np.flatnonzero(~keep))
+    return AssembledG(coeffs=coeffs, divisors=divisors, rejected=rejected)
 
 
 # ---------------------------------------------------------------------------
@@ -544,7 +553,23 @@ def _stage(name: str, fn, *args, **kwargs):
 
 def invert(obs: Observations, cfg: InversionConfig | None = None) -> Reconstruction:
     """Run the full constructive reconstruction on one observation set."""
+    return invert_stack([obs], cfg)[0]
+
+
+def invert_stack(
+    records: list[Observations], cfg: InversionConfig | None = None
+) -> list[Reconstruction]:
+    """Reconstruct every record of a list that shares one grid and point y in
+    one pass: each stage runs once along the last axis of the stacked rows,
+    and row i's result carries the bits of its own lone inversion.  The
+    'model' and 'balance' schedules, the lsq peel and smoothing stay per row;
+    peel_condition, a function of the grid and the depth alone, runs once.
+    A failing stage fails the whole stack."""
     cfg = cfg or InversionConfig()
+    obs = Observations(
+        *(GridFn.stack([getattr(r, name) for r in records]) for name in ("u1", "u3", "uy")),
+        y=records[0].y, order=records[0].order,
+    )
 
     g1, g3 = _stage("extract_g13", extract_g13, obs)
     v_hat, h_hat, vh_info = _stage(
@@ -554,6 +579,7 @@ def invert(obs: Observations, cfg: InversionConfig | None = None) -> Reconstruct
     w, forced = _stage("compute_w", _forced_response, v_hat, h_hat, obs.y, cfg.order)
 
     q = _stage("form_q", lambda: obs.uy - w)
+    q_rows = q.rows()
 
     warnings: list[str] = []
     if obs.order is not None and cfg.order < obs.order:
@@ -561,62 +587,61 @@ def invert(obs: Observations, cfg: InversionConfig | None = None) -> Reconstruct
             f"order {cfg.order} is below the {obs.order}-mode truncation of the observations"
         )
     if cfg.peel_method == "lsq":
-        b_hat, cond = _stage("peel", peel_lsq, q, cfg.depth, cfg.ridge)
-        amp = np.ones(cfg.depth)
-        predicted = None
+        fits = [_stage("peel", peel_lsq, qr, cfg.depth, cfg.ridge) for qr in q_rows]
+        b_hat = np.array([b for b, _ in fits])
+        cond = fits[0][1]
+        peels = [(np.ones(cfg.depth), None, [])] * len(q_rows)
     else:
-        plan = cfg.schedule
-        if plan is None:
-            plan = _stage(
-                "peel_schedule",
-                plan_peel,
-                q,
-                cfg.depth,
-                method=cfg.schedule_method,
-                window=cfg.window,
+        # only the ladder and a given plan ignore the data: one plan peels the stack
+        shared = cfg.schedule is not None or cfg.schedule_method == "ladder"
+        results = []
+        for qt in [q] if shared else q_rows:
+            plan = cfg.schedule or _stage(
+                "peel_schedule", plan_peel, qt, cfg.depth,
+                method=cfg.schedule_method, window=cfg.window,
             )
-        result = _stage(
-            "peel", peel_sequential, q, cfg.depth, plan=plan,
-            amplification_cap=cfg.amplification_cap,
-        )
-        b_hat = result.b_hat
-        amp = result.amplification
-        predicted = result.plan.predicted
-        warnings.extend(result.warnings)
+            results.append(_stage(
+                "peel", peel_sequential, qt, cfg.depth, plan=plan,
+                amplification_cap=cfg.amplification_cap,
+            ))
+        b_hat = np.vstack([r.b_hat for r in results])
+        peels = [(r.amplification, r.plan.predicted, r.warnings) for r in results]
+        peels *= len(q_rows) // len(peels)  # a shared plan's numbers hold for every row
         _, cond = _stage(
-            "peel_condition", peel_lsq, q, cfg.depth, max(cfg.ridge, PROVISIONAL_RIDGE)
+            "peel_condition", peel_lsq, q_rows[0], cfg.depth, max(cfg.ridge, PROVISIONAL_RIDGE)
         )
 
     assembled = _stage("assemble_g", assemble_g, b_hat, obs.y, cfg.divisor_threshold)
 
-    # self-consistency: push the reconstruction back through the forward map
+    # self-consistency: push each reconstruction back through the forward map
     t = obs.u1.times
-    m2 = np.arange(1, cfg.depth + 1) ** 2
-    u1_pred = g1 * np.exp(-t) + forced[0]
-    u3_pred = g3 * np.exp(-9.0 * t) + forced[2]
-    uy_pred = w.values + b_hat @ np.exp(-np.outer(m2, t))
-
-    diagnostics = Diagnostics(
-        determinant=vh_info["determinant"],
-        deriv_scheme=vh_info["scheme"],
-        burn_in=vh_info["burn_in"],
-        peel_method=cfg.peel_method,
-        peel_condition=cond,
-        amplification=amp,
-        predicted_mode_error=predicted,
-        divisors=assembled.divisors,
-        rejected_modes=assembled.rejected,
-        residual_u1=rel_l2(u1_pred, obs.u1.values),
-        residual_u3=rel_l2(u3_pred, obs.u3.values),
-        residual_uy=rel_l2(uy_pred, obs.uy.values),
-        warnings=tuple(warnings),
-    )
-    return Reconstruction(
-        v_hat=v_hat,
-        h_hat=h_hat,
-        g_coeffs=assembled.series,
-        b_hat=b_hat,
-        g1=g1,
-        g3=g3,
-        diagnostics=diagnostics,
-    )
+    e1, e9 = np.exp(-t), np.exp(-9.0 * t)
+    decay = np.exp(-np.outer(np.arange(1, cfg.depth + 1) ** 2, t))
+    out = []
+    rows = zip(peels, v_hat.rows(), h_hat.rows())
+    for i, ((amp, predicted, peel_warnings), v_row, h_row) in enumerate(rows):
+        diagnostics = Diagnostics(
+            determinant=vh_info["determinant"],
+            deriv_scheme=vh_info["scheme"],
+            burn_in=vh_info["burn_in"],
+            peel_method=cfg.peel_method,
+            peel_condition=cond,
+            amplification=amp,
+            predicted_mode_error=predicted,
+            divisors=assembled.divisors,
+            rejected_modes=assembled.rejected,
+            residual_u1=rel_l2(g1[i] * e1 + forced[i, 0], obs.u1.values[i]),
+            residual_u3=rel_l2(g3[i] * e9 + forced[i, 2], obs.u3.values[i]),
+            residual_uy=rel_l2(w.values[i] + b_hat[i] @ decay, obs.uy.values[i]),
+            warnings=tuple(warnings + peel_warnings),
+        )
+        out.append(Reconstruction(
+            v_hat=v_row,
+            h_hat=h_row,
+            g_coeffs=SineSeries(assembled.coeffs[i]),
+            b_hat=b_hat[i],
+            g1=float(g1[i]),
+            g3=float(g3[i]),
+            diagnostics=diagnostics,
+        ))
+    return out

@@ -72,6 +72,21 @@ class ExperimentConfig:
     out_dir: str = "."
 
     def __post_init__(self):
+        for f in dataclasses.fields(self):
+            val = getattr(self, f.name)
+            kind = f.type.removesuffix(" | None")
+            if val is None and kind != f.type:
+                continue
+            allowed = {"int": int, "str": str}.get(kind, (int, float))
+            items = val if kind.startswith("tuple") else (val,)
+            if not isinstance(items, (list, tuple)) or not all(
+                    isinstance(x, allowed) and not isinstance(x, bool)
+                    and (not isinstance(x, float) or math.isfinite(x)) for x in items):
+                noun = {"int": "an integer", "float": "a finite number",
+                        "str": "a string"}.get(kind, "a number list")
+                raise ConfigError(f"{f.name} must be {noun}, got {val!r}")
+            if kind.startswith("tuple"):
+                object.__setattr__(self, f.name, tuple(map(float, val)))
         if self.preset is not None and self.preset not in PRESETS:
             raise ConfigError(
                 f"unknown preset '{self.preset}'; available: {', '.join(preset_names())}"
@@ -80,20 +95,6 @@ class ExperimentConfig:
             raise ConfigError("either a preset or explicit problem data must be given")
         if self.preset is not None and (self.h_csv or self.v_csv or self.g_amplitudes):
             raise ConfigError("a preset and explicit problem data are mutually exclusive")
-        for f in dataclasses.fields(self):
-            val = getattr(self, f.name)
-            kind = f.type.removesuffix(" | None")
-            if kind not in ("int", "float", "tuple[float, ...]") or (val is None and kind != f.type):
-                continue
-            number = int if kind == "int" else (int, float)
-            items = val if kind.startswith("tuple") else (val,)
-            if not isinstance(items, (list, tuple)) or not all(
-                    isinstance(x, number) and not isinstance(x, bool)
-                    and (isinstance(x, int) or math.isfinite(x)) for x in items):
-                noun = {"int": "an integer", "float": "a finite number"}.get(kind, "a number list")
-                raise ConfigError(f"{f.name} must be {noun}, got {val!r}")
-            if kind.startswith("tuple"):
-                object.__setattr__(self, f.name, tuple(map(float, val)))
         try:
             check_study(self.levels, self.trials)
             self.inversion_config()

@@ -15,9 +15,13 @@ import numpy as np
 
 from .basis import basis_at
 from .errors import DataError, DomainError, HeatInvError
-from .forward import NoiseSpec, ProblemInstance, make_observations
+from .forward import NoiseSpec, Observations, ProblemInstance, make_observations
 from .grid import GridFn, rel_l2
-from .inverse import InversionConfig, _design_matrix, invert, plan_peel
+from .inverse import InversionConfig, _design_matrix, invert_stack, plan_peel
+
+#: a stacked chunk of noisy records holds at most this many forced-mode
+#: samples (rows * order * n), which bounds a study's working memory
+_STACK_ELEMENTS = 2 ** 16
 
 
 @dataclass(frozen=True)
@@ -117,6 +121,19 @@ def check_study(levels, trials: int) -> list[float]:
     return levels
 
 
+def _invert_chunk(clean: Observations, noises: list[NoiseSpec], cfg: InversionConfig) -> list:
+    """Reconstructions of the noisy records noise.apply(clean), built just
+    before they are inverted as one stack.  If that fails, each record is
+    built and inverted alone, and one that fails comes back as its
+    HeatInvError: the same one its lone inversion raises."""
+    try:
+        return invert_stack([noise.apply(clean) for noise in noises], cfg)
+    except HeatInvError as exc:
+        if len(noises) == 1:
+            return [exc]
+        return [out for noise in noises for out in _invert_chunk(clean, [noise], cfg)]
+
+
 def run_noise_study(
     p: ProblemInstance,
     y: float,
@@ -128,10 +145,12 @@ def run_noise_study(
     """Invert noisy observations at each relative noise level.
 
     The clean observation record is built once; each (level, trial) pair
-    perturbs it with its own seed (NoiseSpec.apply) and runs the full
-    inversion.  A record that cannot be built (an unsafe y, say) raises;
-    a failure inside a single trial's inversion is recorded, not raised.
-    Level 0 reproduces the clean baseline exactly.
+    perturbs it with its own seed (NoiseSpec.apply).  The noisy records are
+    built and inverted a chunk at a time, as one stack of at most
+    _STACK_ELEMENTS forced-mode samples, and every trial's record equals that
+    of its own lone inversion.  A record that cannot be built (an unsafe y,
+    say) raises; a failure inside a single trial's inversion is recorded,
+    not raised.  Level 0 reproduces the clean baseline exactly.
 
     Without an explicit inversion config the peeling runs on the 'ladder'
     schedule with single-point evaluation: its noise multipliers e^{m^2 t_m}
@@ -153,30 +172,26 @@ def run_noise_study(
     v_true = p.v_grid()
     h_true = p.h_grid()
 
+    jobs = [(level, trial, _trial_seed(base_seed, li, trial, trials))
+            for li, level in enumerate(levels) for trial in range(trials)]
+    rows = max(1, _STACK_ELEMENTS // (cfg.order * clean.u1.n))
     records: list[TrialRecord] = []
-    for li, level in enumerate(levels):
-        for trial in range(trials):
-            seed = _trial_seed(base_seed, li, trial, trials)
-            try:
-                rec = invert(NoiseSpec("relative", level, seed).apply(clean), cfg)
-                k = int(round(rec.v_hat.t0 / rec.v_hat.dt))
-                records.append(
-                    TrialRecord(
-                        level=level,
-                        trial=trial,
-                        seed=seed,
-                        ok=True,
-                        b_err=np.abs(rec.b_hat - b_true),
-                        g_err=np.abs(rec.g_coeffs.coeffs - g_true),
-                        v_rel_l2=rel_l2(rec.v_hat.values, v_true.values[k:]),
-                        h_rel_l2=rel_l2(rec.h_hat.values, h_true.values[k:]),
-                        peel_condition=rec.diagnostics.peel_condition,
-                    )
-                )
-            except HeatInvError as exc:
-                records.append(
-                    TrialRecord(level=level, trial=trial, seed=seed, ok=False, message=str(exc))
-                )
+    for start in range(0, len(jobs), rows):
+        chunk = jobs[start:start + rows]
+        noises = [NoiseSpec("relative", level, seed) for level, _, seed in chunk]
+        for (level, trial, seed), rec in zip(chunk, _invert_chunk(clean, noises, cfg)):
+            if isinstance(rec, HeatInvError):
+                records.append(TrialRecord(level, trial, seed, ok=False, message=str(rec)))
+                continue
+            k = int(round(rec.v_hat.t0 / rec.v_hat.dt))
+            records.append(TrialRecord(
+                level, trial, seed, ok=True,
+                b_err=np.abs(rec.b_hat - b_true),
+                g_err=np.abs(rec.g_coeffs.coeffs - g_true),
+                v_rel_l2=rel_l2(rec.v_hat.values, v_true.values[k:]),
+                h_rel_l2=rel_l2(rec.h_hat.values, h_true.values[k:]),
+                peel_condition=rec.diagnostics.peel_condition,
+            ))
     return NoiseStudy(
         levels=tuple(levels),
         trials=trials,

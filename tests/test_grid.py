@@ -78,3 +78,18 @@ def test_rel_l2():
     assert rel_l2(np.array([1.0, 1.0]), np.array([1.0, 1.0])) == 0.0
     assert rel_l2(np.array([2.0]), np.array([1.0])) == pytest.approx(1.0)
     assert rel_l2(np.array([0.5]), np.zeros(1)) == pytest.approx(0.5)  # zero signal
+
+
+def test_stack_and_rows_round_trip():
+    a = GridFn(0.0, 0.1, [1.0, 2.0, 3.0])
+    b = GridFn(0.0, 0.1, [4.0, 5.0, 6.0])
+    s = GridFn.stack([a, b])
+    assert s.n == 3
+    assert s.trim_head(1).values.tolist() == [[2.0, 3.0], [5.0, 6.0]]
+    assert [r.values.tolist() for r in s.rows()] == [[1.0, 2.0, 3.0], [4.0, 5.0, 6.0]]
+    with pytest.raises(GridMismatchError):
+        GridFn.stack([a, GridFn(0.0, 0.2, [1.0, 2.0, 3.0])])
+    # a stack of another row count is another grid, not a broadcast
+    assert not s.same_grid(a)
+    with pytest.raises(GridMismatchError):
+        s - GridFn.stack([a, b, a])

@@ -20,6 +20,7 @@ from heatinv import (
     compute_w,
     extract_g13,
     invert,
+    invert_stack,
     make_observations,
     make_problem,
     mode_constants,
@@ -28,7 +29,7 @@ from heatinv import (
     system_determinant,
 )
 from heatinv.forward import Observations
-from heatinv.inverse import DerivativeScheme
+from heatinv.inverse import DerivativeScheme, PeelPlan
 
 SQ = math.sqrt(2.0 / math.pi)
 
@@ -310,3 +311,39 @@ class TestInvert:
         assert np.max(np.abs(rec_a.h_hat.values - rec_b.h_hat.values)) < 1e-10
         # while the even mode itself is recovered from u(y, t)
         assert rec_b.g_coeffs.coeffs[1] == pytest.approx(0.7, abs=1e-3)
+
+
+class TestInvertStack:
+    @pytest.mark.parametrize("cfg", [
+        InversionConfig(order=8, schedule_method="ladder", window=1),
+        InversionConfig(order=8, schedule_method="ladder"),
+        InversionConfig(order=8),
+        InversionConfig(order=8, schedule_method="balance"),
+        InversionConfig(order=8, depth=3, schedule=PeelPlan([2.0, 1.0, 0.5], [5, 3, 1])),
+        InversionConfig(order=8, peel_method="lsq"),
+        InversionConfig(order=8, deriv=DerivativeScheme(smooth_window=51)),
+        InversionConfig(order=6),
+    ], ids=["ladder", "ladder-windows", "model", "balance", "schedule-times", "lsq",
+            "smooth-51", "order-below-record"])
+    def test_rows_equal_lone_inversions_bit_for_bit(self, cfg):
+        p = make_problem("fourmode", 8, 4.0, 2e-3)
+        records = [make_observations(p, 1.0, NoiseSpec("relative", level, seed))
+                   for level, seed in ((0.0, 0), (1e-6, 1), (1e-4, 2), (1e-2, 3))]
+        for row, obs in zip(invert_stack(records, cfg), records):
+            lone = invert(obs, cfg)
+            for name in ("v_hat", "h_hat"):
+                a, b = getattr(row, name), getattr(lone, name)
+                assert (a.t0, a.dt) == (b.t0, b.dt)
+                np.testing.assert_array_equal(a.values, b.values)
+            np.testing.assert_array_equal(row.b_hat, lone.b_hat)
+            np.testing.assert_array_equal(row.g_coeffs.coeffs, lone.g_coeffs.coeffs)
+            assert (row.g1, row.g3) == (lone.g1, lone.g3)
+            lone_diag = lone.diagnostics.to_dict()
+            for key, value in row.diagnostics.to_dict().items():
+                np.testing.assert_array_equal(value, lone_diag[key], err_msg=key)
+
+    def test_grids_must_match(self):
+        _, a = observe("generic", order=8, t_final=2.0)
+        _, b = observe("generic", order=8, t_final=3.0)
+        with pytest.raises(DataError):
+            invert_stack([a, b])

@@ -111,6 +111,9 @@ class TestExperimentConfig:
         {"smooth_window": True}, {"smooth_polyorder": 3.0}, {"burn_in": "2"}, {"window": 1.0},
         {"y": "1.0"}, {"t_final": "0.05"}, {"ridge": "0"}, {"noise_level": True},
         {"levels": ["0"]}, {"levels": "0"}, {"schedule_times": [1.0, None]}, {"dt": None},
+        {"preset": "decay1", "out_dir": 5}, {"noise_kind": 3},
+        {"preset": None, "h_csv": 5, "g_amplitudes": [1.0]},
+        {"preset": None, "v_csv": 1.5, "g_amplitudes": [1.0]},
     ])
     def test_bad_knob_rejected_at_load(self, tmp_path, capsys, knobs):
         with pytest.raises(ConfigError):

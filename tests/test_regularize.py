@@ -2,6 +2,7 @@
 
 import json
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -87,6 +88,40 @@ class TestRunNoiseStudy:
                               study.mean_h_err, study.mean_v_err):
                 with pytest.raises(DataError):
                     aggregate(0.0)
+
+    @pytest.mark.parametrize("t_final, levels", [
+        (6e-3, [0.0, 1e-3]),   # every chunk fails: 4 samples are too few to differentiate
+        (4.0, [0.0, 1e300]),   # a chunk mixes clean rows with rows that overflow
+    ])
+    def test_failing_chunk_records_lone_messages(self, t_final, levels):
+        p = make_problem("fourmode", 8, t_final, 2e-3)
+        cfg = InversionConfig(order=8, schedule_method="ladder", window=1)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)  # overflow at level 1e300
+            study = run_noise_study(p, 1.0, levels, trials=3, cfg=cfg, base_seed=2)
+            lone = []
+            for r in study.records:
+                try:
+                    noisy = NoiseSpec("relative", r.level, r.seed).apply(make_observations(p, 1.0))
+                    lone.append((True, "", invert(noisy, cfg).b_hat))
+                except HeatInvError as exc:
+                    lone.append((False, str(exc), None))
+        assert study.n_failed() == (6 if t_final < 1 else 3)
+        for r, (ok, message, b_hat) in zip(study.records, lone):
+            assert (r.ok, r.message) == (ok, message)
+            if ok:
+                np.testing.assert_array_equal(r.b_err, np.abs(b_hat - study.b_true))
+
+    def test_chunked_stack_memory_bounded(self, fourmode_problem):
+        # the benchmark's study: 60 trials in chunks of 4 stay near the memory
+        # of one trial at a time (0.8 MB); one stack per level takes 8.8 MB
+        tracemalloc.start()
+        try:
+            run_noise_study(fourmode_problem, 1.0, (0.0, 1e-6, 1e-4), 20, base_seed=0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 3e6
 
     def test_matches_per_trial_resimulation(self, fourmode_problem):
         # reference: every trial re-simulates its own noisy record
