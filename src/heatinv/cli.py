@@ -158,7 +158,7 @@ def main(argv=None) -> int:
     handlers = {"simulate": cmd_simulate, "invert": cmd_invert, "study": cmd_study}
     try:
         return handlers[args.command](args)
-    except HeatInvError as exc:
+    except (HeatInvError, OSError) as exc:
         diag = {"error": type(exc).__name__, "message": str(exc)}
         if hasattr(exc, "stage"):
             diag["stage"] = exc.stage

@@ -91,13 +91,17 @@ class DerivativeScheme:
     smooth_window: int = 0
     smooth_polyorder: int = 3
 
+    def __post_init__(self):
+        w, p = self.smooth_window, self.smooth_polyorder
+        if w and (w % 2 == 0 or not 0 <= p < w):
+            raise DomainError(
+                "smoothing window must be odd and exceed the polynomial order >= 0, "
+                f"got window {w}, polyorder {p}"
+            )
+
     def apply(self, values: np.ndarray, dt: float) -> tuple[np.ndarray, np.ndarray]:
         if self.smooth_window:
-            w = int(self.smooth_window)
-            if w % 2 == 0 or w <= self.smooth_polyorder:
-                raise DataError(
-                    f"smoothing window must be odd and exceed the polynomial order, got {w}"
-                )
+            w = self.smooth_window
             if values.shape[-1] < w:
                 raise DataError("series shorter than the smoothing window")
             from scipy.signal import savgol_filter  # only smoothing needs scipy
@@ -451,10 +455,6 @@ class AssembledG:
     divisors: np.ndarray
     rejected: tuple[int, ...]
 
-    @property
-    def series(self) -> SineSeries:
-        return SineSeries(self.coeffs)
-
 
 def assemble_g(
     b_hat: np.ndarray, y: float, threshold: float = DEFAULT_POINT_THRESHOLD
@@ -501,6 +501,14 @@ class InversionConfig:
             raise DomainError("need at least modes 1..3 to rebuild the forced response")
         if self.depth < 1:
             raise DomainError(f"peeling depth must be >= 1, got {self.depth}")
+        if self.burn_in < 0:
+            raise DomainError(f"burn-in must be >= 0, got {self.burn_in}")
+        if not self.ridge >= 0.0:
+            raise DomainError(f"ridge must be >= 0, got {self.ridge}")
+        if self.schedule is not None and self.schedule.depth != self.depth:
+            raise DomainError(
+                f"schedule of {self.schedule.depth} times does not match depth {self.depth}"
+            )
 
 
 @dataclass(frozen=True)

@@ -18,11 +18,11 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ConfigError, DataError, DomainError, ParseError
+from .errors import ConfigError, DataError, HeatInvError, ParseError
 from .forward import NoiseSpec, Observations, ProblemInstance
 from .grid import GridFn
 from .inverse import DET_EXACT, DerivativeScheme, InversionConfig, PeelPlan, Reconstruction
-from .presets import PRESETS, make_problem, preset_names
+from .presets import make_problem
 from .regularize import NoiseStudy, check_study
 from .basis import DEFAULT_MODES, SineSeries
 
@@ -87,18 +87,17 @@ class ExperimentConfig:
                 raise ConfigError(f"{f.name} must be {noun}, got {val!r}")
             if kind.startswith("tuple"):
                 object.__setattr__(self, f.name, tuple(map(float, val)))
-        if self.preset is not None and self.preset not in PRESETS:
-            raise ConfigError(
-                f"unknown preset '{self.preset}'; available: {', '.join(preset_names())}"
-            )
         if self.preset is None and self.g_amplitudes is None:
             raise ConfigError("either a preset or explicit problem data must be given")
         if self.preset is not None and (self.h_csv or self.v_csv or self.g_amplitudes):
             raise ConfigError("a preset and explicit problem data are mutually exclusive")
-        try:
+        try:  # build what the config feeds; a preset problem reads no file
             check_study(self.levels, self.trials)
             self.inversion_config()
-        except DomainError as exc:
+            self.noise_spec()
+            if self.preset is not None:
+                self.make_problem()
+        except HeatInvError as exc:
             raise ConfigError(str(exc)) from None
 
     def to_dict(self) -> dict:

@@ -16,8 +16,8 @@ import numpy as np
 from .basis import basis_at
 from .errors import DataError, DomainError, HeatInvError
 from .forward import NoiseSpec, Observations, ProblemInstance, make_observations
-from .grid import GridFn, rel_l2
-from .inverse import InversionConfig, _design_matrix, invert_stack, plan_peel
+from .grid import rel_l2
+from .inverse import InversionConfig, invert_stack
 
 #: a stacked chunk of noisy records holds at most this many forced-mode
 #: samples (rows * order * n), which bounds a study's working memory
@@ -201,39 +201,3 @@ def run_noise_study(
         g_true=g_true,
         records=tuple(records),
     )
-
-
-@dataclass(frozen=True)
-class AmplificationProfile:
-    """Noise multipliers of the peeling schedule and design conditioning."""
-
-    times: np.ndarray        # scheduled evaluation time per mode
-    factors: np.ndarray      # e^{m^2 t_m}
-    conditions: np.ndarray   # lsq design condition number at depths 1..depth
-
-
-def amplification_profile(
-    grid: GridFn, depth: int, schedule_times=None
-) -> AmplificationProfile:
-    """Factors by which observation noise enters each peeled coefficient.
-
-    Without explicit times the no-data ladder schedule t_m = (T/2)/m is
-    used, so the factors e^{m^2 t_m} = e^{m T/2} grow strictly with m.  The
-    condition numbers are those of the exponential design matrix on the
-    given grid, truncated at depths 1..depth.
-    """
-    if depth < 1:
-        raise DomainError(f"depth must be >= 1, got {depth}")
-    if schedule_times is None:
-        times = plan_peel(grid, depth, method="ladder").times
-    else:
-        times = np.atleast_1d(np.asarray(schedule_times, dtype=float))
-        if times.size != depth:
-            raise DomainError(f"need {depth} schedule times, got {times.size}")
-    m2 = np.arange(1, depth + 1) ** 2
-    factors = np.exp(m2 * times)
-    a_full = _design_matrix(grid.times, depth)
-    conditions = np.array(
-        [float(np.linalg.cond(a_full[:, :d])) for d in range(1, depth + 1)]
-    )
-    return AmplificationProfile(times=times, factors=factors, conditions=conditions)

@@ -131,6 +131,10 @@ class TestRecoverVH:
         assert rel_l2(sm_h.values, h_true) < rel_l2(raw_h.values, h_true)
         assert info["scheme"] == "savgol(21,3)+central"
 
+    def test_even_smoothing_window_rejected_when_built(self):
+        with pytest.raises(DomainError, match="window 4, polyorder 3"):
+            DerivativeScheme(smooth_window=4)
+
     def test_even_mode_invisibility(self):
         # adding f_2 content to g must not change v_hat or h_hat at all
         base = make_problem("decay1", 4, 1.0, 1e-3)
@@ -186,19 +190,19 @@ class TestComputeW:
 class TestAssembleG:
     def test_inverts_first_mode_product(self):
         res = assemble_g(np.array([SQ * math.sin(1.0)]), 1.0)
-        assert res.series.coeffs[0] == pytest.approx(1.0, abs=1e-14)
+        assert res.coeffs[0] == pytest.approx(1.0, abs=1e-14)
         assert res.rejected == ()
 
     def test_zero_vector(self):
         res = assemble_g(np.zeros(4), 1.0)
-        np.testing.assert_array_equal(res.series.coeffs, 0.0)
+        np.testing.assert_array_equal(res.coeffs, 0.0)
 
     def test_near_zero_divisor_rejected_per_mode(self):
         # y = pi/2 makes f_2 vanish; mode 1 must still come through
         res = assemble_g(np.array([0.3, 0.4]), math.pi / 2)
         assert res.rejected == (2,)
-        assert res.series.coeffs[0] == pytest.approx(0.3 / SQ, abs=1e-14)
-        assert res.series.coeffs[1] == 0.0
+        assert res.coeffs[0] == pytest.approx(0.3 / SQ, abs=1e-14)
+        assert res.coeffs[1] == 0.0
         assert abs(res.divisors[1]) < 1e-12
 
     def test_divisors_recorded(self):
@@ -276,13 +280,10 @@ class TestInvert:
         assert [w for w in rec.diagnostics.warnings if "order 3" in w and "16-mode" in w]
 
     def test_explicit_schedule_must_match_depth(self):
-        from heatinv import InversionError, PeelPlan
-
-        _, obs = observe("generic", order=8, t_final=4.0)
+        # rejected when the config is built, before any stage runs
         plan = PeelPlan(times=np.array([1.0]), windows=np.ones(1, dtype=int))
-        with pytest.raises(InversionError) as err:
-            invert(obs, InversionConfig(order=8, depth=2, schedule=plan))
-        assert err.value.stage == "peel"
+        with pytest.raises(DomainError, match="schedule of 1 times does not match depth 2"):
+            InversionConfig(order=8, depth=2, schedule=plan)
 
     def test_stage_error_carries_stage_name(self):
         from heatinv import InversionError

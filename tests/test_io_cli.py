@@ -1,5 +1,6 @@
 """Serialisation and command-line behaviour: formats, round trips, determinism."""
 
+import builtins
 import json
 import math
 
@@ -51,7 +52,7 @@ def make_obs(preset="decay1", order=4, t_final=0.02, dt=1e-3, noise=None):
 class TestExperimentConfig:
     def test_round_trip(self, tmp_path):
         cfg = ExperimentConfig(preset="generic", t_final=2.0, dt=1e-2, seed=5,
-                               levels=(0.0, 1e-5), schedule_times=(1.0, 0.5))
+                               levels=(0.0, 1e-5), depth=2, schedule_times=(1.0, 0.5))
         path = tmp_path / "config.json"
         save_config(cfg, path)
         assert load_config(path) == cfg
@@ -114,6 +115,9 @@ class TestExperimentConfig:
         {"preset": "decay1", "out_dir": 5}, {"noise_kind": 3},
         {"preset": None, "h_csv": 5, "g_amplitudes": [1.0]},
         {"preset": None, "v_csv": 1.5, "g_amplitudes": [1.0]},
+        {"noise_kind": "gaussian"}, {"noise_level": -0.1}, {"smooth_window": 4},
+        {"smooth_window": 5, "smooth_polyorder": -1}, {"burn_in": -1},
+        {"depth": 2, "schedule_times": [1.0]}, {"ridge": -1.0}, {"t_final": 1.0, "dt": 0.3},
     ])
     def test_bad_knob_rejected_at_load(self, tmp_path, capsys, knobs):
         with pytest.raises(ConfigError):
@@ -395,7 +399,7 @@ class TestObservationFiles:
         assert json.loads(capsys.readouterr().err.strip())["error"] == "ParseError"
 
     def test_schedule_times_reach_the_peel(self):
-        cfg = ExperimentConfig(preset="generic", schedule_times=(3.0, 1.5))
+        cfg = ExperimentConfig(preset="generic", depth=2, schedule_times=(3.0, 1.5))
         inv = cfg.inversion_config()
         np.testing.assert_allclose(inv.schedule.times, [3.0, 1.5])
         assert np.all(inv.schedule.windows == 1)
@@ -534,6 +538,33 @@ class TestCliInvert:
         assert main(["invert", str(tmp_path / "observations.csv"), *args]) == 0
         rec = json.loads((tmp_path / "reconstruction.json").read_text())
         assert not [w for w in rec["diagnostics"]["warnings"] if "truncation" in w]
+
+
+class TestCliFileErrors:
+    """A file that cannot be read or written exits 2 with one JSON error line."""
+
+    @pytest.mark.parametrize("case", ["missing-observations", "observations-dir",
+                                      "missing-config", "missing-h-csv", "out-is-file"])
+    def test_file_error_exits_2(self, tmp_path, capsys, case):
+        cfg = tmp_path / "c.json"
+        save_config(ExperimentConfig(preset="decay1", order=4, t_final=0.1, dt=1e-2), cfg)
+        no_h = tmp_path / "no_h.json"
+        save_config(ExperimentConfig(preset=None, h_csv=str(tmp_path / "nope.csv"),
+                                     g_amplitudes=(1.0,), order=4, t_final=0.1, dt=1e-2), no_h)
+        out = ["--out", str(tmp_path / "out")]
+        argv = {
+            "missing-observations": ["invert", str(tmp_path / "nope.csv"), *out],
+            "observations-dir": ["invert", str(tmp_path), *out],
+            "missing-config": ["simulate", "--config", str(tmp_path / "nope.json"), *out],
+            "missing-h-csv": ["simulate", "--config", str(no_h), *out],
+            "out-is-file": ["simulate", "--config", str(cfg), "--out", str(cfg)],
+        }[case]
+        assert main(argv) == 2
+        (line,) = capsys.readouterr().err.splitlines()
+        diag = json.loads(line)
+        assert issubclass(getattr(builtins, diag["error"]), OSError)
+        assert diag["message"]
+        assert not (tmp_path / "out").exists()
 
 
 class TestCliStudy:

@@ -131,6 +131,12 @@ class TestPlanPeel:
         plan = plan_peel(q, 4, method="ladder")
         np.testing.assert_allclose(plan.times, [1.0, 0.5, 1.0 / 3.0, 0.25])
 
+    def test_ladder_amplification_strictly_increases(self):
+        # t_m = (T/2) / m, so the factors e^{m^2 t_m} = e^{m T/2} grow with m
+        q = GridFn(0.0, 1e-2, np.zeros(401))
+        res = peel_sequential(q, 5, plan=plan_peel(q, 5, method="ladder"))
+        assert np.all(np.diff(res.amplification) > 0.0)
+
     def test_model_times_decrease(self):
         q = exp_sum([1.0, 0.5, 0.25, 0.125], 12.0, 1e-3)
         plan = plan_peel(q, 4)

@@ -1,4 +1,4 @@
-"""Noise-study harness tests: determinism, baselines, amplification profiles."""
+"""Noise-study harness tests: determinism, baselines, failure recording."""
 
 import json
 import math
@@ -11,11 +11,9 @@ import pytest
 from heatinv import (
     DataError,
     DomainError,
-    GridFn,
     HeatInvError,
     InversionConfig,
     NoiseSpec,
-    amplification_profile,
     invert,
     make_observations,
     make_problem,
@@ -177,31 +175,3 @@ class TestRunNoiseStudy:
         assert d["n_failed"] == 0
         assert len(d["per_level"]) == 2
 
-
-class TestAmplificationProfile:
-    def test_depth_one_midpoint_factor(self):
-        grid = GridFn(0.0, 1e-2, np.zeros(201))  # T = 2
-        prof = amplification_profile(grid, 1)
-        assert prof.times[0] == pytest.approx(1.0)
-        assert prof.factors[0] == pytest.approx(math.e, rel=1e-12)
-
-    def test_factors_strictly_increase(self):
-        grid = GridFn(0.0, 1e-2, np.zeros(401))
-        prof = amplification_profile(grid, 5)
-        assert np.all(np.diff(prof.factors) > 0.0)
-
-    def test_condition_numbers_grow_with_depth(self):
-        grid = GridFn(0.0, 1e-3, np.zeros(4001))
-        prof = amplification_profile(grid, 4)
-        assert prof.conditions[3] > prof.conditions[2] > prof.conditions[1]
-
-    def test_explicit_times(self):
-        grid = GridFn(0.0, 1e-2, np.zeros(101))
-        prof = amplification_profile(grid, 2, schedule_times=[0.5, 0.25])
-        assert prof.factors[0] == pytest.approx(math.exp(0.5))
-        assert prof.factors[1] == pytest.approx(math.exp(1.0))
-
-    def test_bad_depth(self):
-        grid = GridFn(0.0, 1e-2, np.zeros(101))
-        with pytest.raises(DomainError):
-            amplification_profile(grid, 0)
