@@ -11,12 +11,14 @@ import pytest
 from heatinv import (
     DataError,
     DomainError,
+    GridFn,
     HeatInvError,
     InversionConfig,
     NoiseSpec,
     invert,
     make_observations,
     make_problem,
+    peel_lsq,
     rel_l2,
     run_noise_study,
 )
@@ -175,3 +177,11 @@ class TestRunNoiseStudy:
         assert d["n_failed"] == 0
         assert len(d["per_level"]) == 2
 
+
+class TestAmplificationProfile:
+    """Noise amplification of the peeling as the depth grows."""
+
+    def test_condition_numbers_grow_with_depth(self):
+        grid = GridFn(0.0, 1e-3, np.zeros(4001))
+        conditions = [peel_lsq(grid, d)[1] for d in range(1, 5)]
+        assert conditions[3] > conditions[2] > conditions[1]
