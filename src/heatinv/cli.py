@@ -100,15 +100,8 @@ def cmd_simulate(args) -> int:
     problem = cfg.make_problem()
     obs = make_observations(problem, cfg.y, cfg.noise_spec())
     out = _out_dir(args, cfg)
-    meta = {
-        "y": cfg.y,
-        "dt": cfg.dt,
-        "order": cfg.order,
-        "noise": cfg.noise_spec().to_dict(),
-        "seed": cfg.seed,
-        "preset": cfg.preset,
-        "config_sha256": cfg.config_hash(),
-    }
+    meta = {"noise": cfg.noise_spec().to_dict(), "seed": cfg.seed, "preset": cfg.preset,
+            "config_sha256": cfg.config_hash()}
     write_observations(out / "observations.csv", obs, meta)
     write_json(out / "observations.json", _provenance(cfg, y=cfg.y))
     print(f"wrote {out / 'observations.csv'} ({obs.u1.n} samples)")
@@ -118,13 +111,11 @@ def cmd_simulate(args) -> int:
 def cmd_invert(args) -> int:
     cfg = _load(args)
     obs, meta = read_observations(args.observations)
-    # the observation files fix the forward truncation; reuse it for w(y, t)
-    order = cfg.order if obs.order is None else obs.order
-    rec = invert(obs, cfg.inversion_config(order=order))
+    rec = invert(obs, cfg.inversion_config())
     out = _out_dir(args, cfg)
     # basename only: embedding a volatile absolute path would break the
     # byte-identical rerun contract
-    prov = _provenance(cfg, y=obs.y, order=order,
+    prov = _provenance(cfg, y=obs.y, order=obs.order,
                        observations=Path(args.observations).name,
                        observations_config_sha256=meta.get("config_sha256"))
     write_reconstruction(out, rec, prov)

@@ -328,6 +328,8 @@ class Observations:
         self.u1.require_same_grid(self.uy)
         if not 0.0 < self.y < math.pi:
             raise DomainError(f"observation point must lie in (0, pi), got {self.y}")
+        if self.order is not None and self.order < 3:
+            raise DomainError(f"observations need at least modes 1 and 3, got order {self.order}")
 
 
 def make_observations(
@@ -340,8 +342,6 @@ def make_observations(
     u(y, t) is the truncated synthesis over the instance's M modes; the
     optional noise is added to the three observed series by NoiseSpec.apply.
     """
-    if p.order < 3:
-        raise DomainError("observations need at least modes 1 and 3; use order >= 3")
     chk = check_observation_point(y, p.order)
     if not chk.safe:
         raise DomainError(

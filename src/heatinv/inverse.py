@@ -128,7 +128,7 @@ def recover_vh(
     g3: float,
     deriv: DerivativeScheme | None = None,
     burn_in: int = DEFAULT_BURN_IN,
-) -> tuple[GridFn, GridFn, dict]:
+) -> tuple[GridFn, GridFn]:
     """Recover v(t) and h(t) from the two observed boundary modes.
 
     Forms F_1 = u_1 - g_1 e^{-t} and F_3 = u_3 - g_3 e^{-9t}, differentiates
@@ -160,18 +160,10 @@ def recover_vh(
 
     m1, m3 = mode_constants(1), mode_constants(3)
     det = system_determinant()
-    if abs(det - DET_EXACT) > 1e-12:
-        raise InversionError(
-            "recover_vh", f"system determinant {det!r} deviates from -32/(3 pi)",
-            {"determinant": det},
-        )
     v = (m3.c_m * r1 - m1.c_m * r3) / det
     h = (m1.fprime0 * r3 - m3.fprime0 * r1) / det
 
-    v_hat = GridFn(obs.u1.t0, dt, v).trim_head(burn_in)
-    h_hat = GridFn(obs.u1.t0, dt, h).trim_head(burn_in)
-    info = {"determinant": det, "scheme": deriv.name, "burn_in": burn_in}
-    return v_hat, h_hat, info
+    return GridFn(obs.u1.t0, dt, v).trim_head(burn_in), GridFn(obs.u1.t0, dt, h).trim_head(burn_in)
 
 
 # ---------------------------------------------------------------------------
@@ -480,7 +472,7 @@ def assemble_g(
 class InversionConfig:
     """Knobs of the reconstruction pipeline."""
 
-    order: int = DEFAULT_MODES       # modes used when rebuilding w(y, t)
+    order: int = DEFAULT_MODES       # modes rebuilding w(y, t) for a record of unknown truncation
     depth: int = 4                   # peeling depth
     deriv: DerivativeScheme = field(default_factory=DerivativeScheme)
     burn_in: int = DEFAULT_BURN_IN   # samples dropped at the head of v_hat, h_hat
@@ -553,8 +545,6 @@ class Reconstruction:
 def _stage(name: str, fn, *args, **kwargs):
     try:
         return fn(*args, **kwargs)
-    except InversionError:
-        raise
     except Exception as exc:  # surface the failing stage with its payload
         raise InversionError(name, str(exc), {"exception": type(exc).__name__}) from exc
 
@@ -572,7 +562,9 @@ def invert_stack(
     and row i's result carries the bits of its own lone inversion.  The
     'model' and 'balance' schedules, the lsq peel and smoothing stay per row;
     peel_condition, a function of the grid and the depth alone, runs once.
-    A failing stage fails the whole stack."""
+    w(y, t) is rebuilt from the modes of the records' truncation, or from
+    cfg.order when the records do not state one.  A failing stage fails the
+    whole stack."""
     cfg = cfg or InversionConfig()
     obs = Observations(
         *(GridFn.stack([getattr(r, name) for r in records]) for name in ("u1", "u3", "uy")),
@@ -580,20 +572,14 @@ def invert_stack(
     )
 
     g1, g3 = _stage("extract_g13", extract_g13, obs)
-    v_hat, h_hat, vh_info = _stage(
-        "recover_vh", recover_vh, obs, g1, g3, cfg.deriv, cfg.burn_in
-    )
+    v_hat, h_hat = _stage("recover_vh", recover_vh, obs, g1, g3, cfg.deriv, cfg.burn_in)
 
-    w, forced = _stage("compute_w", _forced_response, v_hat, h_hat, obs.y, cfg.order)
+    order = cfg.order if obs.order is None else obs.order
+    w, forced = _stage("compute_w", _forced_response, v_hat, h_hat, obs.y, order)
 
     q = _stage("form_q", lambda: obs.uy - w)
     q_rows = q.rows()
 
-    warnings: list[str] = []
-    if obs.order is not None and cfg.order < obs.order:
-        warnings.append(
-            f"order {cfg.order} is below the {obs.order}-mode truncation of the observations"
-        )
     if cfg.peel_method == "lsq":
         fits = [_stage("peel", peel_lsq, qr, cfg.depth, cfg.ridge) for qr in q_rows]
         b_hat = np.array([b for b, _ in fits])
@@ -625,13 +611,14 @@ def invert_stack(
     t = obs.u1.times
     e1, e9 = np.exp(-t), np.exp(-9.0 * t)
     decay = np.exp(-np.outer(np.arange(1, cfg.depth + 1) ** 2, t))
+    det = system_determinant()
     out = []
     rows = zip(peels, v_hat.rows(), h_hat.rows())
     for i, ((amp, predicted, peel_warnings), v_row, h_row) in enumerate(rows):
         diagnostics = Diagnostics(
-            determinant=vh_info["determinant"],
-            deriv_scheme=vh_info["scheme"],
-            burn_in=vh_info["burn_in"],
+            determinant=det,
+            deriv_scheme=cfg.deriv.name,
+            burn_in=cfg.burn_in,
             peel_method=cfg.peel_method,
             peel_condition=cond,
             amplification=amp,
@@ -641,7 +628,7 @@ def invert_stack(
             residual_u1=rel_l2(g1[i] * e1 + forced[i, 0], obs.u1.values[i]),
             residual_u3=rel_l2(g3[i] * e9 + forced[i, 2], obs.u3.values[i]),
             residual_uy=rel_l2(w.values[i] + b_hat[i] @ decay, obs.uy.values[i]),
-            warnings=tuple(warnings + peel_warnings),
+            warnings=tuple(peel_warnings),
         )
         out.append(Reconstruction(
             v_hat=v_row,

@@ -91,11 +91,13 @@ class ExperimentConfig:
             raise ConfigError("either a preset or explicit problem data must be given")
         if self.preset is not None and (self.h_csv or self.v_csv or self.g_amplitudes):
             raise ConfigError("a preset and explicit problem data are mutually exclusive")
-        try:  # build what the config feeds; a preset problem reads no file
+        try:  # build what the config feeds, reading no sample file
             check_study(self.levels, self.trials)
             self.inversion_config()
             self.noise_spec()
-            if self.preset is not None:
+            if self.preset is None:
+                self._unread_problem()
+            else:
                 self.make_problem()
         except HeatInvError as exc:
             raise ConfigError(str(exc)) from None
@@ -125,20 +127,22 @@ class ExperimentConfig:
     def make_problem(self) -> ProblemInstance:
         if self.preset is not None:
             return make_problem(self.preset, self.order, self.t_final, self.dt)
-        n = int(round(self.t_final / self.dt)) + 1
-        h = _read_time_samples(self.h_csv, self.dt, n)
-        v = _read_time_samples(self.v_csv, self.dt, n)
-        g = SineSeries.from_sin_amplitudes(self.g_amplitudes)
-        return ProblemInstance(h=h, v=v, g=g, order=self.order,
-                               t_final=self.t_final, dt=self.dt)
+        p = self._unread_problem()
+        return dataclasses.replace(p, h=_read_time_samples(self.h_csv, p),
+                                   v=_read_time_samples(self.v_csv, p))
+
+    def _unread_problem(self) -> ProblemInstance:
+        """The explicit problem on its checked grid, h and v not yet read."""
+        return ProblemInstance(h=None, v=None, g=SineSeries.from_sin_amplitudes(self.g_amplitudes),
+                               order=self.order, t_final=self.t_final, dt=self.dt)
 
     def noise_spec(self) -> NoiseSpec:
         return NoiseSpec(kind=self.noise_kind, level=self.noise_level, seed=self.seed)
 
-    def inversion_config(self, order: int | None = None) -> InversionConfig:
+    def inversion_config(self) -> InversionConfig:
         schedule = None if self.schedule_times is None else PeelPlan(self.schedule_times)
         return InversionConfig(
-            order=self.order if order is None else order,
+            order=self.order,
             depth=self.depth,
             deriv=DerivativeScheme(self.smooth_window, self.smooth_polyorder),
             burn_in=self.burn_in,
@@ -257,9 +261,10 @@ def _require_grid(t: np.ndarray, t0: float, dt: float, message: str) -> None:
         raise DataError(message)
 
 
-def _read_time_samples(path: str | None, dt: float, n: int) -> GridFn:
-    """Read a two-column (t, value) CSV sampled on the simulation grid, with
-    an optional 't,...' header line; no file stands for the zero function."""
+def _read_time_samples(path: str | None, p: ProblemInstance) -> GridFn:
+    """Read a two-column (t, value) CSV sampled on the grid of p, with an
+    optional 't,...' header line; no file stands for the zero function."""
+    dt, n = p.dt, p.n_samples
     if not path:
         return GridFn(0.0, dt, np.zeros(n))
     _, header, data = _read_table(path, 2)
@@ -275,8 +280,10 @@ def _read_time_samples(path: str | None, dt: float, n: int) -> GridFn:
 # observations
 # ---------------------------------------------------------------------------
 
-def write_observations(path: str | Path, obs: Observations, meta: dict) -> None:
-    """CSV with '#' metadata lines and columns t, u1, u3, uy."""
+def write_observations(path: str | Path, obs: Observations, provenance: dict) -> None:
+    """CSV with columns t, u1, u3, uy; its metadata line is the provenance
+    plus the record's y, dt and order, the keys read_observations reads."""
+    meta = {**provenance, "y": obs.y, "dt": obs.u1.dt, "order": obs.order}
     _write_table(path, "observations", meta, ["t", "u1", "u3", "uy"],
                  (obs.u1.times, obs.u1.values, obs.u3.values, obs.uy.values))
 

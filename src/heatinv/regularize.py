@@ -159,10 +159,7 @@ def run_noise_study(
     for.
     """
     levels = check_study(levels, trials)
-    if cfg is None:
-        # match the problem's truncation: w(y, t) must carry the same modes
-        # as the synthetic u(y, t) for the forced tails to cancel in q
-        cfg = InversionConfig(order=p.order, schedule_method="ladder", window=1)
+    cfg = cfg or InversionConfig(schedule_method="ladder", window=1)
 
     depth = cfg.depth
     g_true = p.g_coeffs(depth)
@@ -174,7 +171,7 @@ def run_noise_study(
 
     jobs = [(level, trial, _trial_seed(base_seed, li, trial, trials))
             for li, level in enumerate(levels) for trial in range(trials)]
-    rows = max(1, _STACK_ELEMENTS // (cfg.order * clean.u1.n))
+    rows = max(1, _STACK_ELEMENTS // (clean.order * clean.u1.n))
     records: list[TrialRecord] = []
     for start in range(0, len(jobs), rows):
         chunk = jobs[start:start + rows]

@@ -2,6 +2,7 @@
 
 import math
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -37,6 +38,20 @@ SQ = math.sqrt(2.0 / math.pi)
 def observe(preset: str, order=8, t_final=2.0, dt=1e-3, y=1.0, noise=None):
     p = make_problem(preset, order, t_final, dt)
     return p, make_observations(p, y, noise)
+
+
+def assert_same_reconstruction(a, b):
+    """Every field of two reconstructions equal bit for bit."""
+    for name in ("v_hat", "h_hat"):
+        fa, fb = getattr(a, name), getattr(b, name)
+        assert (fa.t0, fa.dt) == (fb.t0, fb.dt)
+        np.testing.assert_array_equal(fa.values, fb.values)
+    np.testing.assert_array_equal(a.b_hat, b.b_hat)
+    np.testing.assert_array_equal(a.g_coeffs.coeffs, b.g_coeffs.coeffs)
+    assert (a.g1, a.g3) == (b.g1, b.g3)
+    b_diag = b.diagnostics.to_dict()
+    for key, value in a.diagnostics.to_dict().items():
+        np.testing.assert_array_equal(value, b_diag[key], err_msg=key)
 
 
 class TestExtractG13:
@@ -83,16 +98,15 @@ class TestRecoverVH:
     def test_quiet_problem_recovers_zeros(self):
         _, obs = observe("decay1", order=4)
         g1, g3 = extract_g13(obs)
-        v_hat, h_hat, info = recover_vh(obs, g1, g3)
+        v_hat, h_hat = recover_vh(obs, g1, g3)
         assert np.max(np.abs(v_hat.values)) < 1e-11
         assert np.max(np.abs(h_hat.values)) < 1e-11
-        assert info["determinant"] == pytest.approx(DET_EXACT, abs=1e-12)
 
     def test_constant_source_round_trip(self):
         p = ProblemInstance(h=lambda t: np.ones_like(t), v=lambda t: np.zeros_like(t),
                             g=SineSeries([0.0]), order=4, t_final=2.0, dt=1e-3)
         obs = make_observations(p, 1.0)
-        v_hat, h_hat, _ = recover_vh(obs, 0.0, 0.0)
+        v_hat, h_hat = recover_vh(obs, 0.0, 0.0)
         # O(dt^2) with constant ~ |F_3'''|/6 ~ 14 near t = 0, tiny later
         assert np.max(np.abs(h_hat.values - 1.0)) < 5e-6
         late = h_hat.values[h_hat.times >= 0.5]
@@ -101,10 +115,10 @@ class TestRecoverVH:
 
     def test_burn_in_trims_head(self):
         _, obs = observe("generic", order=8)
-        v_hat, h_hat, _ = recover_vh(obs, *extract_g13(obs), burn_in=2)
+        v_hat, h_hat = recover_vh(obs, *extract_g13(obs), burn_in=2)
         assert v_hat.t0 == pytest.approx(2e-3)
         assert v_hat.n == obs.u1.n - 2
-        v0, _, _ = recover_vh(obs, *extract_g13(obs), burn_in=0)
+        v0, _ = recover_vh(obs, *extract_g13(obs), burn_in=0)
         assert v0.n == obs.u1.n
 
     def test_short_series_rejected(self):
@@ -122,14 +136,14 @@ class TestRecoverVH:
     def test_smoothing_scheme_on_noisy_data(self):
         p = make_problem("generic", 8, 2.0, 1e-3)
         obs = make_observations(p, 1.0, NoiseSpec("relative", 1e-5, seed=11))
-        raw_v, raw_h, _ = recover_vh(obs, *extract_g13(obs))
-        sm_v, sm_h, info = recover_vh(
+        raw_v, raw_h = recover_vh(obs, *extract_g13(obs))
+        sm_v, sm_h = recover_vh(
             obs, *extract_g13(obs), deriv=DerivativeScheme(smooth_window=21)
         )
         t = raw_h.times
         h_true = 1.0 + np.cos(t)
         assert rel_l2(sm_h.values, h_true) < rel_l2(raw_h.values, h_true)
-        assert info["scheme"] == "savgol(21,3)+central"
+        assert DerivativeScheme(21, 3).name == "savgol(21,3)+central"
 
     def test_even_smoothing_window_rejected_when_built(self):
         with pytest.raises(DomainError, match="window 4, polyorder 3"):
@@ -142,8 +156,8 @@ class TestRecoverVH:
                                  order=4, t_final=1.0, dt=1e-3)
         obs_a = make_observations(base, 1.0)
         obs_b = make_observations(bumped, 1.0)
-        va, ha, _ = recover_vh(obs_a, *extract_g13(obs_a))
-        vb, hb, _ = recover_vh(obs_b, *extract_g13(obs_b))
+        va, ha = recover_vh(obs_a, *extract_g13(obs_a))
+        vb, hb = recover_vh(obs_b, *extract_g13(obs_b))
         assert np.array_equal(va.values, vb.values)
         assert np.array_equal(ha.values, hb.values)
 
@@ -168,7 +182,7 @@ class TestComputeW:
 
     def test_round_trip_with_recovered_inputs(self):
         p, obs = observe("generic", order=8, t_final=4.0)
-        v_hat, h_hat, _ = recover_vh(obs, *extract_g13(obs))
+        v_hat, h_hat = recover_vh(obs, *extract_g13(obs))
         w_rec = compute_w(v_hat, h_hat, obs.y, 8)
         w_true = compute_w(p.v_grid(), p.h_grid(), obs.y, 8)
         assert w_rec.same_grid(w_true)
@@ -209,6 +223,11 @@ class TestAssembleG:
         res = assemble_g(np.array([1.0, 1.0, 1.0]), 1.0)
         for m in (1, 2, 3):
             assert res.divisors[m - 1] == pytest.approx(SQ * math.sin(m), abs=1e-15)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_coefficient_rejected(self, bad):
+        with pytest.raises(DataError, match="non-finite"):
+            assemble_g(np.array([1.0, bad, 1.0]), 1.0)
 
 
 class TestInvert:
@@ -274,10 +293,17 @@ class TestInvert:
         rec = invert(obs, InversionConfig(order=8, depth=2, schedule=plan))
         assert [w for w in rec.diagnostics.warnings if w.startswith("mode 2: schedule")]
 
-    def test_order_below_record_truncation_warned(self):
-        _, obs = observe("generic", order=16, t_final=6.0)
-        rec = invert(obs, InversionConfig(order=3, depth=2))
-        assert [w for w in rec.diagnostics.warnings if "order 3" in w and "16-mode" in w]
+    @pytest.mark.parametrize("preset, order, t_final, dt, cfg", [
+        ("fourmode", 8, 4.0, 2e-3, InversionConfig()),
+        ("generic", 16, 6.0, 1e-3, InversionConfig(order=3)),
+    ], ids=["default-on-8-modes", "order-3-on-16-modes"])
+    def test_record_truncation_rebuilds_w(self, preset, order, t_final, dt, cfg):
+        _, obs = observe(preset, order=order, t_final=t_final, dt=dt)
+        expected = invert(obs, replace(cfg, order=order))
+        assert_same_reconstruction(invert(obs, cfg), expected)
+        # a record of unknown truncation takes the config's order
+        assert_same_reconstruction(invert(replace(obs, order=None), replace(cfg, order=order)),
+                                   expected)
 
     def test_explicit_schedule_must_match_depth(self):
         # rejected when the config is built, before any stage runs
@@ -331,17 +357,7 @@ class TestInvertStack:
         records = [make_observations(p, 1.0, NoiseSpec("relative", level, seed))
                    for level, seed in ((0.0, 0), (1e-6, 1), (1e-4, 2), (1e-2, 3))]
         for row, obs in zip(invert_stack(records, cfg), records):
-            lone = invert(obs, cfg)
-            for name in ("v_hat", "h_hat"):
-                a, b = getattr(row, name), getattr(lone, name)
-                assert (a.t0, a.dt) == (b.t0, b.dt)
-                np.testing.assert_array_equal(a.values, b.values)
-            np.testing.assert_array_equal(row.b_hat, lone.b_hat)
-            np.testing.assert_array_equal(row.g_coeffs.coeffs, lone.g_coeffs.coeffs)
-            assert (row.g1, row.g3) == (lone.g1, lone.g3)
-            lone_diag = lone.diagnostics.to_dict()
-            for key, value in row.diagnostics.to_dict().items():
-                np.testing.assert_array_equal(value, lone_diag[key], err_msg=key)
+            assert_same_reconstruction(row, invert(obs, cfg))
 
     def test_grids_must_match(self):
         _, a = observe("generic", order=8, t_final=2.0)

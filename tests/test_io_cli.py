@@ -13,6 +13,7 @@ from hypothesis.extra.numpy import array_shapes, arrays
 from heatinv import (
     ConfigError,
     DataError,
+    DomainError,
     GridFn,
     InversionConfig,
     NoiseSpec,
@@ -118,6 +119,8 @@ class TestExperimentConfig:
         {"noise_kind": "gaussian"}, {"noise_level": -0.1}, {"smooth_window": 4},
         {"smooth_window": 5, "smooth_polyorder": -1}, {"burn_in": -1},
         {"depth": 2, "schedule_times": [1.0]}, {"ridge": -1.0}, {"t_final": 1.0, "dt": 0.3},
+        {"preset": None, "g_amplitudes": [1.0], "t_final": 1.0, "dt": 0.3},
+        {"schedule_method": "bogus"}, {"depth": 0},
     ])
     def test_bad_knob_rejected_at_load(self, tmp_path, capsys, knobs):
         with pytest.raises(ConfigError):
@@ -182,8 +185,8 @@ class TestFormatPins:
     def test_observations_csv(self, tmp_path):
         obs = Observations(u1=GridFn(0.0, 0.1, [1 / 3, -0.0, 1e-300]),
                            u3=GridFn(0.0, 0.1, [0.1, -2.0, 123456789.0]),
-                           uy=GridFn(0.0, 0.1, [1.0, 1e-5, -7e-12]), y=1.0)
-        write_observations(tmp_path / "obs.csv", obs, {"y": 1.0, "dt": 0.1, "order": 4})
+                           uy=GridFn(0.0, 0.1, [1.0, 1e-5, -7e-12]), y=1.0, order=4)
+        write_observations(tmp_path / "obs.csv", obs, {})
         assert (tmp_path / "obs.csv").read_text() == (
             "# heatinv observations\n"
             '# meta = {"dt": 0.1, "order": 4, "y": 1.0}\n'
@@ -380,8 +383,10 @@ class TestObservationFiles:
         with pytest.raises(DataError, match="uniform grid"):
             read_observations(path)
 
-    @pytest.mark.parametrize("key, value", [("order", "x"), ("y", "x"), ("dt", None)])
-    def test_malformed_meta_value_is_parse_error(self, tmp_path, capsys, key, value):
+    @staticmethod
+    def _simulate_with_meta(tmp_path, key, value):
+        """observations.csv of a short decay1 run with its metadata key set to
+        value, and the config that made it."""
         cfg = ExperimentConfig(preset="decay1", order=4, t_final=0.05, dt=1e-2)
         save_config(cfg, tmp_path / "c.json")
         assert main(["simulate", "--config", str(tmp_path / "c.json"), "--out", str(tmp_path)]) == 0
@@ -391,12 +396,30 @@ class TestObservationFiles:
         meta[key] = value
         lines[1] = "# meta = " + json.dumps(meta) + "\n"
         path.write_text("".join(lines))
+        return path, tmp_path / "c.json"
+
+    @pytest.mark.parametrize("key, value", [("order", "x"), ("y", "x"), ("dt", None)])
+    def test_malformed_meta_value_is_parse_error(self, tmp_path, capsys, key, value):
+        path, cfg_path = self._simulate_with_meta(tmp_path, key, value)
         with pytest.raises(ParseError, match=f"metadata {key} must be"):
             read_observations(path)
         capsys.readouterr()
-        assert main(["invert", str(path), "--config", str(tmp_path / "c.json"),
+        assert main(["invert", str(path), "--config", str(cfg_path),
                      "--out", str(tmp_path / "out")]) == 2
         assert json.loads(capsys.readouterr().err.strip())["error"] == "ParseError"
+
+    @pytest.mark.parametrize("key, value", [("order", 2), ("y", 0), ("y", 3.5)])
+    def test_meta_value_out_of_domain_exits_2(self, tmp_path, capsys, key, value):
+        path, cfg_path = self._simulate_with_meta(tmp_path, key, value)
+        with pytest.raises(DomainError):
+            read_observations(path)
+        capsys.readouterr()
+        assert main(["invert", str(path), "--config", str(cfg_path),
+                     "--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1 and "Traceback" not in err
+        assert json.loads(err)["error"] == "DomainError"
+        assert not (tmp_path / "out").exists()
 
     def test_schedule_times_reach_the_peel(self):
         cfg = ExperimentConfig(preset="generic", depth=2, schedule_times=(3.0, 1.5))
