@@ -67,10 +67,15 @@ def eval_basis(m: int, x):
     return float(out) if np.isscalar(x) else out
 
 
-def basis_at(y: float, order: int) -> np.ndarray:
-    """f_m(y) for m = 1..order at an interior point 0 < y < pi."""
+def _require_interior(y: float) -> None:
+    """The one home of the rule 0 < y < pi for an observation point."""
     if not 0.0 < y < math.pi:
         raise DomainError(f"observation point must lie in (0, pi), got {y}")
+
+
+def basis_at(y: float, order: int) -> np.ndarray:
+    """f_m(y) for m = 1..order at an interior point 0 < y < pi."""
+    _require_interior(y)
     return BASIS_NORM * np.sin(np.arange(1, order + 1) * y)
 
 
@@ -169,8 +174,7 @@ def check_observation_point(
     The recovery formulas divide by f_m(y); a near-zero makes the division
     numerically explosive, hence the configurable threshold.
     """
-    if not 0.0 < y < math.pi:
-        raise DomainError(f"observation point must lie strictly inside (0, pi), got {y}")
+    _require_interior(y)
     if order < 1:
         raise DomainError(f"truncation order must be >= 1, got {order}")
     m = np.arange(1, order + 1)

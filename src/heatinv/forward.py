@@ -14,8 +14,8 @@ from typing import Callable, Union
 
 import numpy as np
 
-from .basis import (BASIS_NORM, SineSeries, basis_at, check_observation_point, mode_constants,
-                    project)
+from .basis import (BASIS_NORM, SineSeries, _require_interior, basis_at, check_observation_point,
+                    mode_constants, project)
 from .errors import DataError, DomainError
 from .grid import GridFn
 
@@ -326,8 +326,7 @@ class Observations:
     def __post_init__(self):
         self.u1.require_same_grid(self.u3)
         self.u1.require_same_grid(self.uy)
-        if not 0.0 < self.y < math.pi:
-            raise DomainError(f"observation point must lie in (0, pi), got {self.y}")
+        _require_interior(self.y)
         if self.order is not None and self.order < 3:
             raise DomainError(f"observations need at least modes 1 and 3, got order {self.order}")
 

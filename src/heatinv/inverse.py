@@ -217,8 +217,9 @@ def compute_w(v_hat: GridFn, h_hat: GridFn, y: float, order: int) -> GridFn:
 # stage 4: exponential-sum peeling
 # ---------------------------------------------------------------------------
 
-def _design_matrix(t: np.ndarray, depth: int) -> np.ndarray:
-    return np.exp(-np.outer(t, np.arange(1, depth + 1) ** 2))
+def _design_matrix(t: np.ndarray, depth: int, out: np.ndarray | None = None) -> np.ndarray:
+    a = np.outer(t, -np.arange(1, depth + 1) ** 2, out=out)
+    return np.exp(a, out=a)
 
 
 def peel_lsq(q: GridFn, depth: int, reg: float = 0.0) -> tuple[np.ndarray, float]:
@@ -231,14 +232,18 @@ def peel_lsq(q: GridFn, depth: int, reg: float = 0.0) -> tuple[np.ndarray, float
         raise DomainError(f"depth must be >= 1, got {depth}")
     if q.n < depth:
         raise DataError(f"grid of {q.n} samples cannot support depth {depth}")
-    a = _design_matrix(q.times, depth)
+    # one QR of [A | q] in LAPACK's column order; R has A's singular values, R b = Q^T q
+    aq = np.empty((q.n, depth + 1), order="F")
+    _design_matrix(q.times, depth, out=aq[:, :depth])
+    aq[:, depth] = q.values
+    r = np.linalg.qr(aq, mode="r")
+    a, rhs = r[:depth, :depth], r[:depth, depth]
     cond = float(np.linalg.cond(a))
     if reg > 0.0:
-        a_aug = np.vstack([a, math.sqrt(reg) * np.eye(depth)])
-        rhs = np.concatenate([q.values, np.zeros(depth)])
-    else:
-        a_aug, rhs = a, q.values
-    sol, _, rank, _ = np.linalg.lstsq(a_aug, rhs, rcond=None)
+        a = np.vstack([a, math.sqrt(reg) * np.eye(depth)])
+        rhs = np.concatenate([rhs, np.zeros(depth)])
+    # drop singular values below the cut lstsq(rcond=None) makes on the n x depth design
+    sol, _, rank, _ = np.linalg.lstsq(a, rhs, rcond=np.finfo(float).eps * max(q.n, depth))
     if reg == 0.0 and rank < depth:
         raise DataError(
             f"exponential design is rank deficient (rank {rank} < depth {depth}, "
@@ -282,9 +287,9 @@ def _noise_floor(q: GridFn, depth: int) -> tuple[np.ndarray, float]:
     absolute noise scale from the late-time residual."""
     fit_depth = min(depth + 1, max(1, q.n - 1))
     b_prov, _ = peel_lsq(q, fit_depth, reg=PROVISIONAL_RIDGE)
-    resid = q.values - _design_matrix(q.times, fit_depth) @ b_prov
-    tail = resid[int(0.75 * q.n):]
-    sigma = float(np.sqrt(np.mean(tail ** 2))) if tail.size else float(np.abs(resid).max())
+    k = int(0.75 * q.n)
+    tail = q.values[k:] - _design_matrix(q.times[k:], fit_depth) @ b_prov
+    sigma = float(np.sqrt(np.mean(tail ** 2)))
     b_abs = np.zeros(depth + 1)
     b_abs[: b_prov.size] = np.abs(b_prov)
     return b_abs, sigma

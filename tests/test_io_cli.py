@@ -27,6 +27,7 @@ from heatinv import (
     read_observations,
     write_observations,
 )
+from heatinv.basis import basis_at
 from heatinv.cli import main
 from heatinv.inverse import DET_EXACT, Diagnostics, Reconstruction
 from heatinv.io import (ExperimentConfig, fmt, load_config, save_config, write_json,
@@ -420,6 +421,25 @@ class TestObservationFiles:
         assert len(err.splitlines()) == 1 and "Traceback" not in err
         assert json.loads(err)["error"] == "DomainError"
         assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("entry", ["basis_at", "make_observations", "cli_invert"])
+    def test_boundary_point_has_one_message(self, tmp_path, capsys, entry):
+        if entry == "cli_invert":
+            path, cfg_path = self._simulate_with_meta(tmp_path, "y", 0)
+            capsys.readouterr()
+            assert main(["invert", str(path), "--config", str(cfg_path),
+                         "--out", str(tmp_path / "out")]) == 2
+            err = json.loads(capsys.readouterr().err)
+            assert err["error"] == "DomainError"
+            message = err["message"]
+        else:
+            with pytest.raises(DomainError) as exc:
+                if entry == "basis_at":
+                    basis_at(0.0, 4)
+                else:
+                    make_observations(make_problem("decay1", 4, 0.05, 1e-2), 0.0)
+            message = str(exc.value)
+        assert message == "observation point must lie in (0, pi), got 0.0"
 
     def test_schedule_times_reach_the_peel(self):
         cfg = ExperimentConfig(preset="generic", depth=2, schedule_times=(3.0, 1.5))

@@ -124,6 +124,52 @@ class TestPeelLsq:
         tight, _ = peel_lsq(q, 2, reg=1e3)
         assert np.linalg.norm(tight) < np.linalg.norm(loose)
 
+    @pytest.mark.parametrize("t_final, dt", [(4.0, 1e-3), (12.0, 1e-3), (6.0, 1e-4)])
+    def test_condition_number_is_the_designs(self, t_final, dt):
+        q = exp_sum([1.0, 0.5, 0.25, 0.125], t_final, dt)
+        for d in range(1, 9):
+            cond = np.linalg.cond(_design_matrix(q.times, d))
+            assert peel_lsq(q, d)[1] == pytest.approx(cond, rel=1e-12)
+
+    @pytest.mark.parametrize("noise", [0.0, 1e-6])
+    @pytest.mark.parametrize("reg", [0.0, 1e-12, 1e-2])
+    def test_solution_matches_lstsq_on_the_design(self, reg, noise):
+        eps = np.finfo(float).eps
+        for t_final, dt in ((4.0, 1e-3), (12.0, 1e-3), (6.0, 1e-4)):
+            q = exp_sum([1.0, 0.5, 0.25, 0.125], t_final, dt, noise=noise, seed=3)
+            for d in range(1, 6):
+                # the reference: lstsq on the n x d design, ridge rows stacked under it
+                a, rhs = _design_matrix(q.times, d), q.values
+                if reg > 0.0:
+                    a = np.vstack([a, math.sqrt(reg) * np.eye(d)])
+                    rhs = np.concatenate([rhs, np.zeros(d)])
+                expect = np.linalg.lstsq(a, rhs, rcond=None)[0]
+                b, cond = peel_lsq(q, d, reg=reg)
+                tol = 100.0 * eps * cond * np.abs(expect).max()
+                np.testing.assert_allclose(b, expect, rtol=0.0, atol=tol)
+
+    def test_rank_deficient_design(self):
+        t = np.arange(10) * 1e-6
+        q = GridFn(0.0, 1e-6, np.exp(-t) + 0.5 * np.exp(-4.0 * t))
+        with pytest.raises(DataError, match=r"rank deficient \(rank 4 < depth 6"):
+            peel_lsq(q, 6)
+        b, _ = peel_lsq(q, 6, reg=1e-12)
+        assert np.all(np.isfinite(b))
+
+    def test_rank_cut_scales_with_the_record_length(self):
+        # 1 / cond lies between eps * depth and eps * n: deficient for the n x depth design
+        t = np.arange(1000) * 5e-7
+        q = GridFn(0.0, 5e-7, np.exp(-t))
+        cond = np.linalg.cond(_design_matrix(t, 5))
+        assert 1.0 / (1000 * np.finfo(float).eps) < cond < 1.0 / (5 * np.finfo(float).eps)
+        with pytest.raises(DataError, match=r"rank deficient \(rank 4 < depth 5"):
+            peel_lsq(q, 5)
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_noise_floor_of_short_records(self, n):
+        _, sigma = _noise_floor(GridFn(0.0, 1e-3, np.linspace(1.0, 0.5, n)), 3)
+        assert math.isfinite(sigma)
+
 
 class TestPlanPeel:
     def test_ladder_times(self):
