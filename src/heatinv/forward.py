@@ -290,15 +290,21 @@ class NoiseSpec:
     def __post_init__(self):
         if self.kind not in ("none", "absolute", "relative"):
             raise DataError(f"unknown noise kind '{self.kind}'")
-        if self.level < 0.0:
-            raise DataError(f"noise level must be non-negative, got {self.level}")
+        if not (math.isfinite(self.level) and self.level >= 0.0):
+            raise DataError(f"noise level must be finite and non-negative, got {self.level}")
+
+    @property
+    def adds_noise(self) -> bool:
+        """False for kind 'none' or a zero level (-0.0 included): apply then
+        returns its record itself."""
+        return self.kind != "none" and self.level != 0.0
 
     def apply(self, obs: Observations) -> Observations:
         """obs with this noise added: one default_rng(seed) draws, in the
         order u1, u3, uy, level * scale * standard_normal(n) per series, where
-        scale is 1 ('absolute') or the series' sup norm ('relative').  A kind
-        'none' or a zero level returns obs itself."""
-        if self.kind == "none" or self.level == 0.0:
+        scale is 1 ('absolute') or the series' sup norm ('relative').  A spec
+        that adds no noise returns obs itself."""
+        if not self.adds_noise:
             return obs
         rng = np.random.default_rng(self.seed)
 

@@ -51,6 +51,8 @@ class GridFn:
     @classmethod
     def stack(cls, fns) -> "GridFn":
         """One (rows, n) GridFn from 1-D GridFns on a shared grid."""
+        if not fns:
+            raise DataError("cannot stack an empty list of grid functions")
         for f in fns[1:]:
             fns[0].require_same_grid(f)
         return cls(fns[0].t0, fns[0].dt, np.stack([f.values for f in fns]))

@@ -572,7 +572,7 @@ def invert_stack(
     whole stack."""
     cfg = cfg or InversionConfig()
     obs = Observations(
-        *(GridFn.stack([getattr(r, name) for r in records]) for name in ("u1", "u3", "uy")),
+        *[GridFn.stack([getattr(r, name) for r in records]) for name in ("u1", "u3", "uy")],
         y=records[0].y, order=records[0].order,
     )
 

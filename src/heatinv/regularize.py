@@ -9,6 +9,7 @@ seed-deterministic noise injections.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -110,10 +111,10 @@ def _trial_seed(base_seed: int, level_index: int, trial: int, trials: int) -> in
 
 def check_study(levels, trials: int) -> list[float]:
     """The noise levels as floats; raises DomainError unless they are
-    non-negative and ascending and there is at least one trial."""
+    finite, non-negative and ascending and there is at least one trial."""
     levels = [float(lv) for lv in levels]
-    if any(lv < 0 for lv in levels):
-        raise DomainError("noise levels must be non-negative")
+    if not all(math.isfinite(lv) and lv >= 0 for lv in levels):
+        raise DomainError("noise levels must be finite and non-negative")
     if any(b > a for b, a in zip(levels, levels[1:])):
         raise DomainError("noise levels must be ascending")
     if trials < 1:
@@ -122,8 +123,8 @@ def check_study(levels, trials: int) -> list[float]:
 
 
 def _invert_chunk(clean: Observations, noises: list[NoiseSpec], cfg: InversionConfig) -> list:
-    """Reconstructions of the noisy records noise.apply(clean), built just
-    before they are inverted as one stack.  If that fails, each record is
+    """Reconstructions of the records noise.apply(clean), built just before
+    they are inverted as one stack.  If that fails, each record is
     built and inverted alone, and one that fails comes back as its
     HeatInvError: the same one its lone inversion raises."""
     try:
@@ -145,12 +146,15 @@ def run_noise_study(
     """Invert noisy observations at each relative noise level.
 
     The clean observation record is built once; each (level, trial) pair
-    perturbs it with its own seed (NoiseSpec.apply).  The noisy records are
-    built and inverted a chunk at a time, as one stack of at most
-    _STACK_ELEMENTS forced-mode samples, and every trial's record equals that
-    of its own lone inversion.  A record that cannot be built (an unsafe y,
-    say) raises; a failure inside a single trial's inversion is recorded,
-    not raised.  Level 0 reproduces the clean baseline exactly.
+    perturbs it with its own seed (NoiseSpec.apply).  A level-0 trial adds
+    no noise, so the clean record is inverted once and every level-0 trial
+    gets a copy of that outcome under its own trial and seed.  The noisy
+    records are built and inverted a chunk at a time, as one stack of at
+    most _STACK_ELEMENTS forced-mode samples, and every trial's record
+    equals that of its own lone inversion.  A record that cannot be built
+    (an unsafe y, say) raises; a failure inside a single trial's inversion
+    is recorded, not raised.  Level 0 reproduces the clean baseline
+    exactly.
 
     Without an explicit inversion config the peeling runs on the 'ladder'
     schedule with single-point evaluation: its noise multipliers e^{m^2 t_m}
@@ -169,26 +173,34 @@ def run_noise_study(
     v_true = p.v_grid()
     h_true = p.h_grid()
 
-    jobs = [(level, trial, _trial_seed(base_seed, li, trial, trials))
+    def outcome(rec) -> dict:
+        """The TrialRecord fields of one inversion, or of its failure."""
+        if isinstance(rec, HeatInvError):
+            return {"ok": False, "message": str(rec)}
+        k = int(round(rec.v_hat.t0 / rec.v_hat.dt))
+        return {
+            "ok": True,
+            "b_err": np.abs(rec.b_hat - b_true),
+            "g_err": np.abs(rec.g_coeffs.coeffs - g_true),
+            "v_rel_l2": rel_l2(rec.v_hat.values, v_true.values[k:]),
+            "h_rel_l2": rel_l2(rec.h_hat.values, h_true.values[k:]),
+            "peel_condition": rec.diagnostics.peel_condition,
+        }
+
+    jobs = [(trial, NoiseSpec("relative", level, _trial_seed(base_seed, li, trial, trials)))
             for li, level in enumerate(levels) for trial in range(trials)]
+    noisy = [noise for _, noise in jobs if noise.adds_noise]
     rows = max(1, _STACK_ELEMENTS // (clean.order * clean.u1.n))
-    records: list[TrialRecord] = []
-    for start in range(0, len(jobs), rows):
-        chunk = jobs[start:start + rows]
-        noises = [NoiseSpec("relative", level, seed) for level, _, seed in chunk]
-        for (level, trial, seed), rec in zip(chunk, _invert_chunk(clean, noises, cfg)):
-            if isinstance(rec, HeatInvError):
-                records.append(TrialRecord(level, trial, seed, ok=False, message=str(rec)))
-                continue
-            k = int(round(rec.v_hat.t0 / rec.v_hat.dt))
-            records.append(TrialRecord(
-                level, trial, seed, ok=True,
-                b_err=np.abs(rec.b_hat - b_true),
-                g_err=np.abs(rec.g_coeffs.coeffs - g_true),
-                v_rel_l2=rel_l2(rec.v_hat.values, v_true.values[k:]),
-                h_rel_l2=rel_l2(rec.h_hat.values, h_true.values[k:]),
-                peel_condition=rec.diagnostics.peel_condition,
-            ))
+
+    clean_outcome = None
+    if len(noisy) < len(jobs):
+        clean_outcome = outcome(_invert_chunk(clean, [NoiseSpec()], cfg)[0])
+    # lazy: each chunk becomes TrialRecords before the next one is inverted
+    fresh = (outcome(rec) for start in range(0, len(noisy), rows)
+             for rec in _invert_chunk(clean, noisy[start:start + rows], cfg))
+    records = [TrialRecord(noise.level, trial, noise.seed,
+                           **(next(fresh) if noise.adds_noise else clean_outcome))
+               for trial, noise in jobs]
     return NoiseStudy(
         levels=tuple(levels),
         trials=trials,

@@ -326,8 +326,17 @@ class TestMakeObservations:
     def test_clean_record_returned_unchanged(self):
         p = make_problem("generic", 8, 1.0, 1e-2)
         clean = make_observations(p, 1.0)
-        assert NoiseSpec().apply(clean) is clean
-        assert NoiseSpec("relative", 0.0, seed=5).apply(clean) is clean
+        for spec in (NoiseSpec(), NoiseSpec("relative", 0.0, seed=5),
+                     NoiseSpec("absolute", -0.0, seed=5), NoiseSpec("none", 1e-3, seed=5)):
+            assert not spec.adds_noise
+            assert spec.apply(clean) is clean
+        assert NoiseSpec("relative", 1e-3, seed=5).adds_noise
+        assert NoiseSpec("absolute", 5e-324).adds_noise
+
+    @pytest.mark.parametrize("level", [-1e-6, math.nan, math.inf, -math.inf])
+    def test_level_must_be_finite_and_non_negative(self, level):
+        with pytest.raises(DataError, match="finite and non-negative"):
+            NoiseSpec("relative", level, seed=0)
 
     @pytest.mark.parametrize("kind", ["absolute", "relative"])
     def test_apply_draws_u1_u3_uy_in_order(self, kind):

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from heatinv import DataError, GridFn, GridMismatchError
+from heatinv import DataError, GridFn, GridMismatchError, HeatInvError, invert_stack
 from heatinv.grid import rel_l2
 
 
@@ -93,3 +93,8 @@ def test_stack_and_rows_round_trip():
     assert not s.same_grid(a)
     with pytest.raises(GridMismatchError):
         s - GridFn.stack([a, b, a])
+    # nothing to stack is a typed error, and so is an empty stack of records
+    with pytest.raises(DataError, match="empty"):
+        GridFn.stack([])
+    with pytest.raises(HeatInvError, match="empty"):
+        invert_stack([])

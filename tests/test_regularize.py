@@ -22,13 +22,34 @@ from heatinv import (
     rel_l2,
     run_noise_study,
 )
+import heatinv.regularize
 from heatinv.cli import main
 from heatinv.io import ExperimentConfig, save_config
+from heatinv.regularize import check_study
 
 
 @pytest.fixture(scope="module")
 def fourmode_problem():
     return make_problem("fourmode", 8, 4.0, 2e-3)
+
+
+@pytest.fixture
+def stack_calls(monkeypatch):
+    """The records of every invert_stack call a noise study makes."""
+    calls = []
+    real = heatinv.regularize.invert_stack
+
+    def counting(records, cfg=None):
+        calls.append(list(records))
+        return real(records, cfg)
+
+    monkeypatch.setattr(heatinv.regularize, "invert_stack", counting)
+    return calls
+
+
+def _is_clean(record, clean) -> bool:
+    return all(np.array_equal(getattr(record, name).values, getattr(clean, name).values)
+               for name in ("u1", "u3", "uy"))
 
 
 class TestRunNoiseStudy:
@@ -124,31 +145,34 @@ class TestRunNoiseStudy:
         assert peak <= 3e6
 
     def test_matches_per_trial_resimulation(self, fourmode_problem):
-        # reference: every trial re-simulates its own noisy record
-        p, levels, trials, base_seed = fourmode_problem, (0.0, 1e-6, 1e-4), 4, 7
+        # reference: every trial re-simulates its own noisy record; a repeated
+        # zero level shares the one clean inversion
+        p, trials, base_seed = fourmode_problem, 4, 7
         cfg = InversionConfig(order=p.order, schedule_method="ladder", window=1)
-        study = run_noise_study(p, 1.0, levels, trials, base_seed=base_seed)
-        reference = []
-        for li, level in enumerate(levels):
-            for trial in range(trials):
-                seed = base_seed + li * trials + trial
-                noise = NoiseSpec("relative" if level > 0 else "none", level, seed)
-                try:
-                    reference.append((seed, invert(make_observations(p, 1.0, noise), cfg)))
-                except HeatInvError:
-                    reference.append((seed, None))
-        assert len(study.records) == len(reference)
-        for r, (seed, rec) in zip(study.records, reference):
-            assert r.seed == seed
-            assert r.ok == (rec is not None)
-            if rec is None:
-                continue
-            np.testing.assert_array_equal(r.b_err, np.abs(rec.b_hat - study.b_true))
-            np.testing.assert_array_equal(r.g_err, np.abs(rec.g_coeffs.coeffs - study.g_true))
-            k = int(round(rec.v_hat.t0 / rec.v_hat.dt))
-            assert r.v_rel_l2 == rel_l2(rec.v_hat.values, p.v_grid().values[k:])
-            assert r.h_rel_l2 == rel_l2(rec.h_hat.values, p.h_grid().values[k:])
-            assert r.peel_condition == rec.diagnostics.peel_condition
+        for levels in ((0.0, 1e-6, 1e-4), (0.0, 0.0, 1e-6)):
+            study = run_noise_study(p, 1.0, levels, trials, base_seed=base_seed)
+            reference = []
+            for li, level in enumerate(levels):
+                for trial in range(trials):
+                    seed = base_seed + li * trials + trial
+                    noise = NoiseSpec("relative" if level > 0 else "none", level, seed)
+                    try:
+                        reference.append((seed, invert(make_observations(p, 1.0, noise), cfg)))
+                    except HeatInvError:
+                        reference.append((seed, None))
+            assert len(study.records) == len(reference)
+            for r, (seed, rec) in zip(study.records, reference):
+                assert r.seed == seed
+                assert r.ok == (rec is not None)
+                if rec is None:
+                    continue
+                np.testing.assert_array_equal(r.b_err, np.abs(rec.b_hat - study.b_true))
+                np.testing.assert_array_equal(r.g_err,
+                                              np.abs(rec.g_coeffs.coeffs - study.g_true))
+                k = int(round(rec.v_hat.t0 / rec.v_hat.dt))
+                assert r.v_rel_l2 == rel_l2(rec.v_hat.values, p.v_grid().values[k:])
+                assert r.h_rel_l2 == rel_l2(rec.h_hat.values, p.h_grid().values[k:])
+                assert r.peel_condition == rec.diagnostics.peel_condition
 
     def test_unsafe_point_raises(self, fourmode_problem, tmp_path, capsys):
         # sin(2 y) vanishes at y = pi/2: no record can be built, so no trial runs
@@ -168,6 +192,40 @@ class TestRunNoiseStudy:
             run_noise_study(fourmode_problem, 1.0, levels=[-1e-6], trials=2)
         with pytest.raises(DomainError):
             run_noise_study(fourmode_problem, 1.0, levels=[0.0], trials=0)
+        for levels in ([float("nan")], [0.0, float("inf")]):
+            with pytest.raises(DomainError, match="finite"):
+                check_study(levels, 1)
+            with pytest.raises(DomainError, match="finite"):
+                run_noise_study(fourmode_problem, 1.0, levels=levels, trials=2)
+
+    def test_clean_record_inverted_once(self, fourmode_problem, stack_calls):
+        # the benchmark's study: 20 level-0 trials share one inversion of the
+        # clean record, and the 40 noisy trials run in chunks of 4
+        p = fourmode_problem
+        study = run_noise_study(p, 1.0, (0.0, 1e-6, 1e-4), 20, base_seed=0)
+        assert [len(records) for records in stack_calls] == [1] + [4] * 10
+        clean = make_observations(p, 1.0)
+        assert [any(_is_clean(r, clean) for r in records) for records in stack_calls] \
+            == [True] + [False] * 10
+        assert [(r.ok, r.trial, r.seed) for r in study.records[:20]] \
+            == [(True, t, t) for t in range(20)]
+
+    def test_repeated_zero_levels_invert_once(self, fourmode_problem, stack_calls):
+        study = run_noise_study(fourmode_problem, 1.0, (0.0, 0.0), 3, base_seed=4)
+        assert [len(records) for records in stack_calls] == [1]
+        assert [(r.level, r.trial, r.seed) for r in study.records] == [
+            (0.0, t, 4 + li * 3 + t) for li in range(2) for t in range(3)]
+        assert study.n_failed() == 0
+
+    def test_failing_clean_record_attempted_once(self, stack_calls):
+        # 4 samples cannot support the derivative stencil with burn-in 2
+        p = make_problem("fourmode", 8, 6e-3, 2e-3)
+        study = run_noise_study(p, 1.0, levels=[0.0], trials=2, base_seed=0)
+        assert [len(records) for records in stack_calls] == [1]
+        with pytest.raises(HeatInvError) as lone:
+            invert(make_observations(p, 1.0),
+                   InversionConfig(schedule_method="ladder", window=1))
+        assert [(r.ok, r.message) for r in study.records] == [(False, str(lone.value))] * 2
 
     def test_summary_dict(self, fourmode_problem):
         study = run_noise_study(fourmode_problem, 1.0, levels=[0.0, 1e-5], trials=2,
