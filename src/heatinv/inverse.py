@@ -55,6 +55,9 @@ SCHEDULE_METHODS = ("model", "balance", "ladder")
 
 _EPS = float(np.finfo(float).eps)
 
+#: largest x with e^x finite
+_LOG_MAX = math.log(np.finfo(float).max)
+
 
 # ---------------------------------------------------------------------------
 # stage 1: initial values of the observed modes
@@ -222,11 +225,20 @@ def _design_matrix(t: np.ndarray, depth: int, out: np.ndarray | None = None) -> 
     return np.exp(a, out=a)
 
 
-def peel_lsq(q: GridFn, depth: int, reg: float = 0.0) -> tuple[np.ndarray, float]:
+class LsqFit(tuple):
+    """peel_lsq's pair (b, cond), carrying the fit's n x depth design (Fortran
+    order) and the R factor of [design | q] for callers that read them again."""
+
+    design: np.ndarray
+    r: np.ndarray
+
+
+def peel_lsq(q: GridFn, depth: int, reg: float = 0.0) -> LsqFit:
     """Fit q(t) ~ sum_m b_m e^{-m^2 t} by (ridge-regularised) least squares.
 
     Returns the coefficient vector and the condition number of the plain
-    design matrix.  With reg = 0 a rank-deficient design raises DataError.
+    design matrix as an LsqFit.  With reg = 0 a rank-deficient design raises
+    DataError.
     """
     if depth < 1:
         raise DomainError(f"depth must be >= 1, got {depth}")
@@ -249,7 +261,9 @@ def peel_lsq(q: GridFn, depth: int, reg: float = 0.0) -> tuple[np.ndarray, float
             f"exponential design is rank deficient (rank {rank} < depth {depth}, "
             f"condition number {cond:.3e}); use a ridge parameter"
         )
-    return sol, cond
+    fit = LsqFit((sol, cond))
+    fit.design, fit.r = aq[:, :depth], r
+    return fit
 
 
 @dataclass(frozen=True)
@@ -259,15 +273,19 @@ class PeelPlan:
     times[m-1] is the evaluation time of mode m, windows[m-1] the odd number
     of neighbouring samples over which the instantaneous estimate is
     averaged (1 = single-point evaluation, the default); `predicted` is the
-    scheduling model's per-mode error forecast.
+    scheduling model's per-mode error forecast and `condition` the condition
+    number of the depth-mode exponential design, when the planner fitted it.
     """
 
     times: np.ndarray
     windows: np.ndarray | None = None
     predicted: np.ndarray | None = None
+    condition: float | None = None
 
     def __post_init__(self):
         t = np.atleast_1d(np.asarray(self.times, dtype=float))
+        if not np.all(np.isfinite(t)):
+            raise ScheduleError(f"schedule times must be finite, got {t.tolist()}")
         w = np.ones(t.size, dtype=int) if self.windows is None else self.windows
         w = np.atleast_1d(np.asarray(w, dtype=int))
         if t.size != w.size:
@@ -282,13 +300,20 @@ class PeelPlan:
         return self.times.size
 
 
-def _noise_floor(q: GridFn, depth: int) -> tuple[np.ndarray, float]:
-    """Provisional ridge fit of depth+1 modes; returns |b| estimates and an
-    absolute noise scale from the late-time residual."""
-    fit_depth = min(depth + 1, max(1, q.n - 1))
-    b_prov, _ = peel_lsq(q, fit_depth, reg=PROVISIONAL_RIDGE)
+def _provisional_fit(q: GridFn, depth: int) -> LsqFit:
+    """The ridge fit of depth + 1 modes (fewer on a record of at most depth + 1
+    samples) behind the 'model' and 'balance' schedules."""
+    return peel_lsq(q, min(depth + 1, max(1, q.n - 1)), reg=PROVISIONAL_RIDGE)
+
+
+def _noise_floor(q: GridFn, depth: int, fit: LsqFit | None = None) -> tuple[np.ndarray, float]:
+    """|b| estimates of depth + 1 modes and an absolute noise scale from the
+    late-time residual, both read off the provisional fit (made here when
+    not given)."""
+    b_prov, _ = fit = fit or _provisional_fit(q, depth)
     k = int(0.75 * q.n)
-    tail = q.values[k:] - _design_matrix(q.times[k:], fit_depth) @ b_prov
+    # a C-order copy of the design's rows: the same product as a fresh tail design
+    tail = q.values[k:] - np.ascontiguousarray(fit.design[k:]) @ b_prov
     sigma = float(np.sqrt(np.mean(tail ** 2)))
     b_abs = np.zeros(depth + 1)
     b_abs[: b_prov.size] = np.abs(b_prov)
@@ -310,8 +335,12 @@ def plan_peel(
                  + sum_{k<m} err_k e^{(m^2-k^2) t}              inherited error
 
     with |b_k| and the noise scale sigma from a provisional ridge fit and
-    env(t) the fitted envelope of |q|.  method 'balance' applies the plain
-    two-term rule t_m = log(|b_{m+1}| / sigma) / (m^2 + (m+1)^2).  method
+    env(t) the fitted envelope of |q|, read off the fit's design columns.
+    err_m is evaluated only up to where a lower bound of it that grows with t
+    exceeds err_m(t[0]), which keeps its argmin and minimum bit for bit.
+    method 'balance' applies the plain two-term rule
+    t_m = log(|b_{m+1}| / sigma) / (m^2 + (m+1)^2); both plans carry the
+    condition number of the depth-mode design from the fit's R.  method
     'ladder' needs no data at all: t_m = (T/2) / m, so mode 1 is read at
     the midpoint of the record and the noise multipliers e^{m^2 t_m} =
     e^{m T/2} grow strictly with m; it is the no-knowledge default and the
@@ -347,8 +376,12 @@ def plan_peel(
         times = np.clip(times, t[0], t[-1])
         return PeelPlan(times=times, windows=windows)
 
-    b_abs, sigma_est = _noise_floor(q, depth)
+    fit = _provisional_fit(q, depth)
+    b_abs, sigma_est = _noise_floor(q, depth, fit)
     sigma_abs = max(sigma_est, 1e-300)
+    fit_depth = fit.design.shape[1]
+    # the leading block of R is the depth-mode design's own R
+    condition = float(np.linalg.cond(fit.r[:depth, :depth])) if fit_depth >= depth else None
 
     if method == "balance":
         times = np.empty(depth)
@@ -359,27 +392,42 @@ def plan_peel(
             else:
                 tm = math.log(b_next / sigma_abs) / (m * m + (m + 1) ** 2)
                 times[m - 1] = min(max(tm, t[0]), t[-1])
-        return PeelPlan(times=times, windows=windows)
+        return PeelPlan(times=times, windows=windows, condition=condition)
 
-    # propagation-aware greedy minimisation over the grid
-    k2 = np.arange(1, depth + 2) ** 2
-    envelope = b_abs @ np.exp(-np.outer(k2, t))
+    # propagation-aware greedy minimisation over the grid; the design's
+    # transpose is the C-order (modes, n) matrix of e^{-k^2 t}
+    envelope = b_abs[:fit_depth] @ fit.design.T
     noise_t = sigma_abs + 4.0 * _EPS * envelope
     times = np.empty(depth)
     errs = np.empty(depth)
-    for m in range(1, depth + 1):
-        m2 = m * m
+
+    def forecast(m: int, stop: int) -> np.ndarray:
+        """err_m on the grid prefix t[:stop]."""
+        m2, ts = m * m, t[:stop]
         # late times overflow to +inf, which is never the argmin
         with np.errstate(over="ignore"):
-            model = noise_t * np.exp(m2 * t) / math.sqrt(windows[m - 1])
+            model = noise_t[:stop] * np.exp(m2 * ts) / math.sqrt(windows[m - 1])
             for k in range(m + 1, depth + 2):
-                model = model + b_abs[k - 1] * np.exp(-(k * k - m2) * t)
+                model = model + b_abs[k - 1] * np.exp(-(k * k - m2) * ts)
             for k in range(1, m):
-                model = model + errs[k - 1] * np.exp((m2 - k * k) * t)
+                model = model + errs[k - 1] * np.exp((m2 - k * k) * ts)
+        return model
+
+    for m in range(1, depth + 1):
+        # sigma e^{m^2 t} / sqrt(w_m) and err_{m-1} e^{(2m-1) t} bound err_m from below
+        # and grow: past where one exceeds err_m(t[0]) (1e-6 covers rounding) no
+        # sample is the argmin
+        with np.errstate(divide="ignore", invalid="ignore"):
+            log_first = np.log(forecast(m, 1)[0])
+            rise = (log_first + 0.5 * math.log(windows[m - 1]) - math.log(sigma_abs)
+                    + 1e-6) / (m * m)
+            if m > 1:
+                rise = min(rise, (log_first - np.log(errs[m - 2]) + 1e-6) / (2 * m - 1))
+        model = forecast(m, max(1, int(np.searchsorted(t, rise, side="right"))))
         i = int(np.argmin(model))
         times[m - 1] = t[i]
         errs[m - 1] = model[i]
-    return PeelPlan(times=times, windows=windows, predicted=errs)
+    return PeelPlan(times=times, windows=windows, predicted=errs, condition=condition)
 
 
 @dataclass(frozen=True)
@@ -412,13 +460,21 @@ def peel_sequential(
         raise ScheduleError("scheduled times fall outside the data grid")
 
     t = q.times
-    warnings: list[str] = []
-    b_hat = np.zeros((*q.values.shape[:-1], depth))
-    amp = np.empty(depth)
+    spans = []
     for m in range(1, depth + 1):
         i = q.index_of(plan.times[m - 1])
         half = (int(plan.windows[m - 1]) - 1) // 2
         lo, hi = max(0, i - half), min(q.n, i + half + 1)
+        if m * m * t[hi - 1] > _LOG_MAX:
+            raise ScheduleError(
+                f"mode {m} at t = {t[hi - 1]:.6g}: the multiplier e^(m^2 t) overflows"
+            )
+        spans.append((i, lo, hi))
+
+    warnings: list[str] = []
+    b_hat = np.zeros((*q.values.shape[:-1], depth))
+    amp = np.empty(depth)
+    for m, (i, lo, hi) in enumerate(spans, start=1):
         ts = t[lo:hi]
         bracket = q.values[..., lo:hi].copy()
         for k in range(1, m):
@@ -498,6 +554,8 @@ class InversionConfig:
             raise DomainError("need at least modes 1..3 to rebuild the forced response")
         if self.depth < 1:
             raise DomainError(f"peeling depth must be >= 1, got {self.depth}")
+        if self.window is not None and self.window < 1:
+            raise DomainError(f"peeling window must be >= 1, got {self.window}")
         if self.burn_in < 0:
             raise DomainError(f"burn-in must be >= 0, got {self.burn_in}")
         if not self.ridge >= 0.0:
@@ -565,8 +623,9 @@ def invert_stack(
     """Reconstruct every record of a list that shares one grid and point y in
     one pass: each stage runs once along the last axis of the stacked rows,
     and row i's result carries the bits of its own lone inversion.  The
-    'model' and 'balance' schedules, the lsq peel and smoothing stay per row;
-    peel_condition, a function of the grid and the depth alone, runs once.
+    'model' and 'balance' schedules, the lsq peel and smoothing stay per row,
+    and each row's peel_condition comes from its plan or lsq fit; the ladder
+    and a given plan take it from one more peel_lsq on the first row.
     w(y, t) is rebuilt from the modes of the records' truncation, or from
     cfg.order when the records do not state one.  A failing stage fails the
     whole stack."""
@@ -586,10 +645,10 @@ def invert_stack(
     q_rows = q.rows()
 
     if cfg.peel_method == "lsq":
-        fits = [_stage("peel", peel_lsq, qr, cfg.depth, cfg.ridge) for qr in q_rows]
+        # plain (b, cond) pairs: each fit's design goes as soon as it is read
+        fits = [tuple(_stage("peel", peel_lsq, qr, cfg.depth, cfg.ridge)) for qr in q_rows]
         b_hat = np.array([b for b, _ in fits])
-        cond = fits[0][1]
-        peels = [(np.ones(cfg.depth), None, [])] * len(q_rows)
+        peels = [(np.ones(cfg.depth), None, [], cond) for _, cond in fits]
     else:
         # only the ladder and a given plan ignore the data: one plan peels the stack
         shared = cfg.schedule is not None or cfg.schedule_method == "ladder"
@@ -604,11 +663,17 @@ def invert_stack(
                 amplification_cap=cfg.amplification_cap,
             ))
         b_hat = np.vstack([r.b_hat for r in results])
-        peels = [(r.amplification, r.plan.predicted, r.warnings) for r in results]
+        # a plan's own fit gives the design's condition number; the ladder, a
+        # given plan and a record too short for that fit need one more fit
+        conds = [r.plan.condition if cfg.schedule is None else None for r in results]
+        if None in conds:
+            _, cond = _stage(
+                "peel_condition", peel_lsq, q_rows[0], cfg.depth, max(cfg.ridge, PROVISIONAL_RIDGE)
+            )
+            conds = [cond] * len(conds)
+        peels = [(r.amplification, r.plan.predicted, r.warnings, c)
+                 for r, c in zip(results, conds)]
         peels *= len(q_rows) // len(peels)  # a shared plan's numbers hold for every row
-        _, cond = _stage(
-            "peel_condition", peel_lsq, q_rows[0], cfg.depth, max(cfg.ridge, PROVISIONAL_RIDGE)
-        )
 
     assembled = _stage("assemble_g", assemble_g, b_hat, obs.y, cfg.divisor_threshold)
 
@@ -619,7 +684,7 @@ def invert_stack(
     det = system_determinant()
     out = []
     rows = zip(peels, v_hat.rows(), h_hat.rows())
-    for i, ((amp, predicted, peel_warnings), v_row, h_row) in enumerate(rows):
+    for i, ((amp, predicted, peel_warnings, cond), v_row, h_row) in enumerate(rows):
         diagnostics = Diagnostics(
             determinant=det,
             deriv_scheme=cfg.deriv.name,

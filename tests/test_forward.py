@@ -12,6 +12,7 @@ import pytest
 from scipy.integrate import quad
 
 import heatinv
+from heatinv import forward
 from heatinv import (
     DataError,
     DomainError,
@@ -38,6 +39,34 @@ def _ones(n=101, dt=0.01):
     return GridFn(0.0, dt, np.ones(n))
 
 
+def _step(m, v, h):
+    """Mode m's forcing series and the weights (a, b_old, b_new) of its exact step."""
+    mode = mode_constants(m)
+    forcing = mode.fprime0 * v.values + mode.c_m * h.values
+    z = -mode.lam * v.dt
+    if abs(z) < 1e-5:
+        phi1 = 1.0 + z / 2.0 + z * z / 6.0 + z ** 3 / 24.0
+        phi2 = 0.5 + z / 6.0 + z * z / 24.0 + z ** 3 / 120.0
+    else:
+        phi1 = math.expm1(z) / z
+        phi2 = (math.expm1(z) - z) / (z * z)
+    return forcing, math.exp(z), v.dt * (phi1 - phi2), v.dt * phi2
+
+
+def _recurrence_modes(g, v, h):
+    """Per-step reference for mode_evolve: u_k = a u_{k-1} + b_old f_{k-1} + b_new f_k,
+    one sample at a time in plain Python, for 1-D or stacked (rows, n) inputs."""
+    out = np.empty((*v.values.shape[:-1], len(g), v.n))
+    for m in range(1, len(g) + 1):
+        f, a, b_old, b_new = _step(m, v, h)
+        u = np.full(v.values.shape[:-1], float(g[m - 1]))
+        out[..., m - 1, 0] = u
+        for k in range(1, v.n):
+            u = a * u + b_old * f[..., k - 1] + b_new * f[..., k]
+            out[..., m - 1, k] = u
+    return out
+
+
 def _lfilter_modes(g, v, h):
     """Per-mode reference for mode_evolve: the former scipy.signal.lfilter loop."""
     from scipy.signal import lfilter
@@ -45,17 +74,8 @@ def _lfilter_modes(g, v, h):
     dt, n = v.dt, v.n
     out = np.empty((len(g), n))
     for m in range(1, len(g) + 1):
-        mode = mode_constants(m)
-        forcing = mode.fprime0 * v.values + mode.c_m * h.values
-        z = -mode.lam * dt
-        a = math.exp(z)
-        if abs(z) < 1e-5:
-            phi1 = 1.0 + z / 2.0 + z * z / 6.0 + z ** 3 / 24.0
-            phi2 = 0.5 + z / 6.0 + z * z / 24.0 + z ** 3 / 120.0
-        else:
-            phi1 = math.expm1(z) / z
-            phi2 = (math.expm1(z) - z) / (z * z)
-        b_new, b_old = dt * phi2, dt * (phi1 - phi2)
+        forcing, a, b_old, b_new = _step(m, v, h)
+        z = -mode_constants(m).lam * dt
         # lfilter starts from a zero state, which differs from the forced
         # response p_0 = 0 by the homogeneous tail b_new f_0 a^k
         decay = np.exp(z * np.arange(n))
@@ -124,6 +144,33 @@ class TestModeEvolve:
         ref = _lfilter_modes(g, v, h)
         assert u.shape == ref.shape == (order, p.n_samples)
         assert np.max(np.abs(u - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+
+    # order 16 at dt = 1e-3 scans blocks of 116 samples
+    @pytest.mark.parametrize("n", [1, 2, 3, 115, 116, 117])
+    def test_matches_per_step_recurrence(self, n):
+        order, dt = 16, 1e-3
+        assert 2 * int(forward._BLOCK_DECAY / (order * order * dt) / 2) == 116
+        rng = np.random.default_rng(n)
+        g = rng.standard_normal(order)
+        v, h = (GridFn(0.0, dt, rng.standard_normal((3, n))) for _ in range(2))
+        u = mode_evolve(g, v, h)
+        ref = _recurrence_modes(g, v, h)
+        assert u.shape == ref.shape == (3, order, n)
+        assert np.max(np.abs(u - ref)) <= 1e-13 * np.max(np.abs(ref))
+        for row in range(3):  # each row of the stack is its own lone call
+            lone = mode_evolve(g, GridFn(0.0, dt, v.values[row]), GridFn(0.0, dt, h.values[row]))
+            np.testing.assert_array_equal(u[row], lone)
+
+    def test_stiff_two_sample_blocks(self):
+        # M^2 dt = 1024: a = e^{-1024} underflows, so the block rescaling is
+        # floored; an overflow or a NaN would raise a RuntimeWarning here
+        rng = np.random.default_rng(0)
+        g = rng.standard_normal(32)
+        v, h = (GridFn(0.0, 1.0, rng.standard_normal(7)) for _ in range(2))
+        u = mode_evolve(g, v, h)
+        ref = _recurrence_modes(g, v, h)
+        assert np.max(np.abs(u - ref)) <= 1e-13 * np.max(np.abs(ref))
 
 
 def test_import_loads_no_scipy():

@@ -13,6 +13,7 @@ from heatinv import (
     DomainError,
     GridFn,
     InversionConfig,
+    InversionError,
     NoiseSpec,
     PreconditionError,
     ProblemInstance,
@@ -25,12 +26,13 @@ from heatinv import (
     make_observations,
     make_problem,
     mode_constants,
+    peel_lsq,
     recover_vh,
     rel_l2,
     system_determinant,
 )
 from heatinv.forward import Observations
-from heatinv.inverse import DerivativeScheme, PeelPlan
+from heatinv.inverse import PROVISIONAL_RIDGE, DerivativeScheme, PeelPlan
 
 SQ = math.sqrt(2.0 / math.pi)
 
@@ -304,6 +306,46 @@ class TestInvert:
         # a record of unknown truncation takes the config's order
         assert_same_reconstruction(invert(replace(obs, order=None), replace(cfg, order=order)),
                                    expected)
+
+    @pytest.mark.parametrize("cfg", [
+        InversionConfig(order=8, depth=3),
+        InversionConfig(order=8, depth=3, schedule_method="balance"),
+        InversionConfig(order=8, depth=3, schedule_method="ladder"),
+        InversionConfig(order=8, depth=3, schedule=PeelPlan([2.0, 1.0, 0.5], condition=1.0)),
+    ], ids=["model", "balance", "ladder", "given-plan"])
+    def test_peel_condition_is_the_designs(self, cfg):
+        # whichever fit it is read from; a condition a given plan carries is not trusted
+        _, obs = observe("fourmode", order=8, t_final=4.0, dt=2e-3,
+                         noise=NoiseSpec("relative", 1e-6, 0))
+        v_hat, h_hat = recover_vh(obs, *extract_g13(obs))
+        q = obs.uy - compute_w(v_hat, h_hat, obs.y, 8)
+        expect = peel_lsq(q, 3, PROVISIONAL_RIDGE)[1]
+        cond = invert(obs, cfg).diagnostics.peel_condition
+        assert cond == pytest.approx(expect, rel=1e-13, abs=0.0)
+
+    @pytest.mark.parametrize("method", ["model", "balance", "ladder"])
+    def test_record_too_short_for_the_depth_fails_in_peel_condition(self, method):
+        _, obs = observe("decay1", order=4, t_final=3e-3, dt=1e-3)  # 4 samples
+        with pytest.raises(InversionError) as err:
+            invert(obs, InversionConfig(order=4, depth=5, burn_in=0, schedule_method=method))
+        assert err.value.stage == "peel_condition"
+        assert err.value.payload["exception"] == "DataError"
+        assert "cannot support depth 5" in str(err.value)
+
+    def test_overflowing_schedule_names_mode_and_time(self):
+        _, obs = observe("generic", order=16, t_final=10.0, dt=1e-2)
+        cfg = InversionConfig(order=16, depth=10, schedule=PeelPlan([1.0] * 9 + [8.0]))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(InversionError, match="mode 10 at t = 8:") as err:
+                invert(obs, cfg)
+        assert err.value.stage == "peel"
+        assert err.value.payload["exception"] == "ScheduleError"
+
+    @pytest.mark.parametrize("window", [0, -5])
+    def test_window_below_one_rejected(self, window):
+        with pytest.raises(DomainError, match="window must be >= 1"):
+            InversionConfig(window=window)
 
     def test_explicit_schedule_must_match_depth(self):
         # rejected when the config is built, before any stage runs

@@ -79,6 +79,18 @@ class TestPeelSequential:
         with pytest.raises(ScheduleError):
             peel_sequential(q, 2, plan=PeelPlan([1.0]))
 
+    def test_overflowing_multiplier_rejected_before_any_exp(self):
+        q = exp_sum([1.0 / m for m in range(1, 11)], 10.0, 1e-2)
+        plan = PeelPlan([1.0] * 9 + [8.0])  # 10^2 * 8 = 800 > log(max float)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ScheduleError, match="mode 10 at t = 8:"):
+                peel_sequential(q, 10, plan=plan)
+        # 100 * 7.09 is below the limit, but a window reaching 7.1 is not
+        peel_sequential(q, 10, plan=PeelPlan([1.0] * 9 + [7.09]))
+        with pytest.raises(ScheduleError, match="mode 10 at t = 7.1:"):
+            peel_sequential(q, 10, plan=PeelPlan([1.0] * 9 + [7.09], [1] * 9 + [3]))
+
     def test_amplification_cap_warns_not_fails(self):
         q = exp_sum([1.0, 0.5], 6.0, 1e-3)
         res = peel_sequential(q, 2, plan=PeelPlan([6.0, 5.0]), amplification_cap=10.0)
@@ -210,6 +222,30 @@ class TestPlanPeel:
             np.testing.assert_array_equal(plan.times, times)
             np.testing.assert_array_equal(plan.predicted, errs)
 
+    @pytest.mark.parametrize("noise", [0.0, 1e-8, 1e-4])
+    @pytest.mark.parametrize("seed", range(5))
+    def test_bounded_model_matches_reference_bit_for_bit(self, noise, seed):
+        # each mode's forecast is evaluated on a grid prefix only; its argmin
+        # and minimum must be those of the full-length forecast
+        q = exp_sum([1.0 / m for m in range(1, 12)], 6.0, 1e-3, noise=noise, seed=seed)
+        for depth in range(1, 11):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                plan = plan_peel(q, depth)
+                times, errs = model_schedule_reference(q, depth)
+            np.testing.assert_array_equal(plan.times, times)
+            np.testing.assert_array_equal(plan.predicted, errs)
+
+    @pytest.mark.parametrize("method", ["model", "balance"])
+    def test_condition_of_the_provisional_fit(self, method):
+        q = exp_sum([1.0, 0.5, 0.25, 0.125], 6.0, 1e-3, noise=1e-6)
+        for depth in range(1, 9):
+            plan = plan_peel(q, depth, method=method)
+            assert plan.condition == pytest.approx(peel_lsq(q, depth)[1], rel=1e-13, abs=0.0)
+        assert plan_peel(q, 4, method="ladder").condition is None
+        # a record of depth samples has no depth + 1 mode fit to read it from
+        assert plan_peel(GridFn(0.0, 1e-3, np.linspace(1.0, 0.5, 4)), 4).condition is None
+
     def test_windows_odd_and_adaptive(self):
         q = exp_sum([1.0, 0.5, 0.25, 0.125], 12.0, 1e-3)
         plan = plan_peel(q, 4)
@@ -220,6 +256,13 @@ class TestPlanPeel:
         q = exp_sum([1.0], 2.0, 1e-2)
         with pytest.raises(ScheduleError):
             plan_peel(q, 1, method="nonsense")
+
+
+class TestPeelPlan:
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_times_rejected(self, bad):
+        with pytest.raises(ScheduleError, match="finite"):
+            PeelPlan([bad, 1.0])
 
 
 class TestDesignMatrix:
