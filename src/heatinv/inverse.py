@@ -273,14 +273,15 @@ class PeelPlan:
     times[m-1] is the evaluation time of mode m, windows[m-1] the odd number
     of neighbouring samples over which the instantaneous estimate is
     averaged (1 = single-point evaluation, the default); `predicted` is the
-    scheduling model's per-mode error forecast and `condition` the condition
-    number of the depth-mode exponential design, when the planner fitted it.
+    scheduling model's per-mode error forecast.  `condition`, the condition
+    number of the depth-mode exponential design, is an output of plan_peel's
+    provisional fit, not a constructor argument; it is None otherwise.
     """
 
     times: np.ndarray
     windows: np.ndarray | None = None
     predicted: np.ndarray | None = None
-    condition: float | None = None
+    condition: float | None = field(default=None, init=False, compare=False)
 
     def __post_init__(self):
         t = np.atleast_1d(np.asarray(self.times, dtype=float))
@@ -306,11 +307,10 @@ def _provisional_fit(q: GridFn, depth: int) -> LsqFit:
     return peel_lsq(q, min(depth + 1, max(1, q.n - 1)), reg=PROVISIONAL_RIDGE)
 
 
-def _noise_floor(q: GridFn, depth: int, fit: LsqFit | None = None) -> tuple[np.ndarray, float]:
+def _noise_floor(q: GridFn, depth: int, fit: LsqFit) -> tuple[np.ndarray, float]:
     """|b| estimates of depth + 1 modes and an absolute noise scale from the
-    late-time residual, both read off the provisional fit (made here when
-    not given)."""
-    b_prov, _ = fit = fit or _provisional_fit(q, depth)
+    late-time residual, both read off the provisional fit."""
+    b_prov, _ = fit
     k = int(0.75 * q.n)
     # a C-order copy of the design's rows: the same product as a fresh tail design
     tail = q.values[k:] - np.ascontiguousarray(fit.design[k:]) @ b_prov
@@ -383,6 +383,11 @@ def plan_peel(
     # the leading block of R is the depth-mode design's own R
     condition = float(np.linalg.cond(fit.r[:depth, :depth])) if fit_depth >= depth else None
 
+    def fitted_plan(times: np.ndarray, predicted: np.ndarray | None = None) -> PeelPlan:
+        plan = PeelPlan(times=times, windows=windows, predicted=predicted)
+        object.__setattr__(plan, "condition", condition)
+        return plan
+
     if method == "balance":
         times = np.empty(depth)
         for m in range(1, depth + 1):
@@ -392,7 +397,7 @@ def plan_peel(
             else:
                 tm = math.log(b_next / sigma_abs) / (m * m + (m + 1) ** 2)
                 times[m - 1] = min(max(tm, t[0]), t[-1])
-        return PeelPlan(times=times, windows=windows, condition=condition)
+        return fitted_plan(times)
 
     # propagation-aware greedy minimisation over the grid; the design's
     # transpose is the C-order (modes, n) matrix of e^{-k^2 t}
@@ -427,7 +432,7 @@ def plan_peel(
         i = int(np.argmin(model))
         times[m - 1] = t[i]
         errs[m - 1] = model[i]
-    return PeelPlan(times=times, windows=windows, predicted=errs, condition=condition)
+    return fitted_plan(times, errs)
 
 
 @dataclass(frozen=True)
@@ -664,7 +669,8 @@ def invert_stack(
             ))
         b_hat = np.vstack([r.b_hat for r in results])
         # a plan's own fit gives the design's condition number; the ladder, a
-        # given plan and a record too short for that fit need one more fit
+        # given plan (a plan_peel output may come from another grid) and a
+        # record too short for that fit need one more fit
         conds = [r.plan.condition if cfg.schedule is None else None for r in results]
         if None in conds:
             _, cond = _stage(

@@ -27,6 +27,7 @@ from heatinv import (
     make_problem,
     mode_constants,
     peel_lsq,
+    plan_peel,
     recover_vh,
     rel_l2,
     system_determinant,
@@ -311,10 +312,13 @@ class TestInvert:
         InversionConfig(order=8, depth=3),
         InversionConfig(order=8, depth=3, schedule_method="balance"),
         InversionConfig(order=8, depth=3, schedule_method="ladder"),
-        InversionConfig(order=8, depth=3, schedule=PeelPlan([2.0, 1.0, 0.5], condition=1.0)),
-    ], ids=["model", "balance", "ladder", "given-plan"])
+        InversionConfig(order=8, depth=3, schedule=PeelPlan([2.0, 1.0, 0.5])),
+        # planned on a grid of T = 2: the condition it carries is not the record's
+        InversionConfig(order=8, depth=3, schedule=plan_peel(
+            GridFn(0.0, 2e-3, np.exp(-np.arange(1001) * 2e-3)), 3)),
+    ], ids=["model", "balance", "ladder", "given-plan", "given-fitted-plan"])
     def test_peel_condition_is_the_designs(self, cfg):
-        # whichever fit it is read from; a condition a given plan carries is not trusted
+        # whichever fit it is read from
         _, obs = observe("fourmode", order=8, t_final=4.0, dt=2e-3,
                          noise=NoiseSpec("relative", 1e-6, 0))
         v_hat, h_hat = recover_vh(obs, *extract_g13(obs))
@@ -322,6 +326,8 @@ class TestInvert:
         expect = peel_lsq(q, 3, PROVISIONAL_RIDGE)[1]
         cond = invert(obs, cfg).diagnostics.peel_condition
         assert cond == pytest.approx(expect, rel=1e-13, abs=0.0)
+        if cfg.schedule is not None and cfg.schedule.condition is not None:
+            assert cfg.schedule.condition != pytest.approx(expect, rel=1e-3)
 
     @pytest.mark.parametrize("method", ["model", "balance", "ladder"])
     def test_record_too_short_for_the_depth_fails_in_peel_condition(self, method):

@@ -15,7 +15,7 @@ from heatinv import (
     peel_sequential,
     plan_peel,
 )
-from heatinv.inverse import _design_matrix, _noise_floor
+from heatinv.inverse import _design_matrix, _noise_floor, _provisional_fit
 
 SQ = math.sqrt(2.0 / math.pi)
 
@@ -24,7 +24,7 @@ def model_schedule_reference(q, depth):
     """plan_peel's 'model' schedule with the forecast summed term by term and
     no overflow handling; where nothing overflows (depth <= 10 on T = 6) the
     two must agree bit for bit."""
-    b_abs, sigma = _noise_floor(q, depth)
+    b_abs, sigma = _noise_floor(q, depth, _provisional_fit(q, depth))
     sigma = max(sigma, 1e-300)
     t, dt = q.times, q.dt
     noise = sigma + 4.0 * np.finfo(float).eps * (b_abs @ np.exp(-np.outer(
@@ -179,7 +179,8 @@ class TestPeelLsq:
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4])
     def test_noise_floor_of_short_records(self, n):
-        _, sigma = _noise_floor(GridFn(0.0, 1e-3, np.linspace(1.0, 0.5, n)), 3)
+        q = GridFn(0.0, 1e-3, np.linspace(1.0, 0.5, n))
+        _, sigma = _noise_floor(q, 3, _provisional_fit(q, 3))
         assert math.isfinite(sigma)
 
 
@@ -203,7 +204,7 @@ class TestPlanPeel:
     def test_balance_rule_matches_formula(self):
         b = (1.0, 0.5, 0.25)
         q = exp_sum(b, 12.0, 1e-3)
-        _, sigma = _noise_floor(q, 2)
+        _, sigma = _noise_floor(q, 2, _provisional_fit(q, 2))
         plan = plan_peel(q, 2, method="balance")
         # t_m = log(|b_{m+1}|/sigma) / (m^2 + (m+1)^2), |b| and sigma from
         # the provisional fit, whose |b| is accurate on clean data
@@ -263,6 +264,11 @@ class TestPeelPlan:
     def test_non_finite_times_rejected(self, bad):
         with pytest.raises(ScheduleError, match="finite"):
             PeelPlan([bad, 1.0])
+
+    def test_condition_is_not_a_constructor_argument(self):
+        with pytest.raises(TypeError):
+            PeelPlan([1.0], condition=1.0)
+        assert PeelPlan([1.0]).condition is None
 
 
 class TestDesignMatrix:
