@@ -30,9 +30,29 @@ SpaceInput = Union[Callable, SineSeries]
 _BLOCK_DECAY = 30.0
 #: floor of the rescaling exponent, binding only on 2-sample blocks of modes with a < e^-600
 _STIFF_EXPONENT = -600.0
+#: a scan tile holds at most this many (mode, sample) elements of each stacked
+#: row (1 MiB of float64) unless one block alone is larger
+_TILE_ELEMENTS = 2 ** 17
 
 
-def mode_evolve(g, v: GridFn, h: GridFn) -> np.ndarray:
+def _scan_blocks(x: np.ndarray, up: np.ndarray, lead: np.ndarray, carry: np.ndarray):
+    """Scan x of shape (..., M, blocks, B) in place, block after block from the
+    carry u_{s-1} of shape (..., M, 1); returns the carry out of the last block."""
+    x /= up
+    lanes = x.view(np.complex128)  # real part: even samples, imaginary part: odd
+    np.cumsum(lanes, axis=-1, out=lanes)
+    even, odd = x[..., 0::2], x[..., 1::2]
+    prev = odd[..., :-1].copy()
+    odd += even                # sample 2p + 1: E_p + O_p
+    even[..., 1:] += prev      # sample 2p: E_p + O_{p-1}
+    x *= up
+    for blk in np.moveaxis(x, -2, 0):
+        blk += lead * carry
+        carry = blk[..., -1:]
+    return carry.copy()  # x goes before the next tile is built
+
+
+def mode_evolve(g, v: GridFn, h: GridFn, weights=None) -> np.ndarray:
     """Evolve modes m = 1..M = len(g) of u_m' + m^2 u_m = v(t) f_m'(0) + c_m h(t); shape (M, n).
 
     Forcing piecewise linear between samples makes each step the exact update
@@ -48,17 +68,34 @@ def mode_evolve(g, v: GridFn, h: GridFn) -> np.ndarray:
     samples up to 2p and 2p + 1, sample 2p + 1 is E_p + O_p and sample 2p is
     E_p + O_{p-1}.  Stacked v and h of shape (rows, n) give a leading batch
     axis, shape (rows, M, n), with every row's bits those of its own call.
+
+    The scan walks the record in tiles of whole blocks, each of at most
+    _TILE_ELEMENTS elements per row, so its working memory does not grow
+    with n, and a tile does not depend on the number of rows.  With weights
+    of shape (K, M) only the K projections weights @ modes are kept, shape
+    (..., K, n): a row holding a single 1 copies that mode's samples and any
+    other row is formed as row @ modes of the tile.  The modes, and so the
+    copied rows, keep their bits at any tile size; the other rows may move
+    at rounding level with it.
     """
     v.require_same_grid(h)
     g = np.atleast_1d(np.asarray(g, dtype=float))
     if g.ndim != 1 or g.size < 1:
         raise DomainError("initial mode values must form a non-empty 1-D array")
     order, n, dt = g.size, v.n, v.dt
+    picks = []  # per kept row: the index of the mode it copies, or its weight row
+    if weights is not None:
+        weights = np.asarray(weights, dtype=float)
+        if weights.ndim != 2 or weights.shape[1] != order:
+            raise DomainError(f"mode weights must have shape (K, {order}), got {weights.shape}")
+        for row in weights:
+            (hot,) = np.nonzero(row)
+            picks.append(int(hot[0]) if hot.size == 1 and row[hot[0]] == 1.0 else row)
     modes = [mode_constants(m) for m in range(1, order + 1)]
     lam = np.array([md.lam for md in modes])
-    forcing = np.array([md.fprime0 for md in modes])[:, None] * v.values[..., None, :]
-    forcing += np.array([md.c_m for md in modes])[:, None] * h.values[..., None, :]
-    batch = forcing.shape[:-2]
+    fprime0 = np.array([md.fprime0 for md in modes])[:, None]
+    c_m = np.array([md.c_m for md in modes])[:, None]
+    batch = v.values.shape[:-1]
 
     # phi1 = (e^z - 1)/z and phi2 = (e^z - 1 - z)/z^2, by series for small |z|
     z = -lam * dt
@@ -70,31 +107,33 @@ def mode_evolve(g, v: GridFn, h: GridFn) -> np.ndarray:
     b_old = (dt * (phi1 - phi2))[:, None]  # weight of f_{k-1}
 
     block = 2 * max(1, min(-(-n // 2), int(_BLOCK_DECAY / (lam[-1] * dt)) // 2))
-    n_blocks = -(-n // block)
-    x = np.zeros((*batch, order, n_blocks * block))
-    x[..., 0] = g
-    np.multiply(b_old, forcing[..., :-1], out=x[..., 1:n])
-    forcing *= b_new
-    x[..., 1:n] += forcing[..., 1:]
-    del forcing
-    x = x.reshape(*batch, order, n_blocks, block)
-
-    j = np.arange(block)
-    up = np.exp(np.maximum(np.outer(z, j), _STIFF_EXPONENT))[:, None, :]  # a^j
-    x /= up
-    lanes = x.view(np.complex128)  # real part: even samples, imaginary part: odd
-    np.cumsum(lanes, axis=-1, out=lanes)
-    even, odd = x[..., 0::2], x[..., 1::2]
-    prev = odd[..., :-1].copy()
-    odd += even                # sample 2p + 1: E_p + O_p
-    even[..., 1:] += prev      # sample 2p: E_p + O_{p-1}
-    x *= up
-    lead = np.exp(np.outer(z, j + 1))        # a^{i+1}, weight of the carry
+    width = block * min(-(-n // block), max(1, _TILE_ELEMENTS // (order * block)))
     carry = np.zeros((order, 1))
-    for blk in np.moveaxis(x, -2, 0):
-        blk += lead * carry
-        carry = blk[..., -1:]
-    return x.reshape(*batch, order, -1)[..., :n]
+    for s in range(0, n, width):
+        e = min(s + width, n)
+        lo = max(s - 1, 0)  # step k reads the forcing at k - 1 and k
+        forcing = fprime0 * v.values[..., None, lo:e]
+        forcing += c_m * h.values[..., None, lo:e]
+        x = np.zeros((*batch, order, -(-(e - s) // block) * block))
+        if s == 0:
+            x[..., 0] = g
+        np.multiply(b_old, forcing[..., :-1], out=x[..., lo + 1 - s:e - s])
+        forcing *= b_new
+        x[..., lo + 1 - s:e - s] += forcing[..., 1:]
+        del forcing
+        if s == 0:  # not beside the first tile's forcing, the peak of a one-tile record
+            j = np.arange(block)
+            up = np.exp(np.maximum(np.outer(z, j), _STIFF_EXPONENT))[:, None, :]  # a^j
+            lead = np.exp(np.outer(z, j + 1))        # a^{i+1}, weight of the carry
+            out = np.empty((*batch, order if weights is None else len(picks), n))
+        carry = _scan_blocks(x.reshape(*batch, order, -1, block), up, lead, carry)
+        tile = x[..., :e - s]
+        if weights is None:
+            out[..., s:e] = tile
+        for k, pick in enumerate(picks):
+            out[..., k, s:e] = tile[..., pick, :] if isinstance(pick, int) else pick @ tile
+        del x, tile  # before the next tile's forcing is built
+    return out
 
 
 @dataclass(frozen=True)
@@ -190,10 +229,6 @@ class SpectralSolution:
         if not 1 <= m <= self.order:
             raise DomainError(f"mode {m} outside 1..{self.order}")
         return GridFn(self.t0, self.dt, self.modes[m - 1])
-
-    def at_point(self, y: float) -> GridFn:
-        """Pointwise synthesis u(y, t) = sum_m u_m(t) f_m(y)."""
-        return GridFn(self.t0, self.dt, basis_at(y, self.order) @ self.modes)
 
     def field(self, x: np.ndarray, v: GridFn | None = None) -> np.ndarray:
         """Synthesis of u(x, t) on a spatial grid; shape (n, len(x)).
@@ -343,8 +378,23 @@ class Observations:
         self.u1.require_same_grid(self.u3)
         self.u1.require_same_grid(self.uy)
         _require_interior(self.y)
-        if self.order is not None and self.order < 3:
-            raise DomainError(f"observations need at least modes 1 and 3, got order {self.order}")
+        if self.order is not None:
+            _require_observed_modes(self.order)
+
+
+def _require_observed_modes(order: int) -> None:
+    if order < 3:
+        raise DomainError(f"observations need at least modes 1 and 3, got order {order}")
+
+
+def _observed_rows(y: float, order: int) -> np.ndarray:
+    """Weights [e_1; e_3; f(y)], shape (3, order), that project modes 1..order
+    onto the observed u_1(t), u_3(t) and u(y, t)."""
+    _require_observed_modes(order)
+    rows = np.zeros((3, order))
+    rows[0, 0] = rows[1, 2] = 1.0
+    rows[2] = basis_at(y, order)
+    return rows
 
 
 def make_observations(
@@ -352,10 +402,11 @@ def make_observations(
     y: float,
     noise: NoiseSpec | None = None,
 ) -> Observations:
-    """Generate the observation triple from the spectral solution.
+    """Generate the observation triple from the instance's M modes.
 
-    u(y, t) is the truncated synthesis over the instance's M modes; the
-    optional noise is added to the three observed series by NoiseSpec.apply.
+    The modes are evolved straight into their three observed projections
+    (_observed_rows), u(y, t) being the truncated synthesis over the M modes;
+    the optional noise is added to the three series by NoiseSpec.apply.
     """
     chk = check_observation_point(y, p.order)
     if not chk.safe:
@@ -363,7 +414,7 @@ def make_observations(
             f"observation point y={y} unsafe: |sin({chk.worst_mode} y)| = "
             f"{chk.min_abs_sin:.3e} below threshold {chk.threshold:.3e}"
         )
-    sol = solve_spectral(p)
-    clean = Observations(u1=sol.mode(1), u3=sol.mode(3), uy=sol.at_point(y), y=float(y),
-                         order=p.order)
+    rows = mode_evolve(p.g_coeffs(), p.v_grid(), p.h_grid(), _observed_rows(y, p.order))
+    u1, u3, uy = (GridFn(0.0, p.dt, r) for r in rows)
+    clean = Observations(u1=u1, u3=u3, uy=uy, y=float(y), order=p.order)
     return (noise or NoiseSpec()).apply(clean)

@@ -35,7 +35,7 @@ from .errors import (
     PreconditionError,
     ScheduleError,
 )
-from .forward import Observations, mode_evolve
+from .forward import Observations, _observed_rows, mode_evolve
 from .grid import GridFn, rel_l2
 
 #: exact determinant of the (f_1'(0), c_1; f_3'(0), c_3) system
@@ -189,26 +189,27 @@ def _extend_to_zero(f: GridFn) -> GridFn:
     return GridFn(0.0, f.dt, np.concatenate([head, f.values], axis=-1))
 
 
-def forced_mode_values(v: GridFn, h: GridFn, order: int) -> np.ndarray:
+def forced_mode_values(v: GridFn, h: GridFn, order: int, weights=None) -> np.ndarray:
     """Zero-initial-data Duhamel response of modes 1..order; shape (order, n),
-    or (rows, order, n) for stacked inputs."""
-    return mode_evolve(np.zeros(order), v, h)
+    or (rows, order, n) for stacked inputs.  With weights of shape (K, order)
+    only the K projections weights @ modes are kept (mode_evolve)."""
+    return mode_evolve(np.zeros(order), v, h, weights)
 
 
 def _forced_response(
     v_hat: GridFn, h_hat: GridFn, y: float, order: int
 ) -> tuple[GridFn, np.ndarray]:
-    """w(y, t) and the forced modes 1..order it sums, both from t = 0."""
-    fy = basis_at(y, order)
+    """w(y, t) and the forced rows [u_1; u_3; w] of modes 1..order, all from
+    t = 0; the rows stack as (..., 3, n)."""
     v_hat.require_same_grid(h_hat)
     v0 = _extend_to_zero(v_hat)
     h0 = _extend_to_zero(h_hat)
-    modes = forced_mode_values(v0, h0, order)
-    return GridFn(v0.t0, v0.dt, fy @ modes), modes
+    rows = forced_mode_values(v0, h0, order, _observed_rows(y, order))
+    return GridFn(v0.t0, v0.dt, rows[..., 2, :]), rows
 
 
 def compute_w(v_hat: GridFn, h_hat: GridFn, y: float, order: int) -> GridFn:
-    """w(y, t) = sum_{m<=order} f_m(y) * (forced response of mode m).
+    """w(y, t) = sum_{m<=order} f_m(y) * (forced response of mode m), order >= 3.
 
     Inputs that start after t = 0 (burn-in trim) are extended back by linear
     extrapolation before integrating.
@@ -348,24 +349,24 @@ def plan_peel(
     same time would telescope the bracket to zero, so the naive single-time
     choice must be staggered like this.)
 
-    Windows default to about a quarter of the local decay time of mode m,
-    1/(4 m^2 dt) samples in total, which averages rounding noise without
-    inflating the truncation bias.
+    A given window must be odd and >= 1.  Windows default to about a quarter
+    of the local decay time of mode m, 1/(4 m^2 dt) samples in total, made
+    odd, which averages rounding noise without inflating the truncation bias.
     """
     if depth < 1:
         raise DomainError(f"peeling depth must be >= 1, got {depth}")
     if method not in SCHEDULE_METHODS:
         raise ScheduleError(f"unknown scheduling method '{method}'")
+    if window is not None and (window < 1 or window % 2 == 0):
+        raise ScheduleError(f"peeling window must be odd and >= 1, got {window}")
     t = q.times
     n = q.n
     dt = q.dt
 
     def window_for(m: int) -> int:
         if window is not None:
-            w = int(window)
-        else:
-            w = int(round(0.25 / (m * m * dt)))
-            w = min(w, max(1, n // 8))
+            return int(window)
+        w = min(int(round(0.25 / (m * m * dt))), max(1, n // 8))
         return max(1, w) | 1
 
     windows = np.array([window_for(m) for m in range(1, depth + 1)])
@@ -561,6 +562,8 @@ class InversionConfig:
             raise DomainError(f"peeling depth must be >= 1, got {self.depth}")
         if self.window is not None and self.window < 1:
             raise DomainError(f"peeling window must be >= 1, got {self.window}")
+        if self.window is not None and self.window % 2 == 0:
+            raise DomainError(f"peeling window must be odd, got {self.window}")
         if self.burn_in < 0:
             raise DomainError(f"burn-in must be >= 0, got {self.burn_in}")
         if not self.ridge >= 0.0:
@@ -702,7 +705,7 @@ def invert_stack(
             divisors=assembled.divisors,
             rejected_modes=assembled.rejected,
             residual_u1=rel_l2(g1[i] * e1 + forced[i, 0], obs.u1.values[i]),
-            residual_u3=rel_l2(g3[i] * e9 + forced[i, 2], obs.u3.values[i]),
+            residual_u3=rel_l2(g3[i] * e9 + forced[i, 1], obs.u3.values[i]),
             residual_uy=rel_l2(w.values[i] + b_hat[i] @ decay, obs.uy.values[i]),
             warnings=tuple(peel_warnings),
         )

@@ -20,8 +20,10 @@ from .forward import NoiseSpec, Observations, ProblemInstance, make_observations
 from .grid import rel_l2
 from .inverse import InversionConfig, invert_stack
 
-#: a stacked chunk of noisy records holds at most this many forced-mode
-#: samples (rows * order * n), which bounds a study's working memory
+#: a stacked chunk of noisy records spans rows * order * n <= this many (row,
+#: mode, sample) elements; no array of that size is built, but the count bounds
+#: the chunk's series (rows * n samples each) and the scan tiles of its forced
+#: response, so a study's working memory
 _STACK_ELEMENTS = 2 ** 16
 
 
@@ -150,7 +152,7 @@ def run_noise_study(
     no noise, so the clean record is inverted once and every level-0 trial
     gets a copy of that outcome under its own trial and seed.  The noisy
     records are built and inverted a chunk at a time, as one stack of at
-    most _STACK_ELEMENTS forced-mode samples, and every trial's record
+    most _STACK_ELEMENTS (row, mode, sample) elements, and every trial's record
     equals that of its own lone inversion.  A record that cannot be built
     (an unsafe y, say) raises; a failure inside a single trial's inversion
     is recorded, not raised.  Level 0 reproduces the clean baseline

@@ -5,6 +5,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -171,6 +172,70 @@ class TestModeEvolve:
         u = mode_evolve(g, v, h)
         ref = _recurrence_modes(g, v, h)
         assert np.max(np.abs(u - ref)) <= 1e-13 * np.max(np.abs(ref))
+
+
+class TestTiledScan:
+    """A record scanned in several tiles (a small _TILE_ELEMENTS) against one tile."""
+
+    # order 16 at dt = 1e-3 scans blocks of 116 samples: 1 001 samples are 9
+    # blocks, in tiles of 3 blocks (348, 348 and 305 samples) or of 1 block
+    @pytest.fixture(params=[16 * 116 * 3, 1], ids=["three-block-tiles", "one-block-tiles"])
+    def tile_elements(self, request):
+        return request.param
+
+    @pytest.fixture
+    def record(self):
+        rng = np.random.default_rng(13)
+        g = rng.standard_normal(16)
+        v, h = (GridFn(0.0, 1e-3, rng.standard_normal((3, 1001))) for _ in range(2))
+        return g, v, h
+
+    def test_modes_keep_the_bits_of_one_tile(self, record, tile_elements, monkeypatch):
+        g, v, h = record
+        assert 16 * 1044 <= forward._TILE_ELEMENTS  # one tile by default
+        one_tile = mode_evolve(g, v, h)
+        monkeypatch.setattr(forward, "_TILE_ELEMENTS", tile_elements)
+        tiled = mode_evolve(g, v, h)
+        np.testing.assert_array_equal(tiled, one_tile)
+        ref = _recurrence_modes(g, v, h)
+        assert np.max(np.abs(tiled - ref)) <= 1e-13 * np.max(np.abs(ref))
+
+    def test_projected_rows(self, record, tile_elements, monkeypatch):
+        g, v, h = record
+        modes = mode_evolve(g, v, h)
+        fy = forward.basis_at(1.0, 16)
+        weights = forward._observed_rows(1.0, 16)
+        monkeypatch.setattr(forward, "_TILE_ELEMENTS", tile_elements)
+        rows = mode_evolve(g, v, h, weights)
+        assert rows.shape == (3, 3, 1001)
+        np.testing.assert_array_equal(rows[:, 0], modes[:, 0])  # u_1, copied
+        np.testing.assert_array_equal(rows[:, 1], modes[:, 2])  # u_3, copied
+        # two sums of the same 16 products in any order differ by at most
+        # 2 * 16 eps times the sum of their magnitudes
+        bound = 2 * 16 * np.finfo(float).eps * (np.abs(fy) @ np.abs(modes))
+        assert np.all(np.abs(rows[:, 2] - fy @ modes) <= bound)
+        for row in range(3):  # each row of the stack keeps the bits of its own call
+            lone = mode_evolve(g, GridFn(0.0, 1e-3, v.values[row]),
+                               GridFn(0.0, 1e-3, h.values[row]), weights)
+            np.testing.assert_array_equal(rows[row], lone)
+
+    def test_stiff_two_sample_blocks_across_tiles(self, monkeypatch):
+        # M^2 dt = 1024: blocks of 2 samples under the e^-600 floor, tiles of
+        # 2 blocks, so 9 samples run as tiles of 4, 4 and 1
+        rng = np.random.default_rng(0)
+        g = rng.standard_normal(32)
+        v, h = (GridFn(0.0, 1.0, rng.standard_normal(9)) for _ in range(2))
+        one_tile = mode_evolve(g, v, h)
+        monkeypatch.setattr(forward, "_TILE_ELEMENTS", 32 * 2 * 2)
+        tiled = mode_evolve(g, v, h)
+        np.testing.assert_array_equal(tiled, one_tile)
+        ref = _recurrence_modes(g, v, h)
+        assert np.max(np.abs(tiled - ref)) <= 1e-13 * np.max(np.abs(ref))
+
+    def test_weights_must_match_the_modes(self, record):
+        g, v, h = record
+        with pytest.raises(DomainError, match=r"shape \(K, 16\)"):
+            mode_evolve(g, v, h, np.ones((2, 8)))
 
 
 def test_import_loads_no_scipy():
@@ -369,6 +434,28 @@ class TestMakeObservations:
         p = make_problem("decay1", 2, 1.0, 1e-3)
         with pytest.raises(DomainError):
             make_observations(p, 1.0)
+
+    def test_triple_projects_the_spectral_modes(self):
+        p = make_problem("generic", 8, 1.0, 1e-3)
+        obs = make_observations(p, 1.0)
+        modes = solve_spectral(p).modes
+        np.testing.assert_array_equal(obs.u1.values, modes[0])
+        np.testing.assert_array_equal(obs.u3.values, modes[2])
+        fy = forward.basis_at(1.0, 8)
+        bound = 2 * 8 * np.finfo(float).eps * (np.abs(fy) @ np.abs(modes))
+        assert np.all(np.abs(obs.uy.values - fy @ modes) <= bound)
+
+    def test_memory_does_not_grow_with_the_order(self):
+        # the modes go a tile at a time into the three observed rows: 4.5 MiB
+        # on 60 001 samples at order 64, where holding every mode took 59.6 MiB
+        p = make_problem("generic", 64, 6.0, 1e-4)
+        tracemalloc.start()
+        try:
+            make_observations(p, 1.0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 8 * 2 ** 20
 
     def test_clean_record_returned_unchanged(self):
         p = make_problem("generic", 8, 1.0, 1e-2)

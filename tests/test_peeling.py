@@ -253,6 +253,13 @@ class TestPlanPeel:
         assert np.all(plan.windows % 2 == 1)
         assert np.all(np.diff(plan.windows) <= 0)  # narrower for faster modes
 
+    @pytest.mark.parametrize("window", [4, 0, -3])
+    def test_given_window_must_be_odd_and_positive(self, window):
+        q = exp_sum([1.0, 0.5], 12.0, 1e-3)
+        with pytest.raises(ScheduleError, match=f"window must be odd and >= 1, got {window}"):
+            plan_peel(q, 2, window=window)
+        assert np.all(plan_peel(q, 2, window=5).windows == 5)
+
     def test_unknown_method(self):
         q = exp_sum([1.0], 2.0, 1e-2)
         with pytest.raises(ScheduleError):
