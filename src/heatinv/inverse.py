@@ -58,6 +58,10 @@ _EPS = float(np.finfo(float).eps)
 #: largest x with e^x finite
 _LOG_MAX = math.log(np.finfo(float).max)
 
+#: elements of one row tile of [design | q] (512 KiB): the fit's buffers stay
+#: this size whatever the record length
+_FIT_TILE_ELEMENTS = 2 ** 16
+
 
 # ---------------------------------------------------------------------------
 # stage 1: initial values of the observed modes
@@ -226,11 +230,26 @@ def _design_matrix(t: np.ndarray, depth: int, out: np.ndarray | None = None) -> 
     return np.exp(a, out=a)
 
 
-class LsqFit(tuple):
-    """peel_lsq's pair (b, cond), carrying the fit's n x depth design (Fortran
-    order) and the R factor of [design | q] for callers that read them again."""
+def _design_tiles(q: GridFn, depth: int, start: int = 0):
+    """Yield (s, e, tile) over samples start..n-1, tile the Fortran-order
+    [design | q] of samples s..e-1, at most _FIT_TILE_ELEMENTS elements.
 
-    design: np.ndarray
+    Every tile is written into one buffer that the next tile overwrites, and
+    its times are t0 + dt * (s..e-1), the bits of q.times[s:e]."""
+    rows = max(1, _FIT_TILE_ELEMENTS // (depth + 1))
+    buf = np.empty(min(rows, q.n - start) * (depth + 1))
+    for s in range(start, q.n, rows):
+        e = min(s + rows, q.n)
+        tile = buf[: (e - s) * (depth + 1)].reshape((e - s, depth + 1), order="F")
+        _design_matrix(q.t0 + q.dt * np.arange(s, e), depth, out=tile[:, :depth])
+        tile[:, depth] = q.values[s:e]
+        yield s, e, tile
+
+
+class LsqFit(tuple):
+    """peel_lsq's pair (b, cond), carrying the R factor of [design | q] for
+    callers that read it again; the fit's depth is r.shape[1] - 1."""
+
     r: np.ndarray
 
 
@@ -239,17 +258,17 @@ def peel_lsq(q: GridFn, depth: int, reg: float = 0.0) -> LsqFit:
 
     Returns the coefficient vector and the condition number of the plain
     design matrix as an LsqFit.  With reg = 0 a rank-deficient design raises
-    DataError.
+    DataError.  [design | q] is factored one row tile at a time and the
+    tiles' R factors once more (a tall-skinny QR), so no buffer grows with
+    the record; a record of one tile is one QR of the whole [design | q].
     """
     if depth < 1:
         raise DomainError(f"depth must be >= 1, got {depth}")
     if q.n < depth:
         raise DataError(f"grid of {q.n} samples cannot support depth {depth}")
-    # one QR of [A | q] in LAPACK's column order; R has A's singular values, R b = Q^T q
-    aq = np.empty((q.n, depth + 1), order="F")
-    _design_matrix(q.times, depth, out=aq[:, :depth])
-    aq[:, depth] = q.values
-    r = np.linalg.qr(aq, mode="r")
+    # R of [A | q] has A's singular values, and R b = Q^T q
+    rs = [np.linalg.qr(tile, mode="r") for _, _, tile in _design_tiles(q, depth)]
+    r = rs[0] if len(rs) == 1 else np.linalg.qr(np.vstack(rs), mode="r")
     a, rhs = r[:depth, :depth], r[:depth, depth]
     cond = float(np.linalg.cond(a))
     if reg > 0.0:
@@ -263,7 +282,7 @@ def peel_lsq(q: GridFn, depth: int, reg: float = 0.0) -> LsqFit:
             f"condition number {cond:.3e}); use a ridge parameter"
         )
     fit = LsqFit((sol, cond))
-    fit.design, fit.r = aq[:, :depth], r
+    fit.r = r
     return fit
 
 
@@ -288,14 +307,15 @@ class PeelPlan:
         t = np.atleast_1d(np.asarray(self.times, dtype=float))
         if not np.all(np.isfinite(t)):
             raise ScheduleError(f"schedule times must be finite, got {t.tolist()}")
-        w = np.ones(t.size, dtype=int) if self.windows is None else self.windows
-        w = np.atleast_1d(np.asarray(w, dtype=int))
+        w = np.ones(t.size) if self.windows is None else self.windows
+        w = np.atleast_1d(np.asarray(w, dtype=float))
         if t.size != w.size:
             raise ScheduleError("times and windows must have equal length")
-        if np.any(w < 1) or np.any(w % 2 == 0):
-            raise ScheduleError("windows must be odd and >= 1")
+        # w % 2 == 1 holds for odd whole numbers only; inf goes first, as inf % 2 warns
+        if not np.all(np.isfinite(w)) or np.any((w < 1) | (w % 2 != 1)):
+            raise ScheduleError(f"windows must be odd and >= 1, got {w.tolist()}")
         object.__setattr__(self, "times", t)
-        object.__setattr__(self, "windows", w)
+        object.__setattr__(self, "windows", w.astype(int))
 
     @property
     def depth(self) -> int:
@@ -310,11 +330,14 @@ def _provisional_fit(q: GridFn, depth: int) -> LsqFit:
 
 def _noise_floor(q: GridFn, depth: int, fit: LsqFit) -> tuple[np.ndarray, float]:
     """|b| estimates of depth + 1 modes and an absolute noise scale from the
-    late-time residual, both read off the provisional fit."""
+    late-time residual of the provisional fit, whose design rows are rebuilt
+    tile by tile over the last quarter of the record."""
     b_prov, _ = fit
     k = int(0.75 * q.n)
-    # a C-order copy of the design's rows: the same product as a fresh tail design
-    tail = q.values[k:] - np.ascontiguousarray(fit.design[k:]) @ b_prov
+    tail = np.empty(q.n - k)
+    for s, e, tile in _design_tiles(q, b_prov.size, k):
+        # a C-order copy of the design's rows: the same product as a fresh tail design
+        tail[s - k:e - k] = q.values[s:e] - np.ascontiguousarray(tile[:, :-1]) @ b_prov
     sigma = float(np.sqrt(np.mean(tail ** 2)))
     b_abs = np.zeros(depth + 1)
     b_abs[: b_prov.size] = np.abs(b_prov)
@@ -336,7 +359,7 @@ def plan_peel(
                  + sum_{k<m} err_k e^{(m^2-k^2) t}              inherited error
 
     with |b_k| and the noise scale sigma from a provisional ridge fit and
-    env(t) the fitted envelope of |q|, read off the fit's design columns.
+    env(t) the fitted envelope of |q|, formed from the fit's design tiles.
     err_m is evaluated only up to where a lower bound of it that grows with t
     exceeds err_m(t[0]), which keeps its argmin and minimum bit for bit.
     method 'balance' applies the plain two-term rule
@@ -349,15 +372,16 @@ def plan_peel(
     same time would telescope the bracket to zero, so the naive single-time
     choice must be staggered like this.)
 
-    A given window must be odd and >= 1.  Windows default to about a quarter
-    of the local decay time of mode m, 1/(4 m^2 dt) samples in total, made
-    odd, which averages rounding noise without inflating the truncation bias.
+    A given window must be an odd whole number >= 1.  Windows default to
+    about a quarter of the local decay time of mode m, 1/(4 m^2 dt) samples in
+    total, made odd, which averages rounding noise without inflating the
+    truncation bias.
     """
     if depth < 1:
         raise DomainError(f"peeling depth must be >= 1, got {depth}")
     if method not in SCHEDULE_METHODS:
         raise ScheduleError(f"unknown scheduling method '{method}'")
-    if window is not None and (window < 1 or window % 2 == 0):
+    if window is not None and (window < 1 or window % 2 != 1):
         raise ScheduleError(f"peeling window must be odd and >= 1, got {window}")
     t = q.times
     n = q.n
@@ -380,7 +404,7 @@ def plan_peel(
     fit = _provisional_fit(q, depth)
     b_abs, sigma_est = _noise_floor(q, depth, fit)
     sigma_abs = max(sigma_est, 1e-300)
-    fit_depth = fit.design.shape[1]
+    fit_depth = fit.r.shape[1] - 1
     # the leading block of R is the depth-mode design's own R
     condition = float(np.linalg.cond(fit.r[:depth, :depth])) if fit_depth >= depth else None
 
@@ -400,10 +424,11 @@ def plan_peel(
                 times[m - 1] = min(max(tm, t[0]), t[-1])
         return fitted_plan(times)
 
-    # propagation-aware greedy minimisation over the grid; the design's
-    # transpose is the C-order (modes, n) matrix of e^{-k^2 t}
-    envelope = b_abs[:fit_depth] @ fit.design.T
-    noise_t = sigma_abs + 4.0 * _EPS * envelope
+    # propagation-aware greedy minimisation over the grid; a design tile's
+    # transpose is the C-order (modes, rows) matrix of e^{-k^2 t}
+    noise_t = np.empty(n)
+    for s, e, tile in _design_tiles(q, fit_depth):
+        noise_t[s:e] = sigma_abs + 4.0 * _EPS * (b_abs[:fit_depth] @ tile[:, :fit_depth].T)
     times = np.empty(depth)
     errs = np.empty(depth)
 
@@ -562,7 +587,7 @@ class InversionConfig:
             raise DomainError(f"peeling depth must be >= 1, got {self.depth}")
         if self.window is not None and self.window < 1:
             raise DomainError(f"peeling window must be >= 1, got {self.window}")
-        if self.window is not None and self.window % 2 == 0:
+        if self.window is not None and self.window % 2 != 1:
             raise DomainError(f"peeling window must be odd, got {self.window}")
         if self.burn_in < 0:
             raise DomainError(f"burn-in must be >= 0, got {self.burn_in}")
@@ -653,8 +678,7 @@ def invert_stack(
     q_rows = q.rows()
 
     if cfg.peel_method == "lsq":
-        # plain (b, cond) pairs: each fit's design goes as soon as it is read
-        fits = [tuple(_stage("peel", peel_lsq, qr, cfg.depth, cfg.ridge)) for qr in q_rows]
+        fits = [_stage("peel", peel_lsq, qr, cfg.depth, cfg.ridge) for qr in q_rows]
         b_hat = np.array([b for b, _ in fits])
         peels = [(np.ones(cfg.depth), None, [], cond) for _, cond in fits]
     else:

@@ -358,6 +358,10 @@ class TestInvert:
         with pytest.raises(DomainError, match="peeling window must be odd, got 4"):
             InversionConfig(window=4)
 
+    def test_non_integral_window_rejected(self):
+        with pytest.raises(DomainError, match="peeling window must be odd, got 3.5"):
+            InversionConfig(window=3.5)
+
     def test_explicit_schedule_must_match_depth(self):
         # rejected when the config is built, before any stage runs
         plan = PeelPlan(times=np.array([1.0]), windows=np.ones(1, dtype=int))

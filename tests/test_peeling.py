@@ -1,6 +1,7 @@
 """Exponential-sum peeling tests, run against synthetic sums independent of the PDE."""
 
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -15,6 +16,7 @@ from heatinv import (
     peel_sequential,
     plan_peel,
 )
+from heatinv import inverse
 from heatinv.inverse import _design_matrix, _noise_floor, _provisional_fit
 
 SQ = math.sqrt(2.0 / math.pi)
@@ -253,7 +255,7 @@ class TestPlanPeel:
         assert np.all(plan.windows % 2 == 1)
         assert np.all(np.diff(plan.windows) <= 0)  # narrower for faster modes
 
-    @pytest.mark.parametrize("window", [4, 0, -3])
+    @pytest.mark.parametrize("window", [4, 0, -3, 3.5])
     def test_given_window_must_be_odd_and_positive(self, window):
         q = exp_sum([1.0, 0.5], 12.0, 1e-3)
         with pytest.raises(ScheduleError, match=f"window must be odd and >= 1, got {window}"):
@@ -272,10 +274,95 @@ class TestPeelPlan:
         with pytest.raises(ScheduleError, match="finite"):
             PeelPlan([bad, 1.0])
 
+    @pytest.mark.parametrize("windows", [[3.7], [4], [0], [math.nan]])
+    def test_windows_must_be_odd_whole_numbers(self, windows):
+        with pytest.raises(ScheduleError, match=rf"windows must be odd and >= 1, got \[{windows[0]}"):
+            PeelPlan([1.0], windows)
+        assert PeelPlan([1.0, 2.0], [3.0, 5]).windows.tolist() == [3, 5]
+
     def test_condition_is_not_a_constructor_argument(self):
         with pytest.raises(TypeError):
             PeelPlan([1.0], condition=1.0)
         assert PeelPlan([1.0]).condition is None
+
+
+class TestTiledFit:
+    """[design | q] fitted in row tiles (a small _FIT_TILE_ELEMENTS) against one tile."""
+
+    # tiles of 1 row, of 40 // (depth + 1) rows and of 5000 // (depth + 1) rows
+    @pytest.fixture(params=[1, 40, 5000], ids=["one-row-tiles", "few-row-tiles", "long-tiles"])
+    def tile_elements(self, request):
+        return request.param
+
+    @pytest.mark.parametrize("reg", [0.0, 1e-12])
+    def test_one_tile_is_one_qr_of_the_whole(self, reg):
+        q = exp_sum([1.0, 0.5, 0.25, 0.125], 4.0, 1e-3, noise=1e-6, seed=3)
+        for d in range(1, 7):
+            assert q.n * (d + 1) <= inverse._FIT_TILE_ELEMENTS
+            aq = np.empty((q.n, d + 1), order="F")
+            aq[:, :d] = _design_matrix(q.times, d)
+            aq[:, d] = q.values
+            r = np.linalg.qr(aq, mode="r")
+            a, rhs = r[:d, :d], r[:d, d]
+            if reg > 0.0:
+                a = np.vstack([a, math.sqrt(reg) * np.eye(d)])
+                rhs = np.concatenate([rhs, np.zeros(d)])
+            b = np.linalg.lstsq(a, rhs, rcond=np.finfo(float).eps * q.n)[0]
+            fit = peel_lsq(q, d, reg=reg)
+            np.testing.assert_array_equal(fit.r, r)
+            np.testing.assert_array_equal(fit[0], b)
+            assert fit[1] == float(np.linalg.cond(r[:d, :d]))
+
+    @pytest.mark.parametrize("reg", [0.0, 1e-12])
+    def test_tiles_match_one_tile(self, reg, tile_elements, monkeypatch):
+        eps = np.finfo(float).eps
+        q = exp_sum([1.0, 0.5, 0.25, 0.125], 4.0, 1e-3, noise=1e-6, seed=3)
+        one_tile = [peel_lsq(q, d, reg=reg) for d in range(1, 7)]
+        monkeypatch.setattr(inverse, "_FIT_TILE_ELEMENTS", tile_elements)
+        for d, (b_one, cond_one) in enumerate(one_tile, start=1):
+            b, cond = peel_lsq(q, d, reg=reg)
+            tol = 100.0 * eps * cond_one * np.abs(b_one).max()
+            np.testing.assert_allclose(b, b_one, rtol=0.0, atol=tol)
+            assert cond == pytest.approx(cond_one, rel=1e-12, abs=0.0)
+
+    def test_rank_deficient_design_across_tiles(self, tile_elements, monkeypatch):
+        monkeypatch.setattr(inverse, "_FIT_TILE_ELEMENTS", tile_elements)
+        t = np.arange(10) * 1e-6
+        q = GridFn(0.0, 1e-6, np.exp(-t) + 0.5 * np.exp(-4.0 * t))
+        with pytest.raises(DataError, match=r"rank deficient \(rank 4 < depth 6"):
+            peel_lsq(q, 6)
+        t = np.arange(1000) * 5e-7
+        with pytest.raises(DataError, match=r"rank deficient \(rank 4 < depth 5"):
+            peel_lsq(GridFn(0.0, 5e-7, np.exp(-t)), 5)
+
+    @pytest.mark.parametrize("tile_elements", [40, 5000], ids=["few-row-tiles", "long-tiles"])
+    @pytest.mark.parametrize("noise", [0.0, 1e-8, 1e-4])
+    def test_plans_match_across_tiles(self, noise, tile_elements, monkeypatch):
+        q = exp_sum([1.0 / m for m in range(1, 12)], 6.0, 1e-3, noise=noise, seed=0)
+        one_tile = [plan_peel(q, depth) for depth in range(1, 11)]
+        monkeypatch.setattr(inverse, "_FIT_TILE_ELEMENTS", tile_elements)
+        for depth, expect in enumerate(one_tile, start=1):
+            plan = plan_peel(q, depth)
+            np.testing.assert_array_equal(plan.times, expect.times)
+            # at depth 10 on the clean grid the provisional fit holds all 11
+            # modes of q: sigma is the rounding of its residual and moves by
+            # tens of percent between tilings, the forecast by up to 2.1e-8
+            rtol = 1e-7 if (noise, depth) == (0.0, 10) else 1e-8
+            np.testing.assert_allclose(plan.predicted, expect.predicted, rtol=rtol, atol=0.0)
+
+    @pytest.mark.parametrize("n", [60_001, 240_001])
+    def test_memory_does_not_grow_with_the_record(self, n):
+        # the fit holds one tile and LAPACK's copies of it: under 2 MiB at
+        # either length, where a whole-record design took 5.5 and 22 MiB
+        t = np.arange(n) * 1e-4
+        q = GridFn(0.0, 1e-4, np.exp(-t) + 0.5 * np.exp(-4.0 * t))
+        tracemalloc.start()
+        try:
+            peel_lsq(q, 5, reg=1e-12)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2 * 2 ** 20
 
 
 class TestDesignMatrix:
