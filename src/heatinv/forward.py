@@ -26,30 +26,8 @@ TimeInput = Union[Callable, GridFn]
 SpaceInput = Union[Callable, SineSeries]
 
 
-#: a scan block spans at most this many decay lengths of the fastest mode
-_BLOCK_DECAY = 30.0
-#: floor of the rescaling exponent, binding only on 2-sample blocks of modes with a < e^-600
-_STIFF_EXPONENT = -600.0
-#: a scan tile holds at most this many (mode, sample) elements of each stacked
-#: row (1 MiB of float64) unless one block alone is larger
-_TILE_ELEMENTS = 2 ** 17
-
-
-def _scan_blocks(x: np.ndarray, up: np.ndarray, lead: np.ndarray, carry: np.ndarray):
-    """Scan x of shape (..., M, blocks, B) in place, block after block from the
-    carry u_{s-1} of shape (..., M, 1); returns the carry out of the last block."""
-    x /= up
-    lanes = x.view(np.complex128)  # real part: even samples, imaginary part: odd
-    np.cumsum(lanes, axis=-1, out=lanes)
-    even, odd = x[..., 0::2], x[..., 1::2]
-    prev = odd[..., :-1].copy()
-    odd += even                # sample 2p + 1: E_p + O_p
-    even[..., 1:] += prev      # sample 2p: E_p + O_{p-1}
-    x *= up
-    for blk in np.moveaxis(x, -2, 0):
-        blk += lead * carry
-        carry = blk[..., -1:]
-    return carry.copy()  # x goes before the next tile is built
+#: samples per block of mode_evolve's kernel (a power of 2, so s * L * z is exact)
+_BLOCK = 32
 
 
 def mode_evolve(g, v: GridFn, h: GridFn, weights=None) -> np.ndarray:
@@ -57,45 +35,41 @@ def mode_evolve(g, v: GridFn, h: GridFn, weights=None) -> np.ndarray:
 
     Forcing piecewise linear between samples makes each step the exact update
     u_k = a u_{k-1} + b_old f_{k-1} + b_new f_k with a = e^{-m^2 dt} (order 2,
-    exact for constant forcing), and u_m(0) = g[m-1] exactly.  All modes run
-    as one blocked prefix scan (Blelloch, "Prefix sums and their applications",
-    1990): with x_0 = g and x_k the forcing term of step k, a block of B
-    samples from s is one cumulative sum, u_{s+i} = a^i sum_{j<=i} a^{-j}
-    x_{s+j} + a^{i+1} u_{s-1}, with B even and short enough that a^{-B} <= e^30
-    for the fastest mode (B >= 2; a^{-1} is capped at e^600); the carry u_{s-1}
-    passes from block to block.  The sum runs in two lanes, one np.cumsum over
-    the complex view of the block: with E_p, O_p the sums of the even and odd
-    samples up to 2p and 2p + 1, sample 2p + 1 is E_p + O_p and sample 2p is
-    E_p + O_{p-1}.  Stacked v and h of shape (rows, n) give a leading batch
-    axis, shape (rows, M, n), with every row's bits those of its own call.
+    exact for constant forcing), and u_m(0) = g[m-1] exactly.  With weights of
+    shape (K, M) only the K projections weights @ modes are kept, shape
+    (..., K, n); without them the weights are the identity.  Stacked v and h
+    of shape (rows, n) give a leading batch axis.
 
-    The scan walks the record in tiles of whole blocks, each of at most
-    _TILE_ELEMENTS elements per row, so its working memory does not grow
-    with n, and a tile does not depend on the number of rows.  With weights
-    of shape (K, M) only the K projections weights @ modes are kept, shape
-    (..., K, n): a row holding a single 1 copies that mode's samples and any
-    other row is formed as row @ modes of the tile.  The modes, and so the
-    copied rows, keep their bits at any tile size; the other rows may move
-    at rounding level with it.
+    The steps run in blocks of L = _BLOCK samples, in the chunked form of a
+    linear recurrence (Dao and Gu, ICML 2024).  Block b's outputs, samples
+    bL + 1 .. bL + L, read the L + 1 samples Z_b of v and of h from bL on and
+    the carry C_b = u_{bL} of every mode, so row r is the product
+
+        out_r[block b] = [Z_b | C_b] [K_r | P_r]^T,
+
+    with K_r = sum_m W[r, m] (f_m'(0), c_m) (x) G_m the fixed lower-triangular
+    Toeplitz kernel, G_m[i, j] = b_old a^{i-j} [j <= i] + b_new a^{i-j+1}
+    [1 <= j <= i + 1], and P_r[i, m] = W[r, m] a_m^{i+1}.  The carries obey
+    C_0 = g, C_{b+1} = a^L C_b + Z_b E^T, E the last row of each mode's
+    kernel; recursive doubling (Kogge and Stone, 1973) solves them in
+    log2(n / L) steps, each factor a^{sL} taken as exp(s L z) directly, so
+    the rounding of a^L is not compounded.  No exponent is positive, and
+    with weights nothing of size M x n is built.  A row holding a single 1
+    has the kernel of its mode, so it keeps the bits of the unweighted
+    output; each row of a stack runs its own products and keeps the bits of
+    its own call.
     """
     v.require_same_grid(h)
     g = np.atleast_1d(np.asarray(g, dtype=float))
     if g.ndim != 1 or g.size < 1:
         raise DomainError("initial mode values must form a non-empty 1-D array")
-    order, n, dt = g.size, v.n, v.dt
-    picks = []  # per kept row: the index of the mode it copies, or its weight row
-    if weights is not None:
-        weights = np.asarray(weights, dtype=float)
-        if weights.ndim != 2 or weights.shape[1] != order:
-            raise DomainError(f"mode weights must have shape (K, {order}), got {weights.shape}")
-        for row in weights:
-            (hot,) = np.nonzero(row)
-            picks.append(int(hot[0]) if hot.size == 1 and row[hot[0]] == 1.0 else row)
+    order, n, dt, span = g.size, v.n, v.dt, _BLOCK
+    w = np.eye(order) if weights is None else np.asarray(weights, dtype=float)
+    if w.ndim != 2 or w.shape[1] != order:
+        raise DomainError(f"mode weights must have shape (K, {order}), got {w.shape}")
     modes = [mode_constants(m) for m in range(1, order + 1)]
     lam = np.array([md.lam for md in modes])
-    fprime0 = np.array([md.fprime0 for md in modes])[:, None]
-    c_m = np.array([md.c_m for md in modes])[:, None]
-    batch = v.values.shape[:-1]
+    coeffs = (np.array([md.fprime0 for md in modes]), np.array([md.c_m for md in modes]))
 
     # phi1 = (e^z - 1)/z and phi2 = (e^z - 1 - z)/z^2, by series for small |z|
     z = -lam * dt
@@ -106,34 +80,52 @@ def mode_evolve(g, v: GridFn, h: GridFn, weights=None) -> np.ndarray:
     b_new = (dt * phi2)[:, None]           # weight of f_k in step k-1 -> k
     b_old = (dt * (phi1 - phi2))[:, None]  # weight of f_{k-1}
 
-    block = 2 * max(1, min(-(-n // 2), int(_BLOCK_DECAY / (lam[-1] * dt)) // 2))
-    width = block * min(-(-n // block), max(1, _TILE_ELEMENTS // (order * block)))
-    carry = np.zeros((order, 1))
-    for s in range(0, n, width):
-        e = min(s + width, n)
-        lo = max(s - 1, 0)  # step k reads the forcing at k - 1 and k
-        forcing = fprime0 * v.values[..., None, lo:e]
-        forcing += c_m * h.values[..., None, lo:e]
-        x = np.zeros((*batch, order, -(-(e - s) // block) * block))
-        if s == 0:
-            x[..., 0] = g
-        np.multiply(b_old, forcing[..., :-1], out=x[..., lo + 1 - s:e - s])
-        forcing *= b_new
-        x[..., lo + 1 - s:e - s] += forcing[..., 1:]
-        del forcing
-        if s == 0:  # not beside the first tile's forcing, the peak of a one-tile record
-            j = np.arange(block)
-            up = np.exp(np.maximum(np.outer(z, j), _STIFF_EXPONENT))[:, None, :]  # a^j
-            lead = np.exp(np.outer(z, j + 1))        # a^{i+1}, weight of the carry
-            out = np.empty((*batch, order if weights is None else len(picks), n))
-        carry = _scan_blocks(x.reshape(*batch, order, -1, block), up, lead, carry)
-        tile = x[..., :e - s]
-        if weights is None:
-            out[..., s:e] = tile
-        for k, pick in enumerate(picks):
-            out[..., k, s:e] = tile[..., pick, :] if isinstance(pick, int) else pick @ tile
-        del x, tile  # before the next tile's forcing is built
-    return out
+    # G_m[i, j] = seq_m[i - j + 1] for 1 <= j <= i + 1 and G_m[i, 0] = b_old a^i
+    power = np.exp(np.outer(z, np.arange(span + 1)))  # a^k, k = 0..L
+    first = b_old * power[:, :-1]
+    seq = b_new * power
+    seq[:, 1:] += first
+    lag = np.subtract.outer(np.arange(span), np.arange(span + 1)) + 1
+    lag[lag < 0] = span + 1  # above the superdiagonal: the zero past seq's end
+    width = 2 * span + 2
+    kernel = np.empty((len(w), span, width + order))  # [K_r | P_r], (K, L, 2L + 2 + M)
+    last = seq[:, ::-1].copy()  # each mode's kernel row L - 1
+    last[:, 0] = first[:, -1]
+    carry_kernel = np.empty((order, width))  # E
+    for part, coeff in enumerate(coeffs):
+        cols = slice(part * (span + 1), (part + 1) * (span + 1))
+        wc = w * coeff
+        gen = np.zeros((len(w), span + 2))
+        gen[:, :-1] = wc @ seq
+        kernel[:, :, cols] = gen[:, lag]
+        kernel[:, :, cols.start] = wc @ first
+        carry_kernel[:, cols] = coeff[:, None] * last
+    kernel[:, :, width:] = w[:, None, :] * power[:, 1:].T
+
+    batch = v.values.shape[:-1]
+    blocks, full = -(-(n - 1) // span), (n - 1) // span
+    out = np.empty((*batch, len(w), blocks * span + 1))
+    out[..., 0] = w @ g
+    if blocks:
+        zc = np.zeros((blocks, width + order))  # [Z_b | C_b]; zeros pad the last block
+        spare = np.empty((blocks, order))
+        carries = zc[:, width:]
+        steps = [1 << i for i in range((blocks - 1).bit_length())]  # 1, 2, 4, ... < blocks
+        factors = np.exp(np.outer([s * span for s in steps], z))  # a^{sL}, directly
+        for row in np.ndindex(batch):
+            for part, series in enumerate((v.values[row], h.values[row])):
+                start = part * (span + 1)
+                zc[:full, start:start + span] = series[:full * span].reshape(full, span)
+                zc[:full, start + span] = series[span:full * span + 1:span]
+                zc[full:, start:start + n - full * span] = series[full * span:]
+            carries[0] = g
+            np.matmul(zc[:-1, :width], carry_kernel.T, out=carries[1:])
+            for step, factor in zip(steps, factors):
+                np.multiply(carries[:-step], factor, out=spare[:-step])
+                carries[step:] += spare[:-step]
+            for r, ker in enumerate(kernel):
+                np.matmul(zc, ker.T, out=out[row][r, 1:].reshape(blocks, span))
+    return out[..., :n]
 
 
 @dataclass(frozen=True)

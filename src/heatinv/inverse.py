@@ -431,17 +431,22 @@ def plan_peel(
         noise_t[s:e] = sigma_abs + 4.0 * _EPS * (b_abs[:fit_depth] @ tile[:, :fit_depth].T)
     times = np.empty(depth)
     errs = np.empty(depth)
+    buf = np.empty((2, n))  # err_m and one of its terms, for every mode
 
     def forecast(m: int, stop: int) -> np.ndarray:
-        """err_m on the grid prefix t[:stop]."""
+        """err_m on the grid prefix t[:stop], a view of buf."""
         m2, ts = m * m, t[:stop]
+        model, term = buf[0, :stop], buf[1, :stop]
         # late times overflow to +inf, which is never the argmin
         with np.errstate(over="ignore"):
-            model = noise_t[:stop] * np.exp(m2 * ts) / math.sqrt(windows[m - 1])
-            for k in range(m + 1, depth + 2):
-                model = model + b_abs[k - 1] * np.exp(-(k * k - m2) * ts)
-            for k in range(1, m):
-                model = model + errs[k - 1] * np.exp((m2 - k * k) * ts)
+            np.exp(np.multiply(m2, ts, out=term), out=term)
+            np.multiply(noise_t[:stop], term, out=model)
+            model /= math.sqrt(windows[m - 1])
+            terms = [(k, b_abs[k - 1]) for k in range(m + 1, depth + 2)]  # truncation
+            for k, scale in terms + [(k, errs[k - 1]) for k in range(1, m)]:  # + inherited
+                np.exp(np.multiply(m2 - k * k, ts, out=term), out=term)
+                term *= scale
+                model += term
         return model
 
     for m in range(1, depth + 1):

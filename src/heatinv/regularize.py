@@ -22,8 +22,8 @@ from .inverse import InversionConfig, invert_stack
 
 #: a stacked chunk of noisy records spans rows * order * n <= this many (row,
 #: mode, sample) elements; no array of that size is built, but the count bounds
-#: the chunk's series (rows * n samples each) and the scan tiles of its forced
-#: response, so a study's working memory
+#: the chunk's series (rows * n samples each) and its forced response, so a
+#: study's working memory
 _STACK_ELEMENTS = 2 ** 16
 
 

@@ -6,6 +6,7 @@ import os
 import subprocess
 import sys
 import tracemalloc
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -132,7 +133,7 @@ class TestModeEvolve:
         "order, t_final, dt",
         [
             (16, 6.0, 1e-4),   # the long record: 60 001 samples, many blocks
-            (64, 6.0, 1e-2),   # M^2 dt ~ 41: one sample per block
+            (64, 6.0, 1e-2),   # M^2 dt ~ 41: the fast modes' powers of a underflow
             (16, 1e-2, 1e-2),  # n = 2
             (16, 2e-2, 1e-2),  # n = 3
         ],
@@ -147,11 +148,11 @@ class TestModeEvolve:
         assert np.max(np.abs(u - ref)) <= 1e-12 * np.max(np.abs(ref))
 
 
-    # order 16 at dt = 1e-3 scans blocks of 116 samples
+    # in blocks of forward._BLOCK = 32 samples, n - 1 steps fill (n - 1) // 32
+    # whole blocks and a partial one; TestBlockKernel runs other block lengths
     @pytest.mark.parametrize("n", [1, 2, 3, 115, 116, 117])
     def test_matches_per_step_recurrence(self, n):
         order, dt = 16, 1e-3
-        assert 2 * int(forward._BLOCK_DECAY / (order * order * dt) / 2) == 116
         rng = np.random.default_rng(n)
         g = rng.standard_normal(order)
         v, h = (GridFn(0.0, dt, rng.standard_normal((3, n))) for _ in range(2))
@@ -164,8 +165,8 @@ class TestModeEvolve:
             np.testing.assert_array_equal(u[row], lone)
 
     def test_stiff_two_sample_blocks(self):
-        # M^2 dt = 1024: a = e^{-1024} underflows, so the block rescaling is
-        # floored; an overflow or a NaN would raise a RuntimeWarning here
+        # M^2 dt = 1024: a = e^{-1024} underflows to 0 in every power of a;
+        # an overflow or a NaN would raise a RuntimeWarning here
         rng = np.random.default_rng(0)
         g = rng.standard_normal(32)
         v, h = (GridFn(0.0, 1.0, rng.standard_normal(7)) for _ in range(2))
@@ -174,68 +175,65 @@ class TestModeEvolve:
         assert np.max(np.abs(u - ref)) <= 1e-13 * np.max(np.abs(ref))
 
 
-class TestTiledScan:
-    """A record scanned in several tiles (a small _TILE_ELEMENTS) against one tile."""
+class TestBlockKernel:
+    """The block-Toeplitz kernel at several block lengths (a patched forward._BLOCK)."""
 
-    # order 16 at dt = 1e-3 scans blocks of 116 samples: 1 001 samples are 9
-    # blocks, in tiles of 3 blocks (348, 348 and 305 samples) or of 1 block
-    @pytest.fixture(params=[16 * 116 * 3, 1], ids=["three-block-tiles", "one-block-tiles"])
-    def tile_elements(self, request):
+    @pytest.fixture(params=[1, 2, 3, forward._BLOCK], ids=["L1", "L2", "L3", "default"])
+    def block(self, request, monkeypatch):
+        monkeypatch.setattr(forward, "_BLOCK", request.param)
         return request.param
 
-    @pytest.fixture
-    def record(self):
+    # samples per record, relative to the block length L: n - 1 steps fill
+    # no block, a partial one, exactly one, or one and a partial one; 1 001
+    # samples are many blocks, so the carries take several doubling steps
+    @pytest.mark.parametrize("n_of", [lambda L: 1, lambda L: 2, lambda L: 3,
+                                      lambda L: L - 1, lambda L: L, lambda L: L + 1,
+                                      lambda L: L + 2, lambda L: 1001],
+                             ids=["1", "2", "3", "L-1", "L", "L+1", "L+2", "1001"])
+    def test_rows_against_the_per_step_recurrence(self, block, n_of):
+        n = max(1, n_of(block))
         rng = np.random.default_rng(13)
         g = rng.standard_normal(16)
-        v, h = (GridFn(0.0, 1e-3, rng.standard_normal((3, 1001))) for _ in range(2))
-        return g, v, h
-
-    def test_modes_keep_the_bits_of_one_tile(self, record, tile_elements, monkeypatch):
-        g, v, h = record
-        assert 16 * 1044 <= forward._TILE_ELEMENTS  # one tile by default
-        one_tile = mode_evolve(g, v, h)
-        monkeypatch.setattr(forward, "_TILE_ELEMENTS", tile_elements)
-        tiled = mode_evolve(g, v, h)
-        np.testing.assert_array_equal(tiled, one_tile)
-        ref = _recurrence_modes(g, v, h)
-        assert np.max(np.abs(tiled - ref)) <= 1e-13 * np.max(np.abs(ref))
-
-    def test_projected_rows(self, record, tile_elements, monkeypatch):
-        g, v, h = record
+        v, h = (GridFn(0.0, 1e-3, rng.standard_normal((3, n))) for _ in range(2))
         modes = mode_evolve(g, v, h)
+        ref = _recurrence_modes(g, v, h)
+        assert modes.shape == (3, 16, n)
+        assert np.max(np.abs(modes - ref)) <= 1e-13 * np.max(np.abs(ref))
         fy = forward.basis_at(1.0, 16)
         weights = forward._observed_rows(1.0, 16)
-        monkeypatch.setattr(forward, "_TILE_ELEMENTS", tile_elements)
         rows = mode_evolve(g, v, h, weights)
-        assert rows.shape == (3, 3, 1001)
-        np.testing.assert_array_equal(rows[:, 0], modes[:, 0])  # u_1, copied
-        np.testing.assert_array_equal(rows[:, 1], modes[:, 2])  # u_3, copied
+        assert rows.shape == (3, 3, n)
+        for k in range(3):
+            assert np.max(np.abs(rows[:, k] - weights[k] @ ref)) <= 1e-13 * np.max(np.abs(ref))
+        np.testing.assert_array_equal(rows[:, 0], modes[:, 0])  # u_1: a one-hot row
+        np.testing.assert_array_equal(rows[:, 1], modes[:, 2])  # u_3
         # two sums of the same 16 products in any order differ by at most
         # 2 * 16 eps times the sum of their magnitudes
         bound = 2 * 16 * np.finfo(float).eps * (np.abs(fy) @ np.abs(modes))
         assert np.all(np.abs(rows[:, 2] - fy @ modes) <= bound)
         for row in range(3):  # each row of the stack keeps the bits of its own call
-            lone = mode_evolve(g, GridFn(0.0, 1e-3, v.values[row]),
-                               GridFn(0.0, 1e-3, h.values[row]), weights)
-            np.testing.assert_array_equal(rows[row], lone)
+            lone_v, lone_h = (GridFn(0.0, 1e-3, f.values[row]) for f in (v, h))
+            np.testing.assert_array_equal(rows[row], mode_evolve(g, lone_v, lone_h, weights))
+            np.testing.assert_array_equal(modes[row], mode_evolve(g, lone_v, lone_h))
 
-    def test_stiff_two_sample_blocks_across_tiles(self, monkeypatch):
-        # M^2 dt = 1024: blocks of 2 samples under the e^-600 floor, tiles of
-        # 2 blocks, so 9 samples run as tiles of 4, 4 and 1
+    def test_stiff_modes_raise_no_warning(self, block):
+        # M^2 dt = 1024: every power of a = e^{-1024} underflows to 0; an
+        # overflow or a NaN would raise a RuntimeWarning here
         rng = np.random.default_rng(0)
         g = rng.standard_normal(32)
         v, h = (GridFn(0.0, 1.0, rng.standard_normal(9)) for _ in range(2))
-        one_tile = mode_evolve(g, v, h)
-        monkeypatch.setattr(forward, "_TILE_ELEMENTS", 32 * 2 * 2)
-        tiled = mode_evolve(g, v, h)
-        np.testing.assert_array_equal(tiled, one_tile)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            u = mode_evolve(g, v, h)
+            rows = mode_evolve(g, v, h, forward._observed_rows(1.0, 32))
         ref = _recurrence_modes(g, v, h)
-        assert np.max(np.abs(tiled - ref)) <= 1e-13 * np.max(np.abs(ref))
+        assert np.max(np.abs(u - ref)) <= 1e-13 * np.max(np.abs(ref))
+        np.testing.assert_array_equal(rows[0], u[0])
 
-    def test_weights_must_match_the_modes(self, record):
-        g, v, h = record
+    def test_weights_must_match_the_modes(self):
+        v = GridFn(0.0, 1e-3, np.zeros(11))
         with pytest.raises(DomainError, match=r"shape \(K, 16\)"):
-            mode_evolve(g, v, h, np.ones((2, 8)))
+            mode_evolve(np.zeros(16), v, v, np.ones((2, 8)))
 
 
 def test_import_loads_no_scipy():
@@ -446,7 +444,7 @@ class TestMakeObservations:
         assert np.all(np.abs(obs.uy.values - fy @ modes) <= bound)
 
     def test_memory_does_not_grow_with_the_order(self):
-        # the modes go a tile at a time into the three observed rows: 4.5 MiB
+        # the modes go block by block into the three observed rows: 5.4 MiB
         # on 60 001 samples at order 64, where holding every mode took 59.6 MiB
         p = make_problem("generic", 64, 6.0, 1e-4)
         tracemalloc.start()

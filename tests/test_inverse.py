@@ -33,8 +33,8 @@ from heatinv import (
     rel_l2,
     system_determinant,
 )
-from heatinv.forward import Observations
-from heatinv.inverse import PROVISIONAL_RIDGE, DerivativeScheme, PeelPlan
+from heatinv.forward import Observations, _observed_rows
+from heatinv.inverse import PROVISIONAL_RIDGE, DerivativeScheme, PeelPlan, forced_mode_values
 
 SQ = math.sqrt(2.0 / math.pi)
 
@@ -203,6 +203,54 @@ class TestComputeW:
         z = GridFn(0.0, 1e-3, np.zeros(11))
         with pytest.raises(DomainError):
             compute_w(z, z, math.pi, 4)
+
+    def test_large_finite_forcing_stays_finite(self):
+        # forcing of size 1e300 has a response of size 1e299: no step may
+        # rescale it past the largest double
+        p = make_problem("fourmode", 8, 4.0, 2e-3)
+        v, h = (GridFn(0.0, 2e-3, 1e300 * f.values / np.max(np.abs(f.values)))
+                for f in (p.v_grid(), p.h_grid()))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            rows = forced_mode_values(v, h, 8, _observed_rows(1.0, 8))
+        assert np.all(np.isfinite(rows))
+
+    @pytest.mark.skipif(np.finfo(np.longdouble).eps >= np.finfo(float).eps,
+                        reason="needs a long double wider than a double")
+    def test_matches_extended_precision_recurrence(self):
+        # the forced rows [u_1; u_3; w] of the generic record (order 16, dt =
+        # 1e-4, 20 001 samples) against the per-step recurrence in long
+        # double on the same step weights: 4e-16 / 4e-16 / 1.0e-15 relative.
+        # Carry factors a^{sL} formed by squaring a^L or a carry chain run
+        # block by block compound the rounding of a^L over mode 1's memory
+        # of hundreds of blocks: 1.4e-14 / 1.6e-14 and 1.1e-14 / 1.3e-14 on
+        # u_1 / w
+        order, dt = 16, 1e-4
+        p = make_problem("generic", order, 2.0, dt)
+        v, h = p.v_grid(), p.h_grid()
+        weights = _observed_rows(1.0, order)
+        rows = forced_mode_values(v, h, order, weights)
+        ld = np.longdouble
+        u = np.zeros(order, dtype=ld)
+        a = np.empty(order, dtype=ld)
+        b_old, b_new = np.empty(order, dtype=ld), np.empty(order, dtype=ld)
+        forcing = np.empty((order, v.n), dtype=ld)
+        for m in range(1, order + 1):
+            mode = mode_constants(m)
+            z = -mode.lam * dt
+            a[m - 1] = np.exp(ld(z))
+            phi1, phi2 = math.expm1(z) / z, (math.expm1(z) - z) / (z * z)
+            b_old[m - 1], b_new[m - 1] = dt * (phi1 - phi2), dt * phi2
+            forcing[m - 1] = (mode.fprime0 * v.values.astype(ld)
+                              + mode.c_m * h.values.astype(ld))
+        modes = np.empty((order, v.n), dtype=ld)
+        modes[:, 0] = 0.0
+        for k in range(1, v.n):
+            u = a * u + b_old * forcing[:, k - 1] + b_new * forcing[:, k]
+            modes[:, k] = u
+        ref = weights.astype(ld) @ modes
+        for row, expect in zip(rows, ref):
+            assert np.max(np.abs(row - expect)) <= 2e-15 * np.max(np.abs(expect))
 
 
 class TestAssembleG:

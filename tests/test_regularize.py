@@ -112,13 +112,13 @@ class TestRunNoiseStudy:
 
     @pytest.mark.parametrize("t_final, levels", [
         (6e-3, [0.0, 1e-3]),   # every chunk fails: 4 samples are too few to differentiate
-        (4.0, [0.0, 1e300]),   # a chunk mixes clean rows with rows that overflow
+        (4.0, [0.0, 1e305]),   # a chunk mixes clean rows with rows that overflow
     ])
     def test_failing_chunk_records_lone_messages(self, t_final, levels):
         p = make_problem("fourmode", 8, t_final, 2e-3)
         cfg = InversionConfig(order=8, schedule_method="ladder", window=1)
         with warnings.catch_warnings():
-            warnings.simplefilter("ignore", RuntimeWarning)  # overflow at level 1e300
+            warnings.simplefilter("ignore", RuntimeWarning)  # overflow at level 1e305
             study = run_noise_study(p, 1.0, levels, trials=3, cfg=cfg, base_seed=2)
             lone = []
             for r in study.records:
