@@ -8,6 +8,7 @@ Crank-Nicolson finite-difference oracle.  The observation triple
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, replace
 from typing import Callable, Union
@@ -19,9 +20,6 @@ from .basis import (BASIS_NORM, SineSeries, _require_interior, basis_at, check_o
 from .errors import DataError, DomainError
 from .grid import GridFn
 
-#: tolerance for the corner-compatibility flags g(0) == v(0), g(pi) == 0
-CORNER_TOL = 1e-9
-
 TimeInput = Union[Callable, GridFn]
 SpaceInput = Union[Callable, SineSeries]
 
@@ -30,43 +28,11 @@ SpaceInput = Union[Callable, SineSeries]
 _BLOCK = 32
 
 
-def mode_evolve(g, v: GridFn, h: GridFn, weights=None) -> np.ndarray:
-    """Evolve modes m = 1..M = len(g) of u_m' + m^2 u_m = v(t) f_m'(0) + c_m h(t); shape (M, n).
-
-    Forcing piecewise linear between samples makes each step the exact update
-    u_k = a u_{k-1} + b_old f_{k-1} + b_new f_k with a = e^{-m^2 dt} (order 2,
-    exact for constant forcing), and u_m(0) = g[m-1] exactly.  With weights of
-    shape (K, M) only the K projections weights @ modes are kept, shape
-    (..., K, n); without them the weights are the identity.  Stacked v and h
-    of shape (rows, n) give a leading batch axis.
-
-    The steps run in blocks of L = _BLOCK samples, in the chunked form of a
-    linear recurrence (Dao and Gu, ICML 2024).  Block b's outputs, samples
-    bL + 1 .. bL + L, read the L + 1 samples Z_b of v and of h from bL on and
-    the carry C_b = u_{bL} of every mode, so row r is the product
-
-        out_r[block b] = [Z_b | C_b] [K_r | P_r]^T,
-
-    with K_r = sum_m W[r, m] (f_m'(0), c_m) (x) G_m the fixed lower-triangular
-    Toeplitz kernel, G_m[i, j] = b_old a^{i-j} [j <= i] + b_new a^{i-j+1}
-    [1 <= j <= i + 1], and P_r[i, m] = W[r, m] a_m^{i+1}.  The carries obey
-    C_0 = g, C_{b+1} = a^L C_b + Z_b E^T, E the last row of each mode's
-    kernel; recursive doubling (Kogge and Stone, 1973) solves them in
-    log2(n / L) steps, each factor a^{sL} taken as exp(s L z) directly, so
-    the rounding of a^L is not compounded.  No exponent is positive, and
-    with weights nothing of size M x n is built.  A row holding a single 1
-    has the kernel of its mode, so it keeps the bits of the unweighted
-    output; each row of a stack runs its own products and keeps the bits of
-    its own call.
-    """
-    v.require_same_grid(h)
-    g = np.atleast_1d(np.asarray(g, dtype=float))
-    if g.ndim != 1 or g.size < 1:
-        raise DomainError("initial mode values must form a non-empty 1-D array")
-    order, n, dt, span = g.size, v.n, v.dt, _BLOCK
-    w = np.eye(order) if weights is None else np.asarray(weights, dtype=float)
-    if w.ndim != 2 or w.shape[1] != order:
-        raise DomainError(f"mode weights must have shape (K, {order}), got {w.shape}")
+@functools.lru_cache(maxsize=8)
+def _block_kernel(order: int, dt: float, weights, span: int):
+    """mode_evolve's kernels [K_r | P_r] and E and z = -m^2 dt, read-only as
+    they are cached; weights is None (the identity) or (bytes, shape)."""
+    w = np.eye(order) if weights is None else np.frombuffer(weights[0]).reshape(weights[1])
     modes = [mode_constants(m) for m in range(1, order + 1)]
     lam = np.array([md.lam for md in modes])
     coeffs = (np.array([md.fprime0 for md in modes]), np.array([md.c_m for md in modes]))
@@ -101,31 +67,82 @@ def mode_evolve(g, v: GridFn, h: GridFn, weights=None) -> np.ndarray:
         kernel[:, :, cols.start] = wc @ first
         carry_kernel[:, cols] = coeff[:, None] * last
     kernel[:, :, width:] = w[:, None, :] * power[:, 1:].T
+    for a in (kernel, carry_kernel, z):
+        a.flags.writeable = False
+    return kernel, carry_kernel, z
+
+
+def mode_evolve(g, v: GridFn, h: GridFn, weights=None) -> np.ndarray:
+    """Evolve modes m = 1..M = len(g) of u_m' + m^2 u_m = v(t) f_m'(0) + c_m h(t); shape (M, n).
+
+    Forcing piecewise linear between samples makes each step the exact update
+    u_k = a u_{k-1} + b_old f_{k-1} + b_new f_k with a = e^{-m^2 dt} (order 2,
+    exact for constant forcing), and u_m(0) = g[m-1] exactly.  With weights of
+    shape (K, M) only the K projections weights @ modes are kept, shape
+    (..., K, n); without them the weights are the identity.  Stacked v and h
+    of shape (rows, n) give a leading batch axis.
+
+    The steps run in blocks of L = _BLOCK samples, in the chunked form of a
+    linear recurrence (Dao and Gu, ICML 2024).  Block b's outputs, samples
+    bL + 1 .. bL + L, read the L + 1 samples Z_b of v and of h from bL on and
+    the carry C_b = u_{bL} of every mode, so row r is the product
+
+        out_r[block b] = [Z_b | C_b] [K_r | P_r]^T,
+
+    with K_r = sum_m W[r, m] (f_m'(0), c_m) (x) G_m the fixed lower-triangular
+    Toeplitz kernel, G_m[i, j] = b_old a^{i-j} [j <= i] + b_new a^{i-j+1}
+    [1 <= j <= i + 1], and P_r[i, m] = W[r, m] a_m^{i+1}.  The carries obey
+    C_0 = g, C_{b+1} = a^L C_b + Z_b E^T, E the last row of each mode's
+    kernel; recursive doubling (Kogge and Stone, 1973) solves them in
+    log2(n / L) steps, each factor a^{sL} taken as exp(s L z) directly, so
+    the rounding of a^L is not compounded.  No exponent is positive, and
+    with weights nothing of size M x n is built.  A row holding a single 1
+    has the kernel of its mode, so it keeps the bits of the unweighted
+    output.
+
+    [K_r | P_r], E and z are built once per grid (_block_kernel, cached).  A
+    stack fills one [Z | C] of shape (rows, blocks, 2L + 2 + M), about rows x
+    n x (2 + (M + 2)/L) floats (150 KB for a noise-study chunk), and each
+    product runs once over it: np.matmul still calls one GEMM per (row, r)
+    with a lone call's shapes, so each row keeps the bits of its own call.
+    """
+    v.require_same_grid(h)
+    g = np.atleast_1d(np.asarray(g, dtype=float))
+    if g.ndim != 1 or g.size < 1:
+        raise DomainError("initial mode values must form a non-empty 1-D array")
+    order, n, dt, span = g.size, v.n, v.dt, _BLOCK
+    w = np.eye(order) if weights is None else np.asarray(weights, dtype=float)
+    if w.ndim != 2 or w.shape[1] != order:
+        raise DomainError(f"mode weights must have shape (K, {order}), got {w.shape}")
+    key = None if weights is None else (w.tobytes(), w.shape)
+    kernel, carry_kernel, z = _block_kernel(order, dt, key, span)
 
     batch = v.values.shape[:-1]
+    vs, hs = (f.values.reshape(-1, n) for f in (v, h))
+    rows, width = len(vs), 2 * span + 2
     blocks, full = -(-(n - 1) // span), (n - 1) // span
-    out = np.empty((*batch, len(w), blocks * span + 1))
+    out = np.empty((rows, len(w), blocks * span + 1))
     out[..., 0] = w @ g
     if blocks:
-        zc = np.zeros((blocks, width + order))  # [Z_b | C_b]; zeros pad the last block
-        spare = np.empty((blocks, order))
-        carries = zc[:, width:]
+        zc = np.zeros((rows, blocks, width + order))  # [Z_b | C_b]; zeros pad the last block
+        for part, series in enumerate((vs, hs)):
+            start = part * (span + 1)
+            zc[:, :full, start:start + span] = series[:, :full * span].reshape(rows, full, span)
+            zc[:, :full, start + span] = series[:, span:full * span + 1:span]
+            zc[:, full:, start:start + n - full * span] = series[:, None, full * span:]
+        carries = zc[..., width:]
+        carries[:, 0] = g
+        np.matmul(zc[:, :-1, :width], carry_kernel.T, out=carries[:, 1:])
+        spare = np.empty((rows, blocks, order))
         steps = [1 << i for i in range((blocks - 1).bit_length())]  # 1, 2, 4, ... < blocks
         factors = np.exp(np.outer([s * span for s in steps], z))  # a^{sL}, directly
-        for row in np.ndindex(batch):
-            for part, series in enumerate((v.values[row], h.values[row])):
-                start = part * (span + 1)
-                zc[:full, start:start + span] = series[:full * span].reshape(full, span)
-                zc[:full, start + span] = series[span:full * span + 1:span]
-                zc[full:, start:start + n - full * span] = series[full * span:]
-            carries[0] = g
-            np.matmul(zc[:-1, :width], carry_kernel.T, out=carries[1:])
-            for step, factor in zip(steps, factors):
-                np.multiply(carries[:-step], factor, out=spare[:-step])
-                carries[step:] += spare[:-step]
-            for r, ker in enumerate(kernel):
-                np.matmul(zc, ker.T, out=out[row][r, 1:].reshape(blocks, span))
-    return out[..., :n]
+        for step, factor in zip(steps, factors):
+            np.multiply(carries[:, :-step], factor, out=spare[:, :-step])
+            carries[:, step:] += spare[:, :-step]
+        # one GEMM per (row, r); copy=False: a copy would drop the products
+        products = out[..., 1:].reshape(rows, len(w), blocks, span, copy=False)
+        np.matmul(zc[:, None], kernel.transpose(0, 2, 1), out=products)
+    return out.reshape(*batch, len(w), -1)[..., :n]
 
 
 @dataclass(frozen=True)
@@ -182,20 +199,6 @@ class ProblemInstance:
             c[:k] = self.g.coeffs[:k]
             return c
         return project(self.g, order).coeffs.copy()
-
-    def compatibility(self) -> dict:
-        """Corner-compatibility flags; incompatibility degrades accuracy only."""
-        v0 = float(self.v_grid().values[0])
-        g0 = float(self.g(0.0))
-        gpi = float(self.g(math.pi))
-        return {
-            "g0": g0,
-            "v0": v0,
-            "g_pi": gpi,
-            "corner_ok": abs(g0 - v0) <= CORNER_TOL,
-            "right_end_ok": abs(gpi) <= CORNER_TOL,
-        }
-
 
 @dataclass(frozen=True)
 class SpectralSolution:

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable
 
@@ -10,6 +11,9 @@ import numpy as np
 from .errors import DataError, GridMismatchError
 
 _REL_TOL = 1e-9
+
+#: smallest normal float
+_TINY = float(np.finfo(float).tiny)
 
 
 @dataclass(frozen=True)
@@ -112,10 +116,23 @@ class GridFn:
         return GridFn(self.t0, self.dt, self.values + other.values)
 
 
+def _norm(x: np.ndarray) -> float:
+    """sqrt(x . x), rescaled by max|x| only where x . x overflows or underflows."""
+    with np.errstate(over="ignore", under="ignore"):
+        sq = float(np.dot(x, x))
+    if _TINY <= sq < math.inf:
+        return math.sqrt(sq)
+    scale = float(np.max(np.abs(x), initial=0.0))
+    if not 0.0 < scale < math.inf:
+        return scale
+    x = x / scale
+    return scale * math.sqrt(float(np.dot(x, x)))
+
+
 def rel_l2(approx: np.ndarray, exact: np.ndarray) -> float:
     """Relative L2 distance; falls back to the absolute norm for zero signals."""
-    approx = np.asarray(approx, dtype=float)
-    exact = np.asarray(exact, dtype=float)
-    denom = float(np.linalg.norm(exact))
-    num = float(np.linalg.norm(approx - exact))
+    approx = np.asarray(approx, dtype=float).ravel()
+    exact = np.asarray(exact, dtype=float).ravel()
+    denom = _norm(exact)
+    num = _norm(approx - exact)
     return num / denom if denom > 0.0 else num

@@ -246,6 +246,25 @@ def _design_tiles(q: GridFn, depth: int, start: int = 0):
         yield s, e, tile
 
 
+def _exp_sums(b: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """b[i] @ e^{-k^2 t}, k = 1..depth, for each row of b; shape (rows, n).
+    The decay is built one C-order (depth, tile) block of at most
+    _FIT_TILE_ELEMENTS at a time, with one gemv per row and block; tiles of
+    whole 64s of samples keep the bits of one gemv over the whole decay
+    (with one BLAS thread)."""
+    depth = b.shape[1]
+    cols = max(64, _FIT_TILE_ELEMENTS // depth // 64 * 64)
+    buf = np.empty(depth * min(cols, t.size))
+    out = np.empty((len(b), t.size))
+    for s in range(0, t.size, cols):
+        e = min(s + cols, t.size)
+        decay = buf[: depth * (e - s)].reshape(depth, e - s)
+        _design_matrix(t[s:e], depth, out=decay.T)
+        for row, sums in zip(b, out):
+            np.matmul(row, decay, out=sums[s:e])
+    return out
+
+
 class LsqFit(tuple):
     """peel_lsq's pair (b, cond), carrying the R factor of [design | q] for
     callers that read it again; the fit's depth is r.shape[1] - 1."""
@@ -718,7 +737,7 @@ def invert_stack(
     # self-consistency: push each reconstruction back through the forward map
     t = obs.u1.times
     e1, e9 = np.exp(-t), np.exp(-9.0 * t)
-    decay = np.exp(-np.outer(np.arange(1, cfg.depth + 1) ** 2, t))
+    peeled = _exp_sums(b_hat, t)
     det = system_determinant()
     out = []
     rows = zip(peels, v_hat.rows(), h_hat.rows())
@@ -735,7 +754,7 @@ def invert_stack(
             rejected_modes=assembled.rejected,
             residual_u1=rel_l2(g1[i] * e1 + forced[i, 0], obs.u1.values[i]),
             residual_u3=rel_l2(g3[i] * e9 + forced[i, 1], obs.u3.values[i]),
-            residual_uy=rel_l2(w.values[i] + b_hat[i] @ decay, obs.uy.values[i]),
+            residual_uy=rel_l2(w.values[i] + peeled[i], obs.uy.values[i]),
             warnings=tuple(peel_warnings),
         )
         out.append(Reconstruction(

@@ -230,10 +230,60 @@ class TestBlockKernel:
         assert np.max(np.abs(u - ref)) <= 1e-13 * np.max(np.abs(ref))
         np.testing.assert_array_equal(rows[0], u[0])
 
+    @pytest.mark.parametrize("rows", [4, 40])
+    def test_stack_keeps_the_bits_of_each_lone_call(self, block, rows):
+        rng = np.random.default_rng(rows)
+        g = rng.standard_normal(8)
+        v, h = (GridFn(0.0, 2e-3, rng.standard_normal((rows, 2 * block + 3))) for _ in range(2))
+        for weights in (None, forward._observed_rows(1.0, 8)):
+            stack = mode_evolve(g, v, h, weights)
+            for row in range(rows):
+                lone_v, lone_h = (GridFn(0.0, 2e-3, f.values[row]) for f in (v, h))
+                np.testing.assert_array_equal(stack[row], mode_evolve(g, lone_v, lone_h, weights))
+
     def test_weights_must_match_the_modes(self):
         v = GridFn(0.0, 1e-3, np.zeros(11))
         with pytest.raises(DomainError, match=r"shape \(K, 16\)"):
             mode_evolve(np.zeros(16), v, v, np.ones((2, 8)))
+
+
+class TestKernelCache:
+    """mode_evolve builds its block kernel once per (order, dt, weights, _BLOCK)."""
+
+    def test_cached_arrays_are_read_only(self):
+        for arr in forward._block_kernel(8, 2e-3, None, forward._BLOCK):
+            assert not arr.flags.writeable
+            with pytest.raises(ValueError):
+                arr[...] = 0.0
+
+    def test_each_grid_gets_its_own_entry(self, monkeypatch):
+        forward._block_kernel.cache_clear()
+        v = GridFn(0.0, 1e-2, np.ones(101))
+        coarse = GridFn(0.0, 2e-2, np.ones(101))
+        w = forward._observed_rows(1.0, 8)
+        calls = [
+            lambda: mode_evolve(np.zeros(8), v, v),
+            lambda: mode_evolve(np.zeros(8), v, v),  # the same grid: a hit
+            lambda: mode_evolve(np.zeros(8), coarse, coarse),  # dt
+            lambda: mode_evolve(np.zeros(9), v, v),  # the order
+            lambda: mode_evolve(np.zeros(8), v, v, w),  # the weights
+            lambda: mode_evolve(np.zeros(8), v, v, forward._observed_rows(2.0, 8)),
+            lambda: mode_evolve(np.zeros(8), v, v, w),  # a hit
+        ]
+        for call in calls:
+            call()
+        assert forward._block_kernel.cache_info()[:2] == (2, 5)  # (hits, misses)
+        monkeypatch.setattr(forward, "_BLOCK", 4)
+        calls[0]()
+        assert forward._block_kernel.cache_info()[:2] == (2, 6)
+
+    def test_a_noise_study_builds_one_kernel(self):
+        from heatinv.regularize import run_noise_study
+
+        forward._block_kernel.cache_clear()
+        run_noise_study(make_problem("fourmode", 8, 4.0, 2e-3), 1.0, (0.0, 1e-6, 1e-4), 20)
+        info = forward._block_kernel.cache_info()
+        assert (info.misses, info.hits) == (1, 11)  # 12 mode_evolve calls, one grid
 
 
 def test_import_loads_no_scipy():
@@ -302,14 +352,6 @@ class TestProblemInstance:
         with pytest.raises(DataError):
             ProblemInstance(h=lambda t: t, v=lambda t: t, g=SineSeries([1.0]),
                             order=4, t_final=1.0, dt=0.3)
-
-    def test_compatibility_flags(self):
-        p = make_problem("generic", 4, 1.0, 1e-2)
-        flags = p.compatibility()
-        assert flags["corner_ok"] and flags["right_end_ok"]
-        q = ProblemInstance(h=lambda t: np.zeros_like(t), v=lambda t: np.ones_like(t),
-                            g=SineSeries([1.0]), order=4, t_final=1.0, dt=1e-2)
-        assert not q.compatibility()["corner_ok"]  # g(0) = 0 but v(0) = 1
 
     def test_gridfn_inputs_must_match_grid(self):
         h = GridFn(0.0, 1e-2, np.zeros(101))

@@ -1,5 +1,8 @@
 """GridFn carrier tests."""
 
+import math
+import warnings
+
 import numpy as np
 import pytest
 
@@ -78,6 +81,25 @@ def test_rel_l2():
     assert rel_l2(np.array([1.0, 1.0]), np.array([1.0, 1.0])) == 0.0
     assert rel_l2(np.array([2.0]), np.array([1.0])) == pytest.approx(1.0)
     assert rel_l2(np.array([0.5]), np.zeros(1)) == pytest.approx(0.5)  # zero signal
+
+
+@pytest.mark.parametrize("scale", [1e300, 1e-300, 1e-200])
+def test_rel_l2_at_extreme_scales(scale):
+    # the plain sum of squares overflows or underflows here; the norm must not
+    approx, exact = np.array([1.0, 2.0]) * scale, np.array([1.1, 2.0]) * scale
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = rel_l2(approx, exact)
+    assert got == pytest.approx(rel_l2(np.array([1.0, 2.0]), np.array([1.1, 2.0])), rel=1e-15)
+    assert got == pytest.approx(0.1 / math.hypot(1.1, 2.0), rel=1e-15)
+
+
+def test_rel_l2_keeps_the_bits_of_the_plain_norm():
+    rng = np.random.default_rng(3)
+    approx, exact = rng.standard_normal(1001), rng.standard_normal(1001)
+    assert rel_l2(approx, exact) == np.linalg.norm(approx - exact) / np.linalg.norm(exact)
+    assert math.isnan(rel_l2(np.array([np.nan]), np.ones(1)))
+    assert rel_l2(np.array([np.inf]), np.ones(1)) == math.inf
 
 
 def test_stack_and_rows_round_trip():

@@ -325,6 +325,16 @@ class TestTiledFit:
             np.testing.assert_allclose(b, b_one, rtol=0.0, atol=tol)
             assert cond == pytest.approx(cond_one, rel=1e-12, abs=0.0)
 
+    def test_exp_sums_keep_the_bits_of_the_whole_decay(self, tile_elements, monkeypatch):
+        # the self-consistency model b @ e^{-k^2 t}, built a tile of the decay at a time
+        rng = np.random.default_rng(5)
+        t = 0.004 + 2e-3 * np.arange(1001)
+        monkeypatch.setattr(inverse, "_FIT_TILE_ELEMENTS", tile_elements)
+        for d in range(1, 7):
+            b = rng.standard_normal((3, d)) * 10.0 ** rng.uniform(-3, 3, d)
+            decay = np.exp(-np.outer(np.arange(1, d + 1) ** 2, t))
+            np.testing.assert_array_equal(inverse._exp_sums(b, t), [row @ decay for row in b])
+
     def test_rank_deficient_design_across_tiles(self, tile_elements, monkeypatch):
         monkeypatch.setattr(inverse, "_FIT_TILE_ELEMENTS", tile_elements)
         t = np.arange(10) * 1e-6

@@ -133,6 +133,20 @@ class TestRunNoiseStudy:
             if ok:
                 np.testing.assert_array_equal(r.b_err, np.abs(b_hat - study.b_true))
 
+    def test_huge_finite_noise_keeps_errors_finite(self, fourmode_problem):
+        # the noisy rows invert; their errors near 1e302 must stay finite and silent
+        cfg = InversionConfig(order=8, schedule_method="ladder", window=1)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            study = run_noise_study(fourmode_problem, 1.0, [0.0, 1e300], trials=3, cfg=cfg,
+                                    base_seed=2)
+        noisy = study.records_at(1e300)
+        assert study.n_failed() == 0 and len(noisy) == 3
+        for r in noisy:
+            assert math.isfinite(r.v_rel_l2) and math.isfinite(r.h_rel_l2)
+            assert r.v_rel_l2 > 1e200
+        assert math.isfinite(study.mean_v_err(1e300))
+
     def test_chunked_stack_memory_bounded(self, fourmode_problem):
         # the benchmark's study: 60 trials in chunks of 4 stay near the memory
         # of one trial at a time (0.8 MB); one stack per level takes 8.8 MB
