@@ -96,7 +96,8 @@ def mode_evolve(g, v: GridFn, h: GridFn, weights=None) -> np.ndarray:
     kernel; recursive doubling (Kogge and Stone, 1973) solves them in
     log2(n / L) steps, each factor a^{sL} taken as exp(s L z) directly, so
     the rounding of a^L is not compounded.  No exponent is positive, and
-    with weights nothing of size M x n is built.  A row holding a single 1
+    with weights nothing of size M x n is built.  The output is read-only,
+    so a GridFn adopts its rows without a copy.  A row holding a single 1
     has the kernel of its mode, so it keeps the bits of the unweighted
     output.
 
@@ -142,6 +143,7 @@ def mode_evolve(g, v: GridFn, h: GridFn, weights=None) -> np.ndarray:
         # one GEMM per (row, r); copy=False: a copy would drop the products
         products = out[..., 1:].reshape(rows, len(w), blocks, span, copy=False)
         np.matmul(zc[:, None], kernel.transpose(0, 2, 1), out=products)
+    out.flags.writeable = False
     return out.reshape(*batch, len(w), -1)[..., :n]
 
 
@@ -340,19 +342,12 @@ class NoiseSpec:
         return self.kind != "none" and self.level != 0.0
 
     def apply(self, obs: Observations) -> Observations:
-        """obs with this noise added: one default_rng(seed) draws, in the
-        order u1, u3, uy, level * scale * standard_normal(n) per series, where
-        scale is 1 ('absolute') or the series' sup norm ('relative').  A spec
-        that adds no noise returns obs itself."""
+        """obs with this noise added (noisy_stack of one).  A spec that adds
+        no noise returns obs itself."""
         if not self.adds_noise:
             return obs
-        rng = np.random.default_rng(self.seed)
-
-        def noisy(f: GridFn) -> GridFn:
-            scale = 1.0 if self.kind == "absolute" else float(np.max(np.abs(f.values)))
-            return GridFn(f.t0, f.dt, f.values + (self.level * scale) * rng.standard_normal(f.n))
-
-        u1, u3, uy = (noisy(f) for f in (obs.u1, obs.u3, obs.uy))
+        noisy = _noisy_stack(obs, [self])
+        u1, u3, uy = (f.rows()[0] for f in (noisy.u1, noisy.u3, noisy.uy))
         return replace(obs, u1=u1, u3=u3, uy=uy)
 
     def to_dict(self) -> dict:
@@ -375,6 +370,30 @@ class Observations:
         _require_interior(self.y)
         if self.order is not None:
             _require_observed_modes(self.order)
+
+
+def _noisy_stack(obs: Observations, noises: list[NoiseSpec]) -> Observations:
+    """The one record obs with noises[i] added to row i, as a stacked
+    record of (rows, n) series.  One default_rng(seed) per spec draws, in
+    the order u1, u3, uy, standard_normal(n) straight into its rows, scaled
+    by level * scale, where scale is 1 ('absolute') or the clean series' sup
+    norm ('relative'); the clean series is added last.  A spec that adds no
+    noise leaves its rows clean."""
+    series = [f.values for f in (obs.u1, obs.u3, obs.uy)]
+    sups = [float(np.max(np.abs(x))) for x in series]
+    out = np.empty((3, len(noises), obs.u1.n))
+    for i, noise in enumerate(noises):
+        if not noise.adds_noise:
+            out[:, i] = series
+            continue
+        rng = np.random.default_rng(noise.seed)
+        for row, x, sup in zip(out[:, i], series, sups):
+            rng.standard_normal(out=row)
+            row *= noise.level * (1.0 if noise.kind == "absolute" else sup)
+            row += x
+    out.flags.writeable = False
+    u1, u3, uy = (GridFn(obs.u1.t0, obs.u1.dt, rows) for rows in out)
+    return replace(obs, u1=u1, u3=u3, uy=uy)
 
 
 def _require_observed_modes(order: int) -> None:

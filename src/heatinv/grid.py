@@ -16,12 +16,25 @@ _REL_TOL = 1e-9
 _TINY = float(np.finfo(float).tiny)
 
 
+def _owned_read_only(v) -> bool:
+    """True for a float array that no one can write: it and every array on
+    its .base chain are read-only, down to the one that owns the data."""
+    if type(v) is not np.ndarray or v.dtype != np.float64:
+        return False
+    while isinstance(v, np.ndarray) and not v.flags.writeable:
+        v = v.base
+    return v is None
+
+
 @dataclass(frozen=True)
 class GridFn:
     """A real function sampled on the uniform grid t0 + dt * k, k = 0..n-1.
 
     values may also hold a stack of records on the one grid, shape (rows, n);
-    n and every method then act along the last axis.
+    n and every method then act along the last axis.  A float array that no
+    one can write (_owned_read_only) is adopted as it is; any other input is
+    copied into a read-only array.  Never write to a buffer after a GridFn
+    has adopted it.
     """
 
     t0: float
@@ -29,16 +42,26 @@ class GridFn:
     values: np.ndarray
 
     def __post_init__(self):
-        v = np.atleast_1d(np.asarray(self.values, dtype=float))
+        v = self.values
+        if not _owned_read_only(v):
+            v = np.array(v, dtype=float)
+            v.flags.writeable = False
+        v = np.atleast_1d(v)
         if v.ndim > 2 or v.size < 1:
             raise DataError("grid values must form a non-empty 1-D array or a 2-D stack")
         if not np.all(np.isfinite(v)):
             raise DataError("grid values contain non-finite entries")
         if not self.dt > 0.0:
             raise DataError(f"grid step must be positive, got {self.dt}")
-        v = v.copy()
-        v.flags.writeable = False
         object.__setattr__(self, "values", v)
+
+    @classmethod
+    def _checked(cls, t0: float, dt: float, values: np.ndarray) -> "GridFn":
+        """A GridFn on read-only values taken from checked GridFns: no copy,
+        no check."""
+        f = object.__new__(cls)
+        f.__dict__.update(t0=t0, dt=dt, values=values)
+        return f
 
     @classmethod
     def sample(cls, fn: Callable, t0: float, dt: float, n: int) -> "GridFn":
@@ -59,11 +82,15 @@ class GridFn:
             raise DataError("cannot stack an empty list of grid functions")
         for f in fns[1:]:
             fns[0].require_same_grid(f)
-        return cls(fns[0].t0, fns[0].dt, np.stack([f.values for f in fns]))
+        if fns[0].values.ndim != 1:
+            raise DataError("only 1-D grid functions stack")
+        values = fns[0].values[None] if len(fns) == 1 else np.stack([f.values for f in fns])
+        return cls._checked(fns[0].t0, fns[0].dt, _read_only(values))
 
     def rows(self) -> list["GridFn"]:
-        """The records of a stack as 1-D GridFns (one for a single record)."""
-        return [GridFn(self.t0, self.dt, v) for v in np.atleast_2d(self.values)]
+        """The records of a stack as 1-D GridFns (one for a single record),
+        views of its values."""
+        return [GridFn._checked(self.t0, self.dt, v) for v in np.atleast_2d(self.values)]
 
     @property
     def n(self) -> int:
@@ -105,28 +132,38 @@ class GridFn:
             raise DataError(f"cannot trim {k} samples from a grid of length {self.n}")
         if k == 0:
             return self
-        return GridFn(self.t0 + k * self.dt, self.dt, self.values[..., k:])
+        return GridFn._checked(self.t0 + k * self.dt, self.dt, self.values[..., k:])
 
     def __sub__(self, other: "GridFn") -> "GridFn":
         self.require_same_grid(other)
-        return GridFn(self.t0, self.dt, self.values - other.values)
+        return GridFn(self.t0, self.dt, _read_only(self.values - other.values))
 
     def __add__(self, other: "GridFn") -> "GridFn":
         self.require_same_grid(other)
-        return GridFn(self.t0, self.dt, self.values + other.values)
+        return GridFn(self.t0, self.dt, _read_only(self.values + other.values))
+
+
+def _read_only(v: np.ndarray) -> np.ndarray:
+    """v, a fresh array, marked read-only so that a GridFn adopts it."""
+    v.flags.writeable = False
+    return v
+
+
+def _sum_sq(x: np.ndarray) -> float:
+    """x . x by np.einsum, which sums without BLAS: the same bits at any BLAS
+    thread count, and no overflow warning."""
+    return float(np.einsum("i,i->", x, x))
 
 
 def _norm(x: np.ndarray) -> float:
     """sqrt(x . x), rescaled by max|x| only where x . x overflows or underflows."""
-    with np.errstate(over="ignore", under="ignore"):
-        sq = float(np.dot(x, x))
+    sq = _sum_sq(x)
     if _TINY <= sq < math.inf:
         return math.sqrt(sq)
     scale = float(np.max(np.abs(x), initial=0.0))
     if not 0.0 < scale < math.inf:
         return scale
-    x = x / scale
-    return scale * math.sqrt(float(np.dot(x, x)))
+    return scale * math.sqrt(_sum_sq(x / scale))
 
 
 def rel_l2(approx: np.ndarray, exact: np.ndarray) -> float:

@@ -36,7 +36,7 @@ from .errors import (
     ScheduleError,
 )
 from .forward import Observations, _observed_rows, mode_evolve
-from .grid import GridFn, rel_l2
+from .grid import GridFn, _read_only, rel_l2
 
 #: exact determinant of the (f_1'(0), c_1; f_3'(0), c_3) system
 DET_EXACT = -32.0 / (3.0 * math.pi)
@@ -170,7 +170,7 @@ def recover_vh(
     v = (m3.c_m * r1 - m1.c_m * r3) / det
     h = (m1.fprime0 * r3 - m3.fprime0 * r1) / det
 
-    return GridFn(obs.u1.t0, dt, v).trim_head(burn_in), GridFn(obs.u1.t0, dt, h).trim_head(burn_in)
+    return tuple(GridFn(obs.u1.t0, dt, _read_only(f)).trim_head(burn_in) for f in (v, h))
 
 
 # ---------------------------------------------------------------------------
@@ -190,7 +190,7 @@ def _extend_to_zero(f: GridFn) -> GridFn:
     first = f.values[..., :1]
     slope = (f.values[..., 1:2] - first) / f.dt if f.n > 1 else 0.0
     head = first + slope * f.dt * (np.arange(k) - k)
-    return GridFn(0.0, f.dt, np.concatenate([head, f.values], axis=-1))
+    return GridFn(0.0, f.dt, _read_only(np.concatenate([head, f.values], axis=-1)))
 
 
 def forced_mode_values(v: GridFn, h: GridFn, order: int, weights=None) -> np.ndarray:
@@ -677,21 +677,31 @@ def invert(obs: Observations, cfg: InversionConfig | None = None) -> Reconstruct
 def invert_stack(
     records: list[Observations], cfg: InversionConfig | None = None
 ) -> list[Reconstruction]:
-    """Reconstruct every record of a list that shares one grid and point y in
-    one pass: each stage runs once along the last axis of the stacked rows,
-    and row i's result carries the bits of its own lone inversion.  The
-    'model' and 'balance' schedules, the lsq peel and smoothing stay per row,
-    and each row's peel_condition comes from its plan or lsq fit; the ladder
-    and a given plan take it from one more peel_lsq on the first row.
-    w(y, t) is rebuilt from the modes of the records' truncation, or from
-    cfg.order when the records do not state one.  A failing stage fails the
-    whole stack."""
-    cfg = cfg or InversionConfig()
-    obs = Observations(
+    """Reconstruct every record of a list that shares one grid, point y and
+    truncation in one pass: each stage runs once along the last axis of the
+    stacked rows, and row i's result carries the bits of its own lone
+    inversion.  The 'model' and 'balance' schedules, the lsq peel and
+    smoothing stay per row, and each row's peel_condition comes from its
+    plan or lsq fit; the ladder and a given plan take it from one more
+    peel_lsq on the first row.  w(y, t) is rebuilt from the modes of the
+    records' truncation, or from cfg.order when the records do not state
+    one.  Records that differ in y or order raise InversionError (stage
+    'stack'); a failing stage fails the whole stack.  Each Reconstruction's
+    v_hat and h_hat are views into the stack's."""
+    for r in records[1:]:
+        if (r.y, r.order) != (records[0].y, records[0].order):
+            raise InversionError(
+                "stack", f"records differ in y or order: (y={records[0].y}, "
+                f"order={records[0].order}) vs (y={r.y}, order={r.order})")
+    return _invert_stacked(Observations(
         *[GridFn.stack([getattr(r, name) for r in records]) for name in ("u1", "u3", "uy")],
         y=records[0].y, order=records[0].order,
-    )
+    ), cfg)
 
+
+def _invert_stacked(obs: Observations, cfg: InversionConfig | None = None) -> list[Reconstruction]:
+    """invert_stack on a record whose series are (rows, n) stacks."""
+    cfg = cfg or InversionConfig()
     g1, g3 = _stage("extract_g13", extract_g13, obs)
     v_hat, h_hat = _stage("recover_vh", recover_vh, obs, g1, g3, cfg.deriv, cfg.burn_in)
 
@@ -699,17 +709,16 @@ def invert_stack(
     w, forced = _stage("compute_w", _forced_response, v_hat, h_hat, obs.y, order)
 
     q = _stage("form_q", lambda: obs.uy - w)
-    q_rows = q.rows()
 
     if cfg.peel_method == "lsq":
-        fits = [_stage("peel", peel_lsq, qr, cfg.depth, cfg.ridge) for qr in q_rows]
+        fits = [_stage("peel", peel_lsq, qr, cfg.depth, cfg.ridge) for qr in q.rows()]
         b_hat = np.array([b for b, _ in fits])
         peels = [(np.ones(cfg.depth), None, [], cond) for _, cond in fits]
     else:
         # only the ladder and a given plan ignore the data: one plan peels the stack
         shared = cfg.schedule is not None or cfg.schedule_method == "ladder"
         results = []
-        for qt in [q] if shared else q_rows:
+        for qt in [q] if shared else q.rows():
             plan = cfg.schedule or _stage(
                 "peel_schedule", plan_peel, qt, cfg.depth,
                 method=cfg.schedule_method, window=cfg.window,
@@ -725,12 +734,13 @@ def invert_stack(
         conds = [r.plan.condition if cfg.schedule is None else None for r in results]
         if None in conds:
             _, cond = _stage(
-                "peel_condition", peel_lsq, q_rows[0], cfg.depth, max(cfg.ridge, PROVISIONAL_RIDGE)
+                "peel_condition", peel_lsq, q.rows()[0], cfg.depth,
+                max(cfg.ridge, PROVISIONAL_RIDGE),
             )
             conds = [cond] * len(conds)
         peels = [(r.amplification, r.plan.predicted, r.warnings, c)
                  for r, c in zip(results, conds)]
-        peels *= len(q_rows) // len(peels)  # a shared plan's numbers hold for every row
+        peels *= len(b_hat) // len(peels)  # a shared plan's numbers hold for every row
 
     assembled = _stage("assemble_g", assemble_g, b_hat, obs.y, cfg.divisor_threshold)
 

@@ -16,15 +16,14 @@ import numpy as np
 
 from .basis import basis_at
 from .errors import DataError, DomainError, HeatInvError
-from .forward import NoiseSpec, Observations, ProblemInstance, make_observations
+from .forward import NoiseSpec, Observations, ProblemInstance, _noisy_stack, make_observations
 from .grid import rel_l2
-from .inverse import InversionConfig, invert_stack
+from .inverse import InversionConfig, _invert_stacked
 
-#: a stacked chunk of noisy records spans rows * order * n <= this many (row,
-#: mode, sample) elements; no array of that size is built, but the count bounds
-#: the chunk's series (rows * n samples each) and its forced response, so a
-#: study's working memory
-_STACK_ELEMENTS = 2 ** 16
+#: a stacked chunk of noisy records holds rows * n <= this many samples per
+#: series: its (rows, n) series and temporaries, and mode_evolve's (rows, n/L,
+#: 2L + 2 + M) block matrix, about 2 + (M + 2)/L series more
+_CHUNK_SAMPLES = 2 ** 14
 
 
 @dataclass(frozen=True)
@@ -125,12 +124,12 @@ def check_study(levels, trials: int) -> list[float]:
 
 
 def _invert_chunk(clean: Observations, noises: list[NoiseSpec], cfg: InversionConfig) -> list:
-    """Reconstructions of the records noise.apply(clean), built just before
-    they are inverted as one stack.  If that fails, each record is
-    built and inverted alone, and one that fails comes back as its
-    HeatInvError: the same one its lone inversion raises."""
+    """Reconstructions of the records noise.apply(clean), drawn into one
+    stack just before it is inverted.  If that fails, each record is drawn
+    and inverted alone, and one that fails comes back as its HeatInvError:
+    the same one its lone inversion raises."""
     try:
-        return invert_stack([noise.apply(clean) for noise in noises], cfg)
+        return _invert_stacked(_noisy_stack(clean, noises), cfg)
     except HeatInvError as exc:
         if len(noises) == 1:
             return [exc]
@@ -151,8 +150,8 @@ def run_noise_study(
     perturbs it with its own seed (NoiseSpec.apply).  A level-0 trial adds
     no noise, so the clean record is inverted once and every level-0 trial
     gets a copy of that outcome under its own trial and seed.  The noisy
-    records are built and inverted a chunk at a time, as one stack of at
-    most _STACK_ELEMENTS (row, mode, sample) elements, and every trial's record
+    records are drawn and inverted a chunk at a time, as one stack of at
+    most _CHUNK_SAMPLES samples per series, and every trial's record
     equals that of its own lone inversion.  A record that cannot be built
     (an unsafe y, say) raises; a failure inside a single trial's inversion
     is recorded, not raised.  Level 0 reproduces the clean baseline
@@ -192,7 +191,7 @@ def run_noise_study(
     jobs = [(trial, NoiseSpec("relative", level, _trial_seed(base_seed, li, trial, trials)))
             for li, level in enumerate(levels) for trial in range(trials)]
     noisy = [noise for _, noise in jobs if noise.adds_noise]
-    rows = max(1, _STACK_ELEMENTS // (clean.order * clean.u1.n))
+    rows = max(1, _CHUNK_SAMPLES // clean.u1.n)
 
     clean_outcome = None
     if len(noisy) < len(jobs):

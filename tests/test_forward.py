@@ -283,7 +283,7 @@ class TestKernelCache:
         forward._block_kernel.cache_clear()
         run_noise_study(make_problem("fourmode", 8, 4.0, 2e-3), 1.0, (0.0, 1e-6, 1e-4), 20)
         info = forward._block_kernel.cache_info()
-        assert (info.misses, info.hits) == (1, 11)  # 12 mode_evolve calls, one grid
+        assert (info.misses, info.hits) == (1, 6)  # 7 mode_evolve calls, one grid
 
 
 def test_import_loads_no_scipy():
@@ -526,6 +526,27 @@ class TestMakeObservations:
             np.testing.assert_array_equal(getattr(noisy, name).values, expect)
             np.testing.assert_array_equal(getattr(direct, name).values, expect)
         assert (noisy.y, noisy.order, noisy.u1.dt) == (clean.y, clean.order, clean.u1.dt)
+
+    @pytest.mark.parametrize("kind", ["absolute", "relative"])
+    def test_a_stack_drawn_in_place_equals_apply(self, kind):
+        p = make_problem("generic", 8, 1.0, 1e-2)
+        clean = make_observations(p, 1.0)
+        specs = [NoiseSpec(kind, 1e-3, seed=9), NoiseSpec(), NoiseSpec(kind, 1e-6, seed=10)]
+        stack = forward._noisy_stack(clean, specs)
+        for name in ("u1", "u3", "uy"):
+            rows = getattr(stack, name).values
+            assert rows.shape == (3, clean.u1.n) and not rows.flags.writeable
+            for row, spec in zip(rows, specs):
+                np.testing.assert_array_equal(row, getattr(spec.apply(clean), name).values)
+        assert (stack.y, stack.order, stack.u1.dt) == (clean.y, clean.order, clean.u1.dt)
+
+    def test_noise_that_overflows_is_rejected(self):
+        p = make_problem("generic", 8, 1.0, 1e-2)
+        clean = make_observations(p, 1.0)
+        with np.errstate(over="ignore"), pytest.raises(DataError, match="non-finite"):
+            NoiseSpec("absolute", 1e308, seed=1).apply(clean)
+        with np.errstate(over="ignore"), pytest.raises(DataError, match="non-finite"):
+            forward._noisy_stack(clean, [NoiseSpec(), NoiseSpec("absolute", 1e308, seed=1)])
 
     def test_absolute_noise_kind(self):
         p = make_problem("decay1", 4, 1.0, 1e-2)

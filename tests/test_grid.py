@@ -1,11 +1,16 @@
 """GridFn carrier tests."""
 
 import math
+import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import heatinv
 from heatinv import DataError, GridFn, GridMismatchError, HeatInvError, invert_stack
 from heatinv.grid import rel_l2
 
@@ -95,9 +100,13 @@ def test_rel_l2_at_extreme_scales(scale):
 
 
 def test_rel_l2_keeps_the_bits_of_the_plain_norm():
+    # the plain norm is sqrt(x . x), its sum of squares taken by np.einsum
     rng = np.random.default_rng(3)
     approx, exact = rng.standard_normal(1001), rng.standard_normal(1001)
-    assert rel_l2(approx, exact) == np.linalg.norm(approx - exact) / np.linalg.norm(exact)
+    diff = approx - exact
+    plain = math.sqrt(np.einsum("i,i->", diff, diff)) / math.sqrt(np.einsum("i,i->", exact, exact))
+    assert rel_l2(approx, exact) == plain
+    assert plain == pytest.approx(np.linalg.norm(diff) / np.linalg.norm(exact), rel=1e-15)
     assert math.isnan(rel_l2(np.array([np.nan]), np.ones(1)))
     assert rel_l2(np.array([np.inf]), np.ones(1)) == math.inf
 
@@ -120,3 +129,75 @@ def test_stack_and_rows_round_trip():
         GridFn.stack([])
     with pytest.raises(HeatInvError, match="empty"):
         invert_stack([])
+
+
+def test_residuals_keep_their_bits_at_any_blas_thread_count():
+    # np.dot splits a long vector across BLAS threads; on 60 001 samples the
+    # sums of squares of rel_l2 then moved in the last bits between 1 and 2
+    code = (
+        "import heatinv\n"
+        "p = heatinv.make_problem('generic', 16, 6.0, 1e-4)\n"
+        "obs = heatinv.make_observations(p, 1.0, heatinv.NoiseSpec('relative', 1e-8, 1))\n"
+        "d = heatinv.invert(obs, heatinv.InversionConfig(order=16)).diagnostics\n"
+        "print([d.residual_u1.hex(), d.residual_u3.hex(), d.residual_uy.hex()])\n"
+    )
+    src = str(Path(heatinv.__file__).resolve().parents[1])
+    outputs = []
+    for threads in ("1", "2"):
+        env = {**os.environ, "PYTHONPATH": src, "OPENBLAS_NUM_THREADS": threads,
+               "OMP_NUM_THREADS": threads}
+        proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                              text=True, timeout=300, check=True)
+        outputs.append(proc.stdout)
+    assert outputs[0] == outputs[1]
+
+
+def test_a_read_only_owned_array_is_adopted():
+    v = np.arange(4.0)
+    v.flags.writeable = False
+    f = GridFn(0.0, 0.1, v)
+    assert f.values is v
+    stack = GridFn(0.0, 0.1, v.reshape(2, 2))  # a read-only view of a read-only owner
+    assert np.shares_memory(stack.values, v)
+
+
+def test_rows_and_trim_head_share_memory():
+    s = GridFn(0.0, 0.1, [[1.0, 2.0, 3.0], [4.0, 5.0, 6.0]])
+    for part in s.rows() + [s.trim_head(1)] + [r.trim_head(2) for r in s.rows()]:
+        assert np.shares_memory(part.values, s.values) and not part.values.flags.writeable
+    a = GridFn(0.0, 0.1, [1.0, 2.0, 3.0])
+    assert np.shares_memory(GridFn.stack([a]).values, a.values)
+
+
+def test_an_array_someone_can_write_is_copied():
+    v = np.array([1.0, 2.0, 3.0])
+    f = GridFn(0.0, 0.1, v)
+    v[0] = 9.0
+    assert f.values.tolist() == [1.0, 2.0, 3.0]
+    view = v[1:]
+    view.flags.writeable = False  # read-only, but its base is not
+    g = GridFn(0.0, 0.1, view)
+    v[1] = 7.0
+    assert g.values.tolist() == [2.0, 3.0]
+    assert not np.shares_memory(g.values, v)
+
+
+@pytest.mark.parametrize("make", [
+    lambda bad: GridFn(0.0, 0.1, bad),
+    lambda bad: GridFn(0.0, 0.1, bad.tolist()),
+    lambda bad: GridFn(0.0, 0.1, bad.copy()),  # writeable: copied, then checked
+    lambda bad: GridFn.sample(lambda t: bad, 0.0, 0.1, 3),
+], ids=["read-only", "list", "writeable", "sample"])
+def test_every_public_path_rejects_non_finite_values(make):
+    bad = np.array([1.0, np.nan, np.inf])
+    bad.flags.writeable = False
+    with pytest.raises(DataError, match="non-finite"):
+        make(bad)
+
+
+def test_arithmetic_that_overflows_is_rejected():
+    big = GridFn(0.0, 0.1, [1e308, 1.0])
+    with np.errstate(over="ignore"), pytest.raises(DataError, match="non-finite"):
+        big + big
+    with np.errstate(over="ignore"), pytest.raises(DataError, match="non-finite"):
+        big - GridFn(0.0, 0.1, [-1e308, 1.0])

@@ -484,3 +484,18 @@ class TestInvertStack:
         _, b = observe("generic", order=8, t_final=3.0)
         with pytest.raises(DataError):
             invert_stack([a, b])
+
+    def test_records_must_share_y_and_order(self):
+        # one w(y, t) serves the whole stack: a y = 2 record inverted with the
+        # y = 1 record's w gave g = [4.23, -13.84, 145.27, 14.43] and no warning
+        p = make_problem("fourmode", 8, 4.0, 2e-3)
+        at_1, at_2 = make_observations(p, 1.0), make_observations(p, 2.0)
+        unknown = replace(at_1, order=None)  # would take the order-8 record's truncation
+        for records in ([at_1, at_2], [at_1, unknown]):
+            with pytest.raises(InversionError, match="differ in y or order") as err:
+                invert_stack(records)
+            assert err.value.stage == "stack"
+        # alone it gives [1.253, 0.750, 0.492, 0.264]
+        np.testing.assert_allclose(invert(at_2).g_coeffs.coeffs[:4], p.g_coeffs(4), atol=0.1)
+        noisy = make_observations(p, 1.0, NoiseSpec("relative", 1e-6, 1))
+        assert len(invert_stack([at_1, noisy])) == 2

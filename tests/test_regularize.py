@@ -35,21 +35,21 @@ def fourmode_problem():
 
 @pytest.fixture
 def stack_calls(monkeypatch):
-    """The records of every invert_stack call a noise study makes."""
+    """The rows, as values (u1, u3, uy), of every stack a noise study inverts."""
     calls = []
-    real = heatinv.regularize.invert_stack
+    real = heatinv.regularize._invert_stacked
 
-    def counting(records, cfg=None):
-        calls.append(list(records))
-        return real(records, cfg)
+    def counting(obs, cfg=None):
+        calls.append(list(zip(obs.u1.values, obs.u3.values, obs.uy.values)))
+        return real(obs, cfg)
 
-    monkeypatch.setattr(heatinv.regularize, "invert_stack", counting)
+    monkeypatch.setattr(heatinv.regularize, "_invert_stacked", counting)
     return calls
 
 
-def _is_clean(record, clean) -> bool:
-    return all(np.array_equal(getattr(record, name).values, getattr(clean, name).values)
-               for name in ("u1", "u3", "uy"))
+def _is_clean(row, clean) -> bool:
+    return all(np.array_equal(values, getattr(clean, name).values)
+               for values, name in zip(row, ("u1", "u3", "uy")))
 
 
 class TestRunNoiseStudy:
@@ -148,8 +148,8 @@ class TestRunNoiseStudy:
         assert math.isfinite(study.mean_v_err(1e300))
 
     def test_chunked_stack_memory_bounded(self, fourmode_problem):
-        # the benchmark's study: 60 trials in chunks of 4 stay near the memory
-        # of one trial at a time (0.8 MB); one stack per level takes 8.8 MB
+        # the benchmark's study: 60 trials in chunks of 8 peak at 2.1 MB; one
+        # stack per level takes 8.8 MB
         tracemalloc.start()
         try:
             run_noise_study(fourmode_problem, 1.0, (0.0, 1e-6, 1e-4), 20, base_seed=0)
@@ -214,13 +214,13 @@ class TestRunNoiseStudy:
 
     def test_clean_record_inverted_once(self, fourmode_problem, stack_calls):
         # the benchmark's study: 20 level-0 trials share one inversion of the
-        # clean record, and the 40 noisy trials run in chunks of 4
+        # clean record, and the 40 noisy trials run in chunks of 2**14 // 2001 = 8
         p = fourmode_problem
         study = run_noise_study(p, 1.0, (0.0, 1e-6, 1e-4), 20, base_seed=0)
-        assert [len(records) for records in stack_calls] == [1] + [4] * 10
+        assert [len(records) for records in stack_calls] == [1] + [8] * 5
         clean = make_observations(p, 1.0)
         assert [any(_is_clean(r, clean) for r in records) for records in stack_calls] \
-            == [True] + [False] * 10
+            == [True] + [False] * 5
         assert [(r.ok, r.trial, r.seed) for r in study.records[:20]] \
             == [(True, t, t) for t in range(20)]
 
