@@ -16,6 +16,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import DataError, DomainError
+from .grid import _evaluate
 
 #: sqrt(2/pi), the normalisation constant of the basis.
 BASIS_NORM = math.sqrt(2.0 / math.pi)
@@ -58,8 +59,7 @@ def eval_basis(m: int, x):
 
     x may be a scalar or an array; the domain check applies elementwise.
     """
-    if m < 1 or int(m) != m:
-        raise DomainError(f"mode index must be a positive integer, got {m}")
+    m = mode_constants(m).m  # checks the mode index
     xa = np.asarray(x, dtype=float)
     if np.any(xa < 0.0) or np.any(xa > math.pi):
         raise DomainError("position outside [0, pi]")
@@ -77,6 +77,12 @@ def basis_at(y: float, order: int) -> np.ndarray:
     """f_m(y) for m = 1..order at an interior point 0 < y < pi."""
     _require_interior(y)
     return BASIS_NORM * np.sin(np.arange(1, order + 1) * y)
+
+
+def _near_zero(fy: np.ndarray, threshold: float = DEFAULT_POINT_THRESHOLD) -> np.ndarray:
+    """Mask over fy = basis_at(y, order) of the modes whose divisor f_m(y) is
+    near zero: |sin(m y)| < threshold (every mode for a NaN threshold)."""
+    return ~(np.abs(fy) >= threshold * BASIS_NORM)
 
 
 @dataclass(frozen=True)
@@ -137,53 +143,10 @@ def project(fn: Callable, order: int, quad_points: int = DEFAULT_QUAD_POINTS) ->
     if quad_points < max(16, 2 * order):
         raise DomainError("quadrature grid too coarse for the requested order")
     x = np.linspace(0.0, math.pi, quad_points)
-    try:
-        vals = np.asarray(fn(x), dtype=float)
-        if vals.shape != x.shape:
-            raise TypeError
-    except Exception:
-        vals = np.array([float(fn(xi)) for xi in x])  # scalar-only callable
+    vals = _evaluate(fn, x)
     if not np.all(np.isfinite(vals)):
         raise DataError("function values on the quadrature grid are not finite")
     m = np.arange(1, order + 1)
     integrand = BASIS_NORM * np.sin(np.outer(m, x)) * vals
     coeffs = np.trapezoid(integrand, x, axis=1)
     return SineSeries(coeffs)
-
-
-@dataclass(frozen=True)
-class ObservationPointCheck:
-    """Result of the non-vanishing check min_{m<=M} |sin(m y)|."""
-
-    y: float
-    order: int
-    min_abs_sin: float
-    worst_mode: int
-    threshold: float
-
-    @property
-    def safe(self) -> bool:
-        return self.min_abs_sin >= self.threshold
-
-
-def check_observation_point(
-    y: float, order: int, threshold: float = DEFAULT_POINT_THRESHOLD
-) -> ObservationPointCheck:
-    """Check that every basis function up to `order` is bounded away from zero at y.
-
-    The recovery formulas divide by f_m(y); a near-zero makes the division
-    numerically explosive, hence the configurable threshold.
-    """
-    _require_interior(y)
-    if order < 1:
-        raise DomainError(f"truncation order must be >= 1, got {order}")
-    m = np.arange(1, order + 1)
-    s = np.abs(np.sin(m * y))
-    worst = int(np.argmin(s))
-    return ObservationPointCheck(
-        y=float(y),
-        order=int(order),
-        min_abs_sin=float(s[worst]),
-        worst_mode=int(m[worst]),
-        threshold=float(threshold),
-    )

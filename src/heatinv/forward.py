@@ -15,10 +15,10 @@ from typing import Callable, Union
 
 import numpy as np
 
-from .basis import (BASIS_NORM, SineSeries, _require_interior, basis_at, check_observation_point,
-                    mode_constants, project)
+from .basis import (BASIS_NORM, DEFAULT_POINT_THRESHOLD, SineSeries, _near_zero, _require_interior,
+                    basis_at, mode_constants, project)
 from .errors import DataError, DomainError
-from .grid import GridFn
+from .grid import GridFn, _evaluate
 
 TimeInput = Union[Callable, GridFn]
 SpaceInput = Union[Callable, SineSeries]
@@ -163,12 +163,12 @@ class ProblemInstance:
     dt: float
 
     def __post_init__(self):
-        if not self.t_final > 0.0:
-            raise DataError(f"final time must be positive, got {self.t_final}")
+        if not 0.0 < self.t_final < math.inf:
+            raise DataError(f"final time must be finite and positive, got {self.t_final}")
         if not self.dt > 0.0:
             raise DataError(f"time step must be positive, got {self.dt}")
         steps = self.t_final / self.dt
-        if abs(steps - round(steps)) > 1e-9 * max(1.0, steps):
+        if not math.isfinite(steps) or abs(steps - round(steps)) > 1e-9 * max(1.0, steps):
             raise DataError(
                 f"final time {self.t_final} is not an integer number of steps of {self.dt}"
             )
@@ -181,8 +181,7 @@ class ProblemInstance:
 
     def _time_values(self, f: TimeInput) -> GridFn:
         if isinstance(f, GridFn):
-            ref = GridFn(0.0, self.dt, np.zeros(self.n_samples))
-            ref.require_same_grid(f)
+            _require_grid(f, 0.0, self.dt, self.n_samples)
             return f
         return GridFn.sample(f, 0.0, self.dt, self.n_samples)
 
@@ -241,9 +240,8 @@ class SpectralSolution:
         fx = BASIS_NORM * np.sin(np.outer(m, x))  # (M, nx)
         if v is None:
             return self.modes.T @ fx
-        GridFn(self.t0, self.dt, np.zeros(self.n)).require_same_grid(v)
-        lift_coeff = BASIS_NORM / m
-        corrected = self.modes - np.outer(lift_coeff, np.ones(self.n)) * v.values
+        _require_grid(v, self.t0, self.dt, self.n)
+        corrected = self.modes - np.outer(BASIS_NORM / m, v.values)  # u_m - v(t) l_m
         return np.outer(v.values, 1.0 - x / math.pi) + corrected.T @ fx
 
 
@@ -285,7 +283,7 @@ def solve_fd(p: ProblemInstance, nx: int) -> FDSolution:
     dt = p.dt
     r = dt / (2.0 * dx * dx)
 
-    g0 = np.asarray(p.g(x), dtype=float)
+    g0 = _evaluate(p.g, x)
     if not np.all(np.isfinite(g0)):
         raise DataError("initial data are not finite on the spatial grid")
 
@@ -334,6 +332,8 @@ class NoiseSpec:
             raise DataError(f"unknown noise kind '{self.kind}'")
         if not (math.isfinite(self.level) and self.level >= 0.0):
             raise DataError(f"noise level must be finite and non-negative, got {self.level}")
+        if not self.seed >= 0:
+            raise DataError(f"noise seed must be non-negative, got {self.seed}")
 
     @property
     def adds_noise(self) -> bool:
@@ -396,6 +396,11 @@ def _noisy_stack(obs: Observations, noises: list[NoiseSpec]) -> Observations:
     return replace(obs, u1=u1, u3=u3, uy=uy)
 
 
+def _require_grid(f: GridFn, t0: float, dt: float, n: int) -> None:
+    """Raise GridMismatchError unless f is one record on t0 + dt * (0..n-1)."""
+    GridFn._checked(t0, dt, np.broadcast_to(0.0, n)).require_same_grid(f)
+
+
 def _require_observed_modes(order: int) -> None:
     if order < 3:
         raise DomainError(f"observations need at least modes 1 and 3, got order {order}")
@@ -420,15 +425,15 @@ def make_observations(
 
     The modes are evolved straight into their three observed projections
     (_observed_rows), u(y, t) being the truncated synthesis over the M modes;
-    the optional noise is added to the three series by NoiseSpec.apply.
+    the optional noise is added to the three series by NoiseSpec.apply.  A y
+    with some f_m(y) near zero (basis._near_zero) is refused first.
     """
-    chk = check_observation_point(y, p.order)
-    if not chk.safe:
-        raise DomainError(
-            f"observation point y={y} unsafe: |sin({chk.worst_mode} y)| = "
-            f"{chk.min_abs_sin:.3e} below threshold {chk.threshold:.3e}"
-        )
-    rows = mode_evolve(p.g_coeffs(), p.v_grid(), p.h_grid(), _observed_rows(y, p.order))
-    u1, u3, uy = (GridFn(0.0, p.dt, r) for r in rows)
-    clean = Observations(u1=u1, u3=u3, uy=uy, y=float(y), order=p.order)
+    weights = _observed_rows(y, p.order)
+    if _near_zero(weights[2]).any():
+        worst = int(np.argmin(np.abs(weights[2])))
+        raise DomainError(f"observation point y={y} unsafe: |sin({worst + 1} y)| = "
+                          f"{abs(weights[2, worst]) / BASIS_NORM:.3e} below threshold "
+                          f"{DEFAULT_POINT_THRESHOLD:.3e}")
+    rows = mode_evolve(p.g_coeffs(), p.v_grid(), p.h_grid(), weights)
+    clean = Observations(*(GridFn(0.0, p.dt, r) for r in rows), y=float(y), order=p.order)
     return (noise or NoiseSpec()).apply(clean)

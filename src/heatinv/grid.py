@@ -66,14 +66,7 @@ class GridFn:
     @classmethod
     def sample(cls, fn: Callable, t0: float, dt: float, n: int) -> "GridFn":
         """Sample a callable (vectorised or scalar) on n grid points."""
-        t = t0 + dt * np.arange(n)
-        try:
-            vals = np.asarray(fn(t), dtype=float)
-            if vals.shape != t.shape:
-                raise TypeError
-        except Exception:
-            vals = np.array([float(fn(ti)) for ti in t])
-        return cls(t0, dt, vals)
+        return cls(t0, dt, _evaluate(fn, t0 + dt * np.arange(n)))
 
     @classmethod
     def stack(cls, fns) -> "GridFn":
@@ -141,6 +134,18 @@ class GridFn:
     def __add__(self, other: "GridFn") -> "GridFn":
         self.require_same_grid(other)
         return GridFn(self.t0, self.dt, _read_only(self.values + other.values))
+
+
+def _evaluate(fn: Callable, x: np.ndarray) -> np.ndarray:
+    """A user callable on the 1-D array x: one vectorised call, else (for a
+    scalar-only callable) one call per point."""
+    try:
+        vals = np.asarray(fn(x), dtype=float)
+        if vals.shape != x.shape:
+            raise TypeError
+    except Exception:
+        vals = np.array([float(fn(xi)) for xi in x])
+    return vals
 
 
 def _read_only(v: np.ndarray) -> np.ndarray:

@@ -21,10 +21,10 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from .basis import (
-    BASIS_NORM,
     DEFAULT_MODES,
     DEFAULT_POINT_THRESHOLD,
     SineSeries,
+    _near_zero,
     basis_at,
     mode_constants,
 )
@@ -35,7 +35,7 @@ from .errors import (
     PreconditionError,
     ScheduleError,
 )
-from .forward import Observations, _observed_rows, mode_evolve
+from .forward import Observations, _observed_rows, _require_observed_modes, mode_evolve
 from .grid import GridFn, _read_only, rel_l2
 
 #: exact determinant of the (f_1'(0), c_1; f_3'(0), c_3) system
@@ -265,6 +265,11 @@ def _exp_sums(b: np.ndarray, t: np.ndarray) -> np.ndarray:
     return out
 
 
+def _require_ridge(reg: float) -> None:
+    if not reg >= 0.0:
+        raise DomainError(f"ridge must be >= 0, got {reg}")
+
+
 class LsqFit(tuple):
     """peel_lsq's pair (b, cond), carrying the R factor of [design | q] for
     callers that read it again; the fit's depth is r.shape[1] - 1."""
@@ -276,13 +281,15 @@ def peel_lsq(q: GridFn, depth: int, reg: float = 0.0) -> LsqFit:
     """Fit q(t) ~ sum_m b_m e^{-m^2 t} by (ridge-regularised) least squares.
 
     Returns the coefficient vector and the condition number of the plain
-    design matrix as an LsqFit.  With reg = 0 a rank-deficient design raises
-    DataError.  [design | q] is factored one row tile at a time and the
-    tiles' R factors once more (a tall-skinny QR), so no buffer grows with
-    the record; a record of one tile is one QR of the whole [design | q].
+    design matrix as an LsqFit.  reg must be >= 0, and with reg = 0 a
+    rank-deficient design raises DataError.  [design | q] is factored one
+    row tile at a time and the tiles' R factors once more (a tall-skinny
+    QR), so no buffer grows with the record; a record of one tile is one QR
+    of the whole [design | q].
     """
     if depth < 1:
         raise DomainError(f"depth must be >= 1, got {depth}")
+    _require_ridge(reg)
     if q.n < depth:
         raise DataError(f"grid of {q.n} samples cannot support depth {depth}")
     # R of [A | q] has A's singular values, and R b = Q^T q
@@ -571,7 +578,7 @@ def assemble_g(
     near-vanishing divisor; non-finite coefficients raise DataError."""
     b_hat = np.atleast_1d(np.asarray(b_hat, dtype=float))
     divisors = basis_at(y, b_hat.shape[-1])
-    keep = np.abs(divisors) >= threshold * BASIS_NORM
+    keep = ~_near_zero(divisors, threshold)
     coeffs = np.zeros_like(b_hat)
     coeffs[..., keep] = b_hat[..., keep] / divisors[keep]
     if not np.all(np.isfinite(coeffs)):
@@ -605,8 +612,7 @@ class InversionConfig:
             raise DomainError(f"unknown peeling method '{self.peel_method}'")
         if self.schedule_method not in SCHEDULE_METHODS:
             raise DomainError(f"unknown scheduling method '{self.schedule_method}'")
-        if self.order < 3:
-            raise DomainError("need at least modes 1..3 to rebuild the forced response")
+        _require_observed_modes(self.order)
         if self.depth < 1:
             raise DomainError(f"peeling depth must be >= 1, got {self.depth}")
         if self.window is not None and self.window < 1:
@@ -615,8 +621,7 @@ class InversionConfig:
             raise DomainError(f"peeling window must be odd, got {self.window}")
         if self.burn_in < 0:
             raise DomainError(f"burn-in must be >= 0, got {self.burn_in}")
-        if not self.ridge >= 0.0:
-            raise DomainError(f"ridge must be >= 0, got {self.ridge}")
+        _require_ridge(self.ridge)
         if self.schedule is not None and self.schedule.depth != self.depth:
             raise DomainError(
                 f"schedule of {self.schedule.depth} times does not match depth {self.depth}"
@@ -681,13 +686,13 @@ def invert_stack(
     truncation in one pass: each stage runs once along the last axis of the
     stacked rows, and row i's result carries the bits of its own lone
     inversion.  The 'model' and 'balance' schedules, the lsq peel and
-    smoothing stay per row, and each row's peel_condition comes from its
-    plan or lsq fit; the ladder and a given plan take it from one more
-    peel_lsq on the first row.  w(y, t) is rebuilt from the modes of the
-    records' truncation, or from cfg.order when the records do not state
-    one.  Records that differ in y or order raise InversionError (stage
-    'stack'); a failing stage fails the whole stack.  Each Reconstruction's
-    v_hat and h_hat are views into the stack's."""
+    smoothing stay per row.  peel_condition depends on the grid and depth
+    alone: it comes from the first row's plan or lsq fit, or, for the
+    ladder and a given plan, one more peel_lsq on the first row.  w(y, t) is
+    rebuilt from the modes of the records' truncation, or from cfg.order
+    when they do not state one.  Records that differ in y or order raise
+    InversionError (stage 'stack'); a failing stage fails the whole stack.
+    Each Reconstruction's v_hat and h_hat are views into the stack's."""
     for r in records[1:]:
         if (r.y, r.order) != (records[0].y, records[0].order):
             raise InversionError(
@@ -713,7 +718,8 @@ def _invert_stacked(obs: Observations, cfg: InversionConfig | None = None) -> li
     if cfg.peel_method == "lsq":
         fits = [_stage("peel", peel_lsq, qr, cfg.depth, cfg.ridge) for qr in q.rows()]
         b_hat = np.array([b for b, _ in fits])
-        peels = [(np.ones(cfg.depth), None, [], cond) for _, cond in fits]
+        cond = fits[0][1]
+        peels = [(np.ones(cfg.depth), None, []) for _ in fits]
     else:
         # only the ladder and a given plan ignore the data: one plan peels the stack
         shared = cfg.schedule is not None or cfg.schedule_method == "ladder"
@@ -728,18 +734,12 @@ def _invert_stacked(obs: Observations, cfg: InversionConfig | None = None) -> li
                 amplification_cap=cfg.amplification_cap,
             ))
         b_hat = np.vstack([r.b_hat for r in results])
-        # a plan's own fit gives the design's condition number; the ladder, a
-        # given plan (a plan_peel output may come from another grid) and a
-        # record too short for that fit need one more fit
-        conds = [r.plan.condition if cfg.schedule is None else None for r in results]
-        if None in conds:
-            _, cond = _stage(
-                "peel_condition", peel_lsq, q.rows()[0], cfg.depth,
-                max(cfg.ridge, PROVISIONAL_RIDGE),
-            )
-            conds = [cond] * len(conds)
-        peels = [(r.amplification, r.plan.predicted, r.warnings, c)
-                 for r, c in zip(results, conds)]
+        # the ladder, a given plan (a plan_peel output may come from another
+        # grid) and a record too short for the plan's fit need one more fit
+        cond = results[0].plan.condition if cfg.schedule is None else None
+        if cond is None:
+            _, cond = _stage("peel_condition", peel_lsq, q.rows()[0], cfg.depth, PROVISIONAL_RIDGE)
+        peels = [(r.amplification, r.plan.predicted, r.warnings) for r in results]
         peels *= len(b_hat) // len(peels)  # a shared plan's numbers hold for every row
 
     assembled = _stage("assemble_g", assemble_g, b_hat, obs.y, cfg.divisor_threshold)
@@ -751,7 +751,7 @@ def _invert_stacked(obs: Observations, cfg: InversionConfig | None = None) -> li
     det = system_determinant()
     out = []
     rows = zip(peels, v_hat.rows(), h_hat.rows())
-    for i, ((amp, predicted, peel_warnings, cond), v_row, h_row) in enumerate(rows):
+    for i, ((amp, predicted, peel_warnings), v_row, h_row) in enumerate(rows):
         diagnostics = Diagnostics(
             determinant=det,
             deriv_scheme=cfg.deriv.name,

@@ -10,7 +10,7 @@ seed-deterministic noise injections.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -153,9 +153,9 @@ def run_noise_study(
     records are drawn and inverted a chunk at a time, as one stack of at
     most _CHUNK_SAMPLES samples per series, and every trial's record
     equals that of its own lone inversion.  A record that cannot be built
-    (an unsafe y, say) raises; a failure inside a single trial's inversion
-    is recorded, not raised.  Level 0 reproduces the clean baseline
-    exactly.
+    (an unsafe y or a negative base_seed, say) raises; a failure inside a
+    single trial's inversion is recorded, not raised.  Level 0 reproduces
+    the clean baseline exactly.
 
     Without an explicit inversion config the peeling runs on the 'ladder'
     schedule with single-point evaluation: its noise multipliers e^{m^2 t_m}
@@ -166,19 +166,19 @@ def run_noise_study(
     levels = check_study(levels, trials)
     cfg = cfg or InversionConfig(schedule_method="ladder", window=1)
 
-    depth = cfg.depth
-    g_true = p.g_coeffs(depth)
-    b_true = g_true * basis_at(y, depth)
-    clean = make_observations(p, y)
-
-    v_true = p.v_grid()
-    h_true = p.h_grid()
+    jobs = [(trial, NoiseSpec("relative", level, _trial_seed(base_seed, li, trial, trials)))
+            for li, level in enumerate(levels) for trial in range(trials)]
+    g_true = p.g_coeffs(cfg.depth)
+    b_true = g_true * basis_at(y, cfg.depth)
+    # the truth is sampled once: the forward solve reads these samples
+    v_true, h_true = p.v_grid(), p.h_grid()
+    clean = make_observations(replace(p, v=v_true, h=h_true), y)
 
     def outcome(rec) -> dict:
         """The TrialRecord fields of one inversion, or of its failure."""
         if isinstance(rec, HeatInvError):
             return {"ok": False, "message": str(rec)}
-        k = int(round(rec.v_hat.t0 / rec.v_hat.dt))
+        k = v_true.n - rec.v_hat.n  # the inversion's burn-in
         return {
             "ok": True,
             "b_err": np.abs(rec.b_hat - b_true),
@@ -188,8 +188,6 @@ def run_noise_study(
             "peel_condition": rec.diagnostics.peel_condition,
         }
 
-    jobs = [(trial, NoiseSpec("relative", level, _trial_seed(base_seed, li, trial, trials)))
-            for li, level in enumerate(levels) for trial in range(trials)]
     noisy = [noise for _, noise in jobs if noise.adds_noise]
     rows = max(1, _CHUNK_SAMPLES // clean.u1.n)
 
@@ -206,7 +204,7 @@ def run_noise_study(
         levels=tuple(levels),
         trials=trials,
         base_seed=base_seed,
-        depth=depth,
+        depth=cfg.depth,
         b_true=b_true,
         g_true=g_true,
         records=tuple(records),

@@ -12,13 +12,15 @@ from heatinv import (
     DomainError,
     DataError,
     SineSeries,
-    check_observation_point,
+    assemble_g,
     eval_basis,
+    make_observations,
+    make_problem,
     mode_constants,
     project,
     synthesize,
 )
-from heatinv.basis import basis_at
+from heatinv.basis import _near_zero, basis_at
 
 SQ = math.sqrt(2.0 / math.pi)
 
@@ -182,29 +184,39 @@ class TestRoundTrip:
 
 
 class TestObservationPoint:
+    """The rule "f_m(y) is near zero" (basis._near_zero): make_observations
+    refuses such a point, and assemble_g rejects the mode."""
+
     def test_pi_half_unsafe_at_mode_2(self):
-        chk = check_observation_point(math.pi / 2, 4)
-        assert not chk.safe
-        assert chk.worst_mode == 2
-        assert chk.min_abs_sin < 1e-12
+        assert np.flatnonzero(_near_zero(basis_at(math.pi / 2, 4))).tolist() == [1, 3]
+        with pytest.raises(DomainError, match=r"unsafe: \|sin\(2 y\)\| = 1\.225e-16 below"):
+            make_observations(make_problem("generic", 4, 0.1, 1e-2), math.pi / 2)
 
     def test_y1_safe_to_50_modes(self):
-        chk = check_observation_point(1.0, 50)
-        assert chk.safe
+        fy = basis_at(1.0, 50)
+        assert not _near_zero(fy).any()
+        make_observations(make_problem("generic", 50, 0.1, 1e-2), 1.0)
         # 50-digit scan: the minimum is |sin 22| = 8.85131e-3
-        assert chk.worst_mode == 22
-        assert chk.min_abs_sin == pytest.approx(0.0088513092904038759, abs=1e-12)
+        assert int(np.argmin(np.abs(fy))) + 1 == 22
+        assert np.abs(fy[21]) / SQ == pytest.approx(0.0088513092904038759, abs=1e-12)
+        assert np.flatnonzero(_near_zero(fy, 8.86e-3)).tolist() == [21]
 
     def test_pi_third_unsafe_at_mode_3(self):
-        chk = check_observation_point(math.pi / 3, 3)
-        assert not chk.safe
-        assert chk.worst_mode == 3
+        assert np.flatnonzero(_near_zero(basis_at(math.pi / 3, 3))).tolist() == [2]
+        with pytest.raises(DomainError, match=r"\|sin\(3 y\)\|"):
+            make_observations(make_problem("generic", 3, 0.1, 1e-2), math.pi / 3)
 
     def test_boundary_rejected(self):
+        p = make_problem("generic", 4, 0.1, 1e-2)
         for y in (0.0, math.pi, -1.0):
-            with pytest.raises(DomainError):
-                check_observation_point(y, 4)
+            with pytest.raises(DomainError, match="must lie in"):
+                make_observations(p, y)
 
     def test_threshold_configurable(self):
-        assert check_observation_point(1.0, 50, threshold=1e-6).safe
-        assert not check_observation_point(1.0, 50, threshold=1e-1).safe
+        b = np.ones(50)
+        assert assemble_g(b, 1.0, threshold=1e-6).rejected == ()
+        assert assemble_g(b, 1.0, threshold=8.86e-3).rejected == (22,)
+        loose = assemble_g(b, 1.0, threshold=1e-1)
+        near = np.flatnonzero(_near_zero(basis_at(1.0, 50), 1e-1))
+        assert 22 in loose.rejected and loose.rejected == tuple(near + 1)
+        assert np.all(loose.coeffs[near] == 0.0)

@@ -7,6 +7,7 @@ import subprocess
 import sys
 import tracemalloc
 import warnings
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -363,6 +364,13 @@ class TestProblemInstance:
         with pytest.raises(GridMismatchError):
             bad.h_grid()
 
+    @pytest.mark.parametrize("t_final, dt", [(math.inf, 1e-3), (1e300, 1e-300)])
+    def test_step_count_must_be_finite(self, t_final, dt):
+        # round() of an infinite step count raised a bare OverflowError
+        with pytest.raises(DataError):
+            ProblemInstance(h=lambda t: t, v=lambda t: t, g=SineSeries([1.0]),
+                            order=4, t_final=t_final, dt=dt)
+
 
 class TestSolveFD:
     def test_separable_decay(self):
@@ -403,6 +411,15 @@ class TestSolveFD:
         fd = solve_fd(p, 64)
         np.testing.assert_allclose(fd.u[:, 0], p.v_grid().values, atol=0.0)
         np.testing.assert_allclose(fd.u[:, -1], 0.0, atol=0.0)
+
+    def test_scalar_only_initial_data(self):
+        # a g that takes only scalars is called once per point, as project
+        # and GridFn.sample call it; solve_fd raised a bare TypeError
+        scalar = make_problem("decay1", 4, 0.2, 1e-2)
+        scalar = replace(scalar, g=lambda x: math.sin(x) + 0.5 * math.sin(3.0 * x))
+        vector = replace(scalar, g=lambda x: np.array([scalar.g(xi) for xi in x]))
+        np.testing.assert_array_equal(solve_fd(scalar, 64).u, solve_fd(vector, 64).u)
+        np.testing.assert_array_equal(solve_spectral(scalar).modes, solve_spectral(vector).modes)
 
     def test_too_few_points(self):
         p = make_problem("decay1", 4, 0.5, 1e-2)
@@ -506,6 +523,12 @@ class TestMakeObservations:
             assert spec.apply(clean) is clean
         assert NoiseSpec("relative", 1e-3, seed=5).adds_noise
         assert NoiseSpec("absolute", 5e-324).adds_noise
+
+    @pytest.mark.parametrize("seed", [-1, -(2 ** 40)])
+    def test_seed_must_be_non_negative(self, seed):
+        # default_rng refuses it only when the noise is drawn
+        with pytest.raises(DataError, match="seed must be non-negative"):
+            NoiseSpec("relative", 1e-3, seed=seed)
 
     @pytest.mark.parametrize("level", [-1e-6, math.nan, math.inf, -math.inf])
     def test_level_must_be_finite_and_non_negative(self, level):

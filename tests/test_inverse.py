@@ -464,6 +464,22 @@ class TestInvertStack:
         for row, obs in zip(invert_stack(records, cfg), records):
             assert_same_reconstruction(row, invert(obs, cfg))
 
+    @pytest.mark.parametrize("cfg", [
+        InversionConfig(order=8, depth=3),
+        InversionConfig(order=8, depth=3, schedule_method="balance"),
+        InversionConfig(order=8, depth=3, peel_method="lsq"),
+        InversionConfig(order=8, depth=3, schedule_method="ladder", window=1),
+    ], ids=["model", "balance", "lsq", "ladder"])
+    def test_one_peel_condition_per_stack(self, cfg):
+        # R's leading block depends on the design columns alone, so every
+        # row's own fit gives the stack's one condition number bit for bit
+        p = make_problem("fourmode", 8, 4.0, 2e-3)
+        records = [make_observations(p, 1.0, NoiseSpec("relative", 1e-6, seed))
+                   for seed in range(12)]
+        conds = {rec.diagnostics.peel_condition for rec in invert_stack(records, cfg)}
+        assert len(conds) == 1
+        assert {invert(obs, cfg).diagnostics.peel_condition for obs in records} == conds
+
     @pytest.mark.parametrize("order", [16, 64])
     def test_memory_does_not_grow_with_the_order(self, order):
         # the forced modes are kept only as the rows u_1, u_3 and w: 11 MiB on

@@ -122,7 +122,7 @@ class TestExperimentConfig:
         {"depth": 2, "schedule_times": [1.0]}, {"ridge": -1.0}, {"t_final": 1.0, "dt": 0.3},
         {"preset": None, "g_amplitudes": [1.0], "t_final": 1.0, "dt": 0.3},
         {"schedule_method": "bogus"}, {"depth": 0}, {"window": 0}, {"window": -5},
-        {"window": 4},
+        {"window": 4}, {"seed": -1},
     ])
     def test_bad_knob_rejected_at_load(self, tmp_path, capsys, knobs):
         with pytest.raises(ConfigError):
@@ -496,6 +496,19 @@ class TestCliSimulate:
         obs, meta = read_observations(tmp_path / "observations.csv")
         assert meta["preset"] == "decay1"
         assert meta["seed"] == 9
+
+    def test_negative_seed_override_exits_2(self, tmp_path, capsys):
+        # numpy's default_rng refused it with a traceback and exit 1
+        save_config(ExperimentConfig(preset="generic", order=4, t_final=0.1, dt=1e-2,
+                                     noise_kind="relative", noise_level=1e-4),
+                    tmp_path / "c.json")
+        out = tmp_path / "out"
+        assert main(["simulate", "--config", str(tmp_path / "c.json"), "--out", str(out),
+                     "--seed", "-1"]) == 2
+        (line,) = capsys.readouterr().err.splitlines()
+        assert json.loads(line)["error"] == "ConfigError"
+        assert "seed must be non-negative" in json.loads(line)["message"]
+        assert not out.exists()
 
     def test_runs_without_config_file(self, tmp_path):
         # all-defaults invocation: the built-in generic preset

@@ -9,7 +9,9 @@ import pytest
 
 from heatinv import (
     DataError,
+    DomainError,
     GridFn,
+    InversionConfig,
     PeelPlan,
     ScheduleError,
     peel_lsq,
@@ -169,6 +171,18 @@ class TestPeelLsq:
             peel_lsq(q, 6)
         b, _ = peel_lsq(q, 6, reg=1e-12)
         assert np.all(np.isfinite(b))
+
+    @pytest.mark.parametrize("reg", [-1.0, math.nan])
+    def test_ridge_must_be_non_negative(self, reg):
+        # 11 samples at depth 9 give rank 8: reg = 0 says so, and a negative or
+        # NaN ridge must not skip that check and return coefficients
+        q = exp_sum([1.0, 0.5], 0.01, 1e-3)
+        with pytest.raises(DataError, match=r"rank 8 < depth 9"):
+            peel_lsq(q, 9)
+        with pytest.raises(DomainError, match="ridge must be >= 0"):
+            peel_lsq(q, 9, reg=reg)
+        with pytest.raises(DomainError, match="ridge must be >= 0"):
+            InversionConfig(ridge=reg)
 
     def test_rank_cut_scales_with_the_record_length(self):
         # 1 / cond lies between eps * depth and eps * n: deficient for the n x depth design

@@ -22,6 +22,7 @@ from heatinv import (
     rel_l2,
     run_noise_study,
 )
+import heatinv.grid
 import heatinv.regularize
 from heatinv.cli import main
 from heatinv.io import ExperimentConfig, save_config
@@ -198,6 +199,27 @@ class TestRunNoiseStudy:
         assert main(["study", "--config", str(tmp_path / "c.json"), "--out", str(out)]) == 2
         assert json.loads(capsys.readouterr().err.strip())["error"] == "DomainError"
         assert not (out / "study.csv").exists()
+
+    def test_truth_sampled_once(self, fourmode_problem, monkeypatch):
+        # the benchmark's study: the sampled v and h are the only arrays a
+        # GridFn copies, and the forward solve reads the same samples
+        copies = []
+        real = heatinv.grid._owned_read_only
+
+        def counting(v):
+            owned = real(v)
+            if not owned:
+                copies.append(np.shape(v))
+            return owned
+
+        monkeypatch.setattr(heatinv.grid, "_owned_read_only", counting)
+        run_noise_study(fourmode_problem, 1.0, (0.0, 1e-6, 1e-4), 20, base_seed=0)
+        assert copies == [(2001,), (2001,)]
+
+    def test_negative_base_seed_refused(self, fourmode_problem, stack_calls):
+        with pytest.raises(DataError, match="seed must be non-negative"):
+            run_noise_study(fourmode_problem, 1.0, levels=[0.0, 1e-6], trials=2, base_seed=-1)
+        assert stack_calls == []
 
     def test_validation(self, fourmode_problem):
         with pytest.raises(DomainError):
