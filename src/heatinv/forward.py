@@ -332,7 +332,9 @@ class NoiseSpec:
             raise DataError(f"unknown noise kind '{self.kind}'")
         if not (math.isfinite(self.level) and self.level >= 0.0):
             raise DataError(f"noise level must be finite and non-negative, got {self.level}")
-        if not self.seed >= 0:
+        if isinstance(self.seed, bool) or not isinstance(self.seed, (int, np.integer)):
+            raise DataError(f"noise seed must be an integer, got {self.seed!r}")
+        if self.seed < 0:
             raise DataError(f"noise seed must be non-negative, got {self.seed}")
 
     @property

@@ -270,6 +270,11 @@ def _require_ridge(reg: float) -> None:
         raise DomainError(f"ridge must be >= 0, got {reg}")
 
 
+def _require_depth(depth: int) -> None:
+    if depth < 1:
+        raise DomainError(f"peeling depth must be >= 1, got {depth}")
+
+
 class LsqFit(tuple):
     """peel_lsq's pair (b, cond), carrying the R factor of [design | q] for
     callers that read it again; the fit's depth is r.shape[1] - 1."""
@@ -287,8 +292,7 @@ def peel_lsq(q: GridFn, depth: int, reg: float = 0.0) -> LsqFit:
     QR), so no buffer grows with the record; a record of one tile is one QR
     of the whole [design | q].
     """
-    if depth < 1:
-        raise DomainError(f"depth must be >= 1, got {depth}")
+    _require_depth(depth)
     _require_ridge(reg)
     if q.n < depth:
         raise DataError(f"grid of {q.n} samples cannot support depth {depth}")
@@ -403,8 +407,7 @@ def plan_peel(
     total, made odd, which averages rounding noise without inflating the
     truncation bias.
     """
-    if depth < 1:
-        raise DomainError(f"peeling depth must be >= 1, got {depth}")
+    _require_depth(depth)
     if method not in SCHEDULE_METHODS:
         raise ScheduleError(f"unknown scheduling method '{method}'")
     if window is not None and (window < 1 or window % 2 != 1):
@@ -613,8 +616,7 @@ class InversionConfig:
         if self.schedule_method not in SCHEDULE_METHODS:
             raise DomainError(f"unknown scheduling method '{self.schedule_method}'")
         _require_observed_modes(self.order)
-        if self.depth < 1:
-            raise DomainError(f"peeling depth must be >= 1, got {self.depth}")
+        _require_depth(self.depth)
         if self.window is not None and self.window < 1:
             raise DomainError(f"peeling window must be >= 1, got {self.window}")
         if self.window is not None and self.window % 2 != 1:

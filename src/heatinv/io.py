@@ -171,7 +171,9 @@ def save_config(cfg: ExperimentConfig, path: str | Path) -> None:
 def _json(x, pad: str = "") -> str:
     """json.dumps(x, indent=2, sort_keys=True, allow_nan=False) at indent `pad` for
     str dict keys, with ndarrays and numpy scalars as plain values and every float
-    that is not finite as null; a list of floats is rendered in one join."""
+    that is not finite as null; a list of floats, or a 1-D float64 array, is
+    rendered in one join."""
+    floats = isinstance(x, np.ndarray) and x.ndim == 1 and x.dtype == np.float64
     if isinstance(x, (np.ndarray, np.generic)):
         x = x.tolist()
     if isinstance(x, float):
@@ -182,7 +184,7 @@ def _json(x, pad: str = "") -> str:
     if isinstance(x, dict):
         items = [f"{json.dumps(k)}: {_json(v, inner)}" for k, v in sorted(x.items())]
         return "{\n" + inner + f",\n{inner}".join(items) + f"\n{pad}}}"
-    if all(isinstance(v, float) for v in x):
+    if floats or all(isinstance(v, float) for v in x):
         body = f",\n{inner}".join(map(float.__repr__, x))
         if "n" in body:  # of all float reprs, only nan, inf and -inf hold an n
             body = body.replace("-inf", "null").replace("inf", "null").replace("nan", "null")
@@ -220,19 +222,33 @@ def _read_table(
     JSON object after '=' becomes `meta`.  A first non-comment line that is not
     numeric is the header, returned as (line number, cell names); any later
     non-numeric line is an error.  `data` has one row per data line.
+
+    From the first data row on, one np.loadtxt call converts each cell as
+    float() does, skips empty lines and refuses a row of another width; a
+    block it refuses (a comment, a malformed row, a cell only float() takes)
+    is read line by line from that row.  loadtxt strips a U+001F around a
+    cell where float() does not, so a file holding one is read line by line.
     """
     meta: dict = {}
     header = None
     values: list[float] = []
-    lines = Path(path).read_text().splitlines()
+    text = Path(path).read_text()
+    lines = text.splitlines()
     for i, raw in enumerate(lines, start=1):
         cells = raw.split(",")
         if len(cells) == ncols:
             try:
                 values.extend(map(float, cells))
-                continue
             except ValueError:
                 pass
+            else:
+                if len(values) == ncols and "\x1f" not in text:  # the first data row
+                    try:
+                        return meta, header, np.loadtxt(
+                            lines[i - 1:], delimiter=",", comments=None, ndmin=2)
+                    except ValueError:
+                        pass
+                continue
         line = raw.strip()
         if not line or line[0] == "#":
             body = line[1:].strip()

@@ -3,6 +3,7 @@ Crank-Nicolson oracle, observation synthesis."""
 
 import math
 import os
+import re
 import subprocess
 import sys
 import tracemalloc
@@ -529,6 +530,18 @@ class TestMakeObservations:
         # default_rng refuses it only when the noise is drawn
         with pytest.raises(DataError, match="seed must be non-negative"):
             NoiseSpec("relative", 1e-3, seed=seed)
+
+    @pytest.mark.parametrize("seed", [1.5, 2.0, True, "3", None, np.float64(4.0)])
+    def test_seed_must_be_an_integer(self, seed):
+        # default_rng refused a float seed with a bare TypeError at the draw
+        with pytest.raises(DataError, match=re.escape(f"noise seed must be an integer, got {seed!r}")):
+            NoiseSpec("relative", 1e-3, seed=seed)
+
+    def test_numpy_integer_seed_draws_as_its_int(self):
+        p = make_problem("generic", 4, 0.1, 1e-2)
+        a = make_observations(p, 1.0, NoiseSpec("relative", 1e-3, seed=np.int64(7)))
+        b = make_observations(p, 1.0, NoiseSpec("relative", 1e-3, seed=7))
+        assert a.uy.values.tobytes() == b.uy.values.tobytes()
 
     @pytest.mark.parametrize("level", [-1e-6, math.nan, math.inf, -math.inf])
     def test_level_must_be_finite_and_non_negative(self, level):

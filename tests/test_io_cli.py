@@ -311,6 +311,20 @@ class TestStrictJson:
         assert path.read_text() == json.dumps(
             plain(payload), indent=2, sort_keys=True, allow_nan=False) + "\n"
 
+    @pytest.mark.parametrize("array", [
+        np.array([math.nan, math.inf, -math.inf, -0.0, 5e-324, 1e16, 0.1]),
+        np.array([[1.5, math.nan], [-0.0, 1e16]]),
+        np.array([3, -1, 2**62]),
+        np.array([]),
+        np.zeros((2, 0)),
+    ], ids=["float-1d", "float-2d", "int", "empty", "empty-2d"])
+    def test_array_written_as_its_list(self, tmp_path, array):
+        # a 1-D float64 array is joined without a per-value type scan
+        by_array, by_list = tmp_path / "a.json", tmp_path / "l.json"
+        write_json(by_array, {"x": array, "y": [array]})
+        write_json(by_list, {"x": array.tolist(), "y": [array.tolist()]})
+        assert by_array.read_text() == by_list.read_text()
+
     def test_non_finite_written_as_null(self, tmp_path):
         obs = make_obs("generic", order=8, t_final=4.0)
         plan = PeelPlan([1.0, 0.5], predicted=np.array([1e-6, np.inf]))

@@ -184,6 +184,17 @@ class TestPeelLsq:
         with pytest.raises(DomainError, match="ridge must be >= 0"):
             InversionConfig(ridge=reg)
 
+    @pytest.mark.parametrize("depth", [0, -2])
+    def test_depth_rule_has_one_message(self, depth):
+        q = exp_sum([1.0, 0.5], 0.01, 1e-3)
+        messages = set()
+        for build in (lambda: peel_lsq(q, depth), lambda: plan_peel(q, depth),
+                      lambda: InversionConfig(depth=depth)):
+            with pytest.raises(DomainError) as exc:
+                build()
+            messages.add(str(exc.value))
+        assert messages == {f"peeling depth must be >= 1, got {depth}"}
+
     def test_rank_cut_scales_with_the_record_length(self):
         # 1 / cond lies between eps * depth and eps * n: deficient for the n x depth design
         t = np.arange(1000) * 5e-7
