@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import json
 import sys
 from pathlib import Path
@@ -29,6 +30,7 @@ from .presets import preset_names
 from .regularize import run_noise_study
 
 
+@functools.cache  # one parser per process: main may run many commands
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="heatinv",

@@ -13,7 +13,6 @@ import hashlib
 import json
 import math
 from dataclasses import dataclass
-from itertools import chain
 from pathlib import Path
 
 import numpy as np
@@ -161,6 +160,8 @@ def load_config(path: str | Path) -> ExperimentConfig:
         data = json.loads(Path(path).read_text())
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config {path} is not valid JSON: {exc}") from None
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"config {path} is not {exc.encoding} text: {exc.reason}") from None
     return ExperimentConfig.from_dict(data)
 
 
@@ -199,18 +200,126 @@ def write_json(path: str | Path, payload) -> None:
     Path(path).write_text(_json(payload) + "\n")
 
 
+_POW10 = np.array([float(10 ** k) for k in range(23)])  # each one an exact double
+
+
+def _digit_groups() -> np.ndarray:
+    """The ASCII text of 0000..9999, four bytes per entry, viewed as uint32."""
+    k = np.arange(10_000, dtype=np.uint16)[:, None]
+    chars = (k // np.array([1000, 100, 10, 1], np.uint16) % 10 + 48).astype(np.uint8)
+    return chars.view(np.uint32)[:, 0]
+
+
+def _layouts() -> np.ndarray:
+    """Where each byte of the '%.17g' text of d0.d1...d16 x 10**e comes from,
+    for e in [-4, 15] and m trailing zero digits, as row (e + 4) * 17 + m of
+    24 byte positions, right-aligned: source bytes 0-2 are '0', 3-19 the
+    digits d0..d16, 20 is '.' and 21 NUL.  Column 0 is left for the sign."""
+    rows = []
+    digits = list(range(3, 20))
+    for e in range(-4, 16):
+        text = (digits[:e + 1] + [20] + digits[e + 1:] if e >= 0
+                else [0, 20] + [0] * (-e - 1) + digits)
+        for m in range(17):
+            cut = min(m, 16 - e)  # the fraction's trailing zeros; its point too if none is left
+            kept = text[:len(text) - cut - (cut == 16 - e)]
+            rows.append([21] * (24 - len(kept)) + kept)
+    return np.array(rows, np.intp)
+
+
+_DIGIT_GROUPS = _digit_groups()
+_LAYOUTS = _layouts()
+_POINT = np.frombuffer(b".\0\0\0", np.uint32)[0]
+
+
+def _two_product(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(hi, lo) with hi + lo = a * b exactly (Dekker 1971), for products far
+    from overflow and underflow; one ufunc per step, so none is fused."""
+    def split(x):
+        c = x * 134217729.0  # 2**27 + 1
+        high = c - (c - x)
+        return high, x - high
+    hi = a * b
+    ah, al = split(a)
+    bh, bl = split(b)
+    return hi, al * bl - (((hi - ah * bh) - al * bh) - ah * bl)
+
+
+def _g17(x: np.ndarray) -> np.ndarray:
+    """'%.17g' % v of each v in the float array x, as (x.size, 24) uint8 rows
+    of ASCII padded with NUL bytes; 24 is the longest such text.
+
+    For 1e-4 <= |v| < 1e16 the text is fixed-point, e = floor(log10 |v|) lies
+    in [-4, 15], and its 17 digits are N = |v| 10**(16 - e) rounded half to
+    even, as CPython's dtoa rounds.  The product is exact as hi + lo, and
+    hi >= 1e16 > 2**53 is an even integer, so N = hi + rint(lo).  np.log10 may
+    be one off next to a power of ten; the exact product shows it.  N never
+    rounds up to 10**17: the largest double below each power of ten in the
+    range is 8 units of its 17th digit or more below it.  Every other v (zero,
+    subnormal, tiny, huge, nan, inf) is formatted by '%' itself.
+    """
+    x = np.ravel(x)
+    a = np.abs(x)
+    fast = (a >= 1e-4) & (a < 1e16)
+    a[~fast] = 1.0
+    e = np.floor(np.log10(a)).astype(np.intp)
+    hi, lo = _two_product(a, _POW10[16 - e])
+    off = ((hi > 1e17) | (hi == 1e17) & (lo >= 0)).astype(np.intp) - (
+        (hi < 1e16) | (hi == 1e16) & (lo < 0))
+    fix = np.flatnonzero(off)
+    if fix.size:
+        e[fix] += off[fix]
+        hi[fix], lo[fix] = _two_product(a[fix], _POW10[16 - e[fix]])
+    n = hi.astype(np.int64) + np.rint(lo).astype(np.int64)
+    src = np.empty((x.size, 6), np.uint32)  # '000' d0, d1..d16 in fours, '.'
+    for j in range(4, 0, -1):
+        n, src[:, j] = np.divmod(n, 10_000)
+    src[:, 0] = n
+    src[:, :5] = _DIGIT_GROUPS.take(src[:, :5])
+    src[:, 5] = _POINT
+    src = src.view(np.uint8)
+    m = np.argmax(src[:, 19:2:-1] != 48, axis=1)  # d0 > 0 ends every search
+    where = _LAYOUTS.take((e + 4) * 17 + m, axis=0)
+    where += np.arange(0, src.size, 24)[:, None]
+    out = src.reshape(-1).take(where)
+    out[:, 0] = np.where(x < 0, 45, 0)  # '-'
+    slow = np.flatnonzero(~fast)
+    if slow.size:
+        text = np.array([b"%.17g" % v for v in x[slow].tolist()], "S24")
+        out[slow] = text.view(np.uint8).reshape(-1, 24)
+    return out
+
+
+_WRITE_ROWS = 1024  # rows per write: bounds a write's temporaries, not the file
+
+
 def _write_table(path: str | Path, title: str, meta: dict, header, columns) -> None:
     """Every CSV heatinv writes: a '# heatinv <title>' line, the metadata as one
     canonical JSON line, the column header, then the rows of `columns`, one
-    sequence per header cell.  A column of Python ints is written with %d,
-    every other with %.17g, the text of fmt."""
-    columns = [c.tolist() if isinstance(c, np.ndarray) else c for c in columns]
-    row = ",".join("%d" if all(type(x) is int for x in c) else "%.17g" for c in columns)
-    lines = [f"# heatinv {title}",
-             "# meta = " + json.dumps(meta, sort_keys=True, separators=(", ", ": ")),
-             ",".join(header), ""]
-    body = (row + "\n") * len(columns[0]) % tuple(chain.from_iterable(zip(*columns)))
-    Path(path).write_text("\n".join(lines) + body)
+    sequence per header cell.  A column of ints is written with %d, every
+    other with %.17g (by _g17), the text of fmt.  The rows go to the file a
+    block at a time, so the text of the whole table is never held."""
+    ints = [c.dtype.kind in "iu" if isinstance(c, np.ndarray) else all(type(x) is int for x in c)
+            for c in columns]
+    floats = [np.asarray(c, dtype=np.float64) for c, i in zip(columns, ints) if not i]
+    head = [f"# heatinv {title}",
+            "# meta = " + json.dumps(meta, sort_keys=True, separators=(", ", ": ")),
+            ",".join(header), ""]
+    with open(path, "w") as f:
+        f.write("\n".join(head))
+        n = len(columns[0])
+        for start in range(0, n, _WRITE_ROWS):
+            rows, size = slice(start, start + _WRITE_ROWS), min(_WRITE_ROWS, n - start)
+            texts = iter(_g17(np.array([c[rows] for c in floats]).T)
+                         .reshape(size, -1, 24).transpose(1, 0, 2))
+            cells = []
+            for c, is_int in zip(columns, ints):
+                field = next(texts) if not is_int else np.array(
+                    [b"%d" % v for v in c[rows]]).view(np.uint8).reshape(size, -1)
+                cells += [field, np.full((size, 1), ord(","), np.uint8)]
+            cells[-1][:] = ord("\n")
+            block = np.concatenate(cells, axis=1)
+            f.write(block[block != 0].tobytes().decode())
 
 
 def _read_table(
@@ -232,7 +341,10 @@ def _read_table(
     meta: dict = {}
     header = None
     values: list[float] = []
-    text = Path(path).read_text()
+    try:
+        text = Path(path).read_text()
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{path} is not {exc.encoding} text: {exc.reason}") from None
     lines = text.splitlines()
     for i, raw in enumerate(lines, start=1):
         cells = raw.split(",")
@@ -257,6 +369,8 @@ def _read_table(
                     meta = json.loads(body.partition("=")[2])
                 except json.JSONDecodeError:
                     raise ParseError("metadata line is not valid JSON", line=i) from None
+                if not isinstance(meta, dict):
+                    raise ParseError("metadata line is not a JSON object", line=i)
             continue
         if len(cells) != ncols:
             raise ParseError(f"expected {ncols} columns in {path}, got {len(cells)}", line=i)

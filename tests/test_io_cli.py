@@ -1,5 +1,6 @@
 """Serialisation and command-line behaviour: formats, round trips, determinism."""
 
+import argparse
 import builtins
 import json
 import math
@@ -28,6 +29,7 @@ from heatinv import (
     write_observations,
 )
 from heatinv.basis import basis_at
+from heatinv import cli
 from heatinv.cli import main
 from heatinv.inverse import DET_EXACT, Diagnostics, Reconstruction
 from heatinv.io import (ExperimentConfig, fmt, load_config, save_config, write_json,
@@ -42,7 +44,8 @@ def test_float_text_round_trip(x):
 
 @given(st.floats())
 def test_percent_format_matches_fmt(x):
-    # the CSV writer formats a whole table with '%.17g'; fmt is the per-value text
+    # the CSV writer writes '%.17g' (by _g17, tested in test_write_table.py); fmt is
+    # the per-value text
     assert "%.17g" % x == fmt(x)
 
 
@@ -399,6 +402,22 @@ class TestObservationFiles:
         with pytest.raises(DataError, match="uniform grid"):
             read_observations(path)
 
+    @pytest.mark.parametrize("value", ["5", "null", '"y"', "[1, 2]"])
+    def test_meta_not_an_object_exits_2(self, tmp_path, capsys, value):
+        path, cfg_path = self._simulate_with_meta(tmp_path, "y", 1.0)
+        lines = path.read_text().splitlines(keepends=True)
+        lines[1] = f"# meta = {value}\n"
+        path.write_text("".join(lines))
+        with pytest.raises(ParseError, match="^line 2: metadata line is not a JSON object$"):
+            read_observations(path)
+        capsys.readouterr()
+        assert main(["invert", str(path), "--config", str(cfg_path),
+                     "--out", str(tmp_path / "out")]) == 2
+        (line,) = capsys.readouterr().err.splitlines()
+        assert json.loads(line) == {"error": "ParseError",
+                                    "message": "line 2: metadata line is not a JSON object"}
+        assert not (tmp_path / "out").exists()
+
     @staticmethod
     def _simulate_with_meta(tmp_path, key, value):
         """observations.csv of a short decay1 run with its metadata key set to
@@ -636,6 +655,56 @@ class TestCliFileErrors:
         assert issubclass(getattr(builtins, diag["error"]), OSError)
         assert diag["message"]
         assert not (tmp_path / "out").exists()
+
+
+    @pytest.mark.parametrize("case, error", [("observations", "ParseError"),
+                                             ("config", "ConfigError"),
+                                             ("h-csv", "ParseError")])
+    def test_file_not_text_exits_2(self, tmp_path, capsys, case, error):
+        binary = tmp_path / "binary"
+        binary.write_bytes(b"\x89PNG\r\n\x1a\n\xff\xfe\x00t,u1\n")
+        cfg = tmp_path / "c.json"
+        save_config(ExperimentConfig(preset="decay1", order=4, t_final=0.1, dt=1e-2), cfg)
+        h_cfg = tmp_path / "h.json"
+        save_config(ExperimentConfig(preset=None, h_csv=str(binary), g_amplitudes=(1.0,),
+                                     order=4, t_final=0.1, dt=1e-2), h_cfg)
+        out = ["--out", str(tmp_path / "out")]
+        argv = {
+            "observations": ["invert", str(binary), "--config", str(cfg), *out],
+            "config": ["simulate", "--config", str(binary), *out],
+            "h-csv": ["simulate", "--config", str(h_cfg), *out],
+        }[case]
+        assert main(argv) == 2
+        (line,) = capsys.readouterr().err.splitlines()
+        diag = json.loads(line)
+        assert diag["error"] == error
+        assert f"{binary} is not " in diag["message"] and " text: " in diag["message"]
+        assert not (tmp_path / "out").exists()
+
+
+class TestCliParser:
+    def test_built_once_for_many_commands(self, tmp_path, capsys, monkeypatch):
+        built = []
+        real_init = argparse.ArgumentParser.__init__
+
+        def spy(self, *args, **kwargs):
+            real_init(self, *args, **kwargs)
+            built.append(self.prog)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__", spy)
+        cfg = tmp_path / "c.json"
+        save_config(ExperimentConfig(preset="decay1", order=4, t_final=0.1, dt=1e-2), cfg)
+        out = ["--config", str(cfg), "--out", str(tmp_path)]
+        cli._build_parser.cache_clear()
+        try:
+            assert main(["simulate", *out]) == 0
+            with pytest.raises(SystemExit) as bad:
+                main(["simulate", "--bogus", *out])
+            assert main(["invert", str(tmp_path / "observations.csv"), *out]) == 0
+        finally:
+            cli._build_parser.cache_clear()
+        assert bad.value.code == 2 and "--bogus" in capsys.readouterr().err
+        assert built.count("heatinv") == 1
 
 
 class TestCliStudy:
