@@ -160,15 +160,16 @@ def _sum_sq(x: np.ndarray) -> float:
     return float(np.einsum("i,i->", x, x))
 
 
-def _norm(x: np.ndarray) -> float:
-    """sqrt(x . x), rescaled by max|x| only where x . x overflows or underflows."""
-    sq = _sum_sq(x)
+def _norm(x: np.ndarray, sum_sq=_sum_sq) -> float:
+    """sqrt(sum_sq(x)), x . x by default, rescaled by max|x| only where
+    sum_sq(x) overflows or underflows."""
+    sq = sum_sq(x)
     if _TINY <= sq < math.inf:
         return math.sqrt(sq)
     scale = float(np.max(np.abs(x), initial=0.0))
     if not 0.0 < scale < math.inf:
         return scale
-    return scale * math.sqrt(_sum_sq(x / scale))
+    return scale * math.sqrt(sum_sq(x / scale))
 
 
 def rel_l2(approx: np.ndarray, exact: np.ndarray) -> float:

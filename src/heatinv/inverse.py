@@ -36,7 +36,7 @@ from .errors import (
     ScheduleError,
 )
 from .forward import Observations, _observed_rows, _require_observed_modes, mode_evolve
-from .grid import GridFn, _read_only, rel_l2
+from .grid import GridFn, _norm, _read_only, rel_l2
 
 #: exact determinant of the (f_1'(0), c_1; f_3'(0), c_3) system
 DET_EXACT = -32.0 / (3.0 * math.pi)
@@ -58,8 +58,8 @@ _EPS = float(np.finfo(float).eps)
 #: largest x with e^x finite
 _LOG_MAX = math.log(np.finfo(float).max)
 
-#: elements of one row tile of [design | q] (512 KiB): the fit's buffers stay
-#: this size whatever the record length
+#: elements of one design tile of e^{-k^2 t} (512 KiB): every reader's buffers
+#: stay this size whatever the record length
 _FIT_TILE_ELEMENTS = 2 ** 16
 
 
@@ -225,43 +225,33 @@ def compute_w(v_hat: GridFn, h_hat: GridFn, y: float, order: int) -> GridFn:
 # stage 4: exponential-sum peeling
 # ---------------------------------------------------------------------------
 
-def _design_matrix(t: np.ndarray, depth: int, out: np.ndarray | None = None) -> np.ndarray:
-    a = np.outer(t, -np.arange(1, depth + 1) ** 2, out=out)
-    return np.exp(a, out=a)
-
-
-def _design_tiles(q: GridFn, depth: int, start: int = 0):
-    """Yield (s, e, tile) over samples start..n-1, tile the Fortran-order
-    [design | q] of samples s..e-1, at most _FIT_TILE_ELEMENTS elements.
-
-    Every tile is written into one buffer that the next tile overwrites, and
-    its times are t0 + dt * (s..e-1), the bits of q.times[s:e]."""
-    rows = max(1, _FIT_TILE_ELEMENTS // (depth + 1))
-    buf = np.empty(min(rows, q.n - start) * (depth + 1))
-    for s in range(start, q.n, rows):
-        e = min(s + rows, q.n)
-        tile = buf[: (e - s) * (depth + 1)].reshape((e - s, depth + 1), order="F")
-        _design_matrix(q.t0 + q.dt * np.arange(s, e), depth, out=tile[:, :depth])
-        tile[:, depth] = q.values[s:e]
+def _design_tiles(grid: GridFn, depth: int, extra: int = 0, start: int = 0):
+    """Yield (s, e, tile) over samples start..n-1: tile, the Fortran-order
+    (e - s, depth + extra) view of one reused buffer, holds e^{-k^2 t},
+    k = 1..depth, at t = t0 + dt * (s..e-1) (the bits of grid.times[s:e]),
+    then extra columns for the caller.  Tiles are whole 64s of samples, at
+    most _FIT_TILE_ELEMENTS elements where 64 rows fit."""
+    width = depth + extra
+    rows = max(64, _FIT_TILE_ELEMENTS // width // 64 * 64)
+    buf = np.empty(min(rows, grid.n - start) * width)
+    for s in range(start, grid.n, rows):
+        e = min(s + rows, grid.n)
+        tile = buf[: (e - s) * width].reshape((e - s, width), order="F")
+        a = np.outer(grid.t0 + grid.dt * np.arange(s, e), -np.arange(1, depth + 1) ** 2,
+                     out=tile[:, :depth])
+        np.exp(a, out=a)
         yield s, e, tile
 
 
-def _exp_sums(b: np.ndarray, t: np.ndarray) -> np.ndarray:
-    """b[i] @ e^{-k^2 t}, k = 1..depth, for each row of b; shape (rows, n).
-    The decay is built one C-order (depth, tile) block of at most
-    _FIT_TILE_ELEMENTS at a time, with one gemv per row and block; tiles of
-    whole 64s of samples keep the bits of one gemv over the whole decay
-    (with one BLAS thread)."""
-    depth = b.shape[1]
-    cols = max(64, _FIT_TILE_ELEMENTS // depth // 64 * 64)
-    buf = np.empty(depth * min(cols, t.size))
-    out = np.empty((len(b), t.size))
-    for s in range(0, t.size, cols):
-        e = min(s + cols, t.size)
-        decay = buf[: depth * (e - s)].reshape(depth, e - s)
-        _design_matrix(t[s:e], depth, out=decay.T)
+def _exp_sums(b: np.ndarray, grid: GridFn, start: int = 0) -> np.ndarray:
+    """b[i] @ e^{-k^2 t}, k = 1..depth, for each row of b over samples
+    start..n-1 of grid; shape (rows, n - start).  One gemv per row and design
+    tile (its transpose a C-order block): whole 64s of samples keep the bits
+    of one gemv over the whole decay (with one BLAS thread)."""
+    out = np.empty((len(b), grid.n - start))
+    for s, e, tile in _design_tiles(grid, b.shape[1], start=start):
         for row, sums in zip(b, out):
-            np.matmul(row, decay, out=sums[s:e])
+            np.matmul(row, tile.T, out=sums[s - start:e - start])
     return out
 
 
@@ -289,16 +279,19 @@ def peel_lsq(q: GridFn, depth: int, reg: float = 0.0) -> LsqFit:
     design matrix as an LsqFit.  reg must be >= 0, and with reg = 0 a
     rank-deficient design raises DataError.  [design | q] is factored one
     row tile at a time and the tiles' R factors once more (a tall-skinny
-    QR), so no buffer grows with the record; a record of one tile is one QR
-    of the whole [design | q].
+    QR), so no buffer grows with the record; the QR of one triangular R is
+    that R, so a record of one tile is one QR of the whole [design | q].
     """
     _require_depth(depth)
     _require_ridge(reg)
     if q.n < depth:
         raise DataError(f"grid of {q.n} samples cannot support depth {depth}")
     # R of [A | q] has A's singular values, and R b = Q^T q
-    rs = [np.linalg.qr(tile, mode="r") for _, _, tile in _design_tiles(q, depth)]
-    r = rs[0] if len(rs) == 1 else np.linalg.qr(np.vstack(rs), mode="r")
+    rs = []
+    for s, e, tile in _design_tiles(q, depth, extra=1):
+        tile[:, depth] = q.values[s:e]
+        rs.append(np.linalg.qr(tile, mode="r"))
+    r = np.linalg.qr(np.vstack(rs), mode="r")
     a, rhs = r[:depth, :depth], r[:depth, depth]
     cond = float(np.linalg.cond(a))
     if reg > 0.0:
@@ -360,15 +353,13 @@ def _provisional_fit(q: GridFn, depth: int) -> LsqFit:
 
 def _noise_floor(q: GridFn, depth: int, fit: LsqFit) -> tuple[np.ndarray, float]:
     """|b| estimates of depth + 1 modes and an absolute noise scale from the
-    late-time residual of the provisional fit, whose design rows are rebuilt
-    tile by tile over the last quarter of the record."""
+    residual of the provisional fit over the last quarter of the record."""
     b_prov, _ = fit
     k = int(0.75 * q.n)
-    tail = np.empty(q.n - k)
-    for s, e, tile in _design_tiles(q, b_prov.size, k):
-        # a C-order copy of the design's rows: the same product as a fresh tail design
-        tail[s - k:e - k] = q.values[s:e] - np.ascontiguousarray(tile[:, :-1]) @ b_prov
-    sigma = float(np.sqrt(np.mean(tail ** 2)))
+    tail = q.values[k:] - _exp_sums(b_prov[None], q, k)[0]
+    # the root mean square, rescaled where the mean square overflows or underflows
+    with np.errstate(over="ignore"):
+        sigma = _norm(tail, lambda x: float(np.mean(x ** 2)))
     b_abs = np.zeros(depth + 1)
     b_abs[: b_prov.size] = np.abs(b_prov)
     return b_abs, sigma
@@ -453,11 +444,10 @@ def plan_peel(
                 times[m - 1] = min(max(tm, t[0]), t[-1])
         return fitted_plan(times)
 
-    # propagation-aware greedy minimisation over the grid; a design tile's
-    # transpose is the C-order (modes, rows) matrix of e^{-k^2 t}
-    noise_t = np.empty(n)
-    for s, e, tile in _design_tiles(q, fit_depth):
-        noise_t[s:e] = sigma_abs + 4.0 * _EPS * (b_abs[:fit_depth] @ tile[:, :fit_depth].T)
+    # propagation-aware greedy minimisation over the grid
+    noise_t = _exp_sums(b_abs[None, :fit_depth], q)[0]
+    noise_t *= 4.0 * _EPS
+    noise_t += sigma_abs
     times = np.empty(depth)
     errs = np.empty(depth)
     buf = np.empty((2, n))  # err_m and one of its terms, for every mode
@@ -749,7 +739,7 @@ def _invert_stacked(obs: Observations, cfg: InversionConfig | None = None) -> li
     # self-consistency: push each reconstruction back through the forward map
     t = obs.u1.times
     e1, e9 = np.exp(-t), np.exp(-9.0 * t)
-    peeled = _exp_sums(b_hat, t)
+    peeled = _exp_sums(b_hat, obs.u1)
     det = system_determinant()
     out = []
     rows = zip(peels, v_hat.rows(), h_hat.rows())

@@ -12,6 +12,7 @@ import dataclasses
 import hashlib
 import json
 import math
+import sys
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -436,10 +437,11 @@ def read_observations(path: str | Path) -> tuple[Observations, dict]:
 
 def _meta_value(meta: dict, key: str, kind: type, default=None):
     """meta[key], or the default when absent, as a `kind`; a ParseError unless
-    it is a JSON number (an integer when kind is int)."""
+    it is a finite JSON number (an integer when kind is int)."""
     val = meta.get(key, default)
-    if isinstance(val, bool) or not isinstance(val, int if kind is int else (int, float)):
-        noun = "an integer" if kind is int else "a number"
+    if (isinstance(val, bool) or not isinstance(val, int if kind is int else (int, float))
+            or kind is float and not abs(val) <= sys.float_info.max):
+        noun = "an integer" if kind is int else "a finite number"
         raise ParseError(f"metadata {key} must be {noun}, got {val!r}")
     return kind(val)
 

@@ -111,9 +111,11 @@ def _trial_seed(base_seed: int, level_index: int, trial: int, trials: int) -> in
 
 
 def check_study(levels, trials: int) -> list[float]:
-    """The noise levels as floats; raises DomainError unless they are
-    finite, non-negative and ascending and there is at least one trial."""
+    """The noise levels as floats; raises DomainError unless there are levels
+    and trials and the levels are finite, non-negative and ascending."""
     levels = [float(lv) for lv in levels]
+    if not levels:
+        raise DomainError("need at least one noise level")
     if not all(math.isfinite(lv) and lv >= 0 for lv in levels):
         raise DomainError("noise levels must be finite and non-negative")
     if any(b > a for b, a in zip(levels, levels[1:])):

@@ -4,6 +4,7 @@ import argparse
 import builtins
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -443,6 +444,25 @@ class TestObservationFiles:
                      "--out", str(tmp_path / "out")]) == 2
         assert json.loads(capsys.readouterr().err.strip())["error"] == "ParseError"
 
+    @pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan, 10 ** 400],
+                             ids=["inf", "-inf", "nan", "1e400"])
+    @pytest.mark.parametrize("key", ["dt", "y"])
+    def test_non_finite_meta_value_exits_2(self, tmp_path, capsys, key, value):
+        # json writes and reads these as Infinity, -Infinity, NaN and an int
+        # literal that no float holds
+        path, cfg_path = self._simulate_with_meta(tmp_path, key, value)
+        message = f"metadata {key} must be a finite number, got {value}"
+        capsys.readouterr()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ParseError, match=f"^{message}$"):
+                read_observations(path)
+            assert main(["invert", str(path), "--config", str(cfg_path),
+                         "--out", str(tmp_path / "out")]) == 2
+        (line,) = capsys.readouterr().err.splitlines()
+        assert json.loads(line) == {"error": "ParseError", "message": message}
+        assert not (tmp_path / "out").exists()
+
     @pytest.mark.parametrize("key, value", [("order", 2), ("y", 0), ("y", 3.5)])
     def test_meta_value_out_of_domain_exits_2(self, tmp_path, capsys, key, value):
         path, cfg_path = self._simulate_with_meta(tmp_path, key, value)
@@ -727,6 +747,29 @@ class TestCliStudy:
         expect = np.abs(rec.b_hat - b_true)
         got = np.asarray(study["per_level"]["0.0"]["mean_b_err"])
         np.testing.assert_allclose(got, expect, atol=1e-15)
+
+    def test_failed_trials_noted(self, tmp_path, capsys):
+        # 4 samples are too few for the derivative stencil: all 4 trials fail
+        cfg = ExperimentConfig(preset="fourmode", order=8, t_final=6e-3, dt=2e-3,
+                               levels=(0.0, 1e-3), trials=2)
+        save_config(cfg, tmp_path / "c.json")
+        out = tmp_path / "out"
+        capsys.readouterr()
+        assert main(["study", "--config", str(tmp_path / "c.json"), "--out", str(out)]) == 0
+        assert sorted(p.name for p in out.iterdir()) == [
+            "error_vs_level.dat", "error_vs_mode.dat", "study.csv", "study.json"]
+        assert json.loads((out / "study.json").read_text())["n_failed"] == 4
+        assert capsys.readouterr().err.splitlines() == ["note: 4 trial(s) failed; see study.csv"]
+
+    def test_no_levels_exits_2(self, tmp_path, capsys):
+        (tmp_path / "c.json").write_text(json.dumps(
+            {"preset": "decay1", "order": 4, "t_final": 0.1, "dt": 0.01, "levels": []}))
+        out = tmp_path / "out"
+        assert main(["study", "--config", str(tmp_path / "c.json"), "--out", str(out)]) == 2
+        (line,) = capsys.readouterr().err.splitlines()
+        assert json.loads(line) == {"error": "ConfigError",
+                                    "message": "need at least one noise level"}
+        assert not out.exists()
 
     def test_outputs_and_determinism(self, tmp_path):
         cfg = ExperimentConfig(preset="fourmode", order=8, t_final=2.0, dt=2e-3,

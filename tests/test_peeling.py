@@ -19,9 +19,14 @@ from heatinv import (
     plan_peel,
 )
 from heatinv import inverse
-from heatinv.inverse import _design_matrix, _noise_floor, _provisional_fit
+from heatinv.inverse import _noise_floor, _provisional_fit
 
 SQ = math.sqrt(2.0 / math.pi)
+
+
+def design(t, depth):
+    """The whole (n, depth) exponential design e^{-k^2 t}, k = 1..depth."""
+    return np.exp(np.outer(t, -np.arange(1, depth + 1) ** 2))
 
 
 def model_schedule_reference(q, depth):
@@ -144,7 +149,7 @@ class TestPeelLsq:
     def test_condition_number_is_the_designs(self, t_final, dt):
         q = exp_sum([1.0, 0.5, 0.25, 0.125], t_final, dt)
         for d in range(1, 9):
-            cond = np.linalg.cond(_design_matrix(q.times, d))
+            cond = np.linalg.cond(design(q.times, d))
             assert peel_lsq(q, d)[1] == pytest.approx(cond, rel=1e-12)
 
     @pytest.mark.parametrize("noise", [0.0, 1e-6])
@@ -155,7 +160,7 @@ class TestPeelLsq:
             q = exp_sum([1.0, 0.5, 0.25, 0.125], t_final, dt, noise=noise, seed=3)
             for d in range(1, 6):
                 # the reference: lstsq on the n x d design, ridge rows stacked under it
-                a, rhs = _design_matrix(q.times, d), q.values
+                a, rhs = design(q.times, d), q.values
                 if reg > 0.0:
                     a = np.vstack([a, math.sqrt(reg) * np.eye(d)])
                     rhs = np.concatenate([rhs, np.zeros(d)])
@@ -199,7 +204,7 @@ class TestPeelLsq:
         # 1 / cond lies between eps * depth and eps * n: deficient for the n x depth design
         t = np.arange(1000) * 5e-7
         q = GridFn(0.0, 5e-7, np.exp(-t))
-        cond = np.linalg.cond(_design_matrix(t, 5))
+        cond = np.linalg.cond(design(t, 5))
         assert 1.0 / (1000 * np.finfo(float).eps) < cond < 1.0 / (5 * np.finfo(float).eps)
         with pytest.raises(DataError, match=r"rank deficient \(rank 4 < depth 5"):
             peel_lsq(q, 5)
@@ -227,6 +232,24 @@ class TestPlanPeel:
         q = exp_sum([1.0, 0.5, 0.25, 0.125], 12.0, 1e-3)
         plan = plan_peel(q, 4)
         assert all(a >= b for a, b in zip(plan.times, plan.times[1:]))
+
+    @pytest.mark.parametrize("method", ["model", "balance"])
+    def test_huge_record_scales_the_plan(self, method):
+        # the noise floor of 2**1000 q overflows its mean square unless it is
+        # rescaled; the plan must scale exactly as q does, with no warning
+        q = exp_sum([1.0, 0.5, 0.25, 0.125], 6.0, 1e-3, noise=1e-6, seed=1)
+        huge = GridFn(q.t0, q.dt, 2.0 ** 1000 * q.values)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            _, sigma = _noise_floor(huge, 3, _provisional_fit(huge, 3))
+            plan = plan_peel(huge, 3, method=method)
+        expect = plan_peel(q, 3, method=method)
+        assert sigma == pytest.approx(2.0 ** 1000 * _noise_floor(q, 3, _provisional_fit(q, 3))[1],
+                                      rel=1e-14)
+        np.testing.assert_array_equal(plan.times, expect.times)
+        if method == "model":
+            assert np.all(np.isfinite(plan.predicted))
+            np.testing.assert_allclose(plan.predicted, 2.0 ** 1000 * expect.predicted, rtol=1e-14)
 
     def test_balance_rule_matches_formula(self):
         b = (1.0, 0.5, 0.25)
@@ -314,8 +337,9 @@ class TestPeelPlan:
 class TestTiledFit:
     """[design | q] fitted in row tiles (a small _FIT_TILE_ELEMENTS) against one tile."""
 
-    # tiles of 1 row, of 40 // (depth + 1) rows and of 5000 // (depth + 1) rows
-    @pytest.fixture(params=[1, 40, 5000], ids=["one-row-tiles", "few-row-tiles", "long-tiles"])
+    # tiles hold max(64, elements // width // 64 * 64) rows: 64 at every width,
+    # 64 to 1024 and 384 to 4992 rows at the widths 1..12 used here
+    @pytest.fixture(params=[1, 1024, 5000], ids=["64-row-tiles", "few-row-tiles", "long-tiles"])
     def tile_elements(self, request):
         return request.param
 
@@ -325,7 +349,7 @@ class TestTiledFit:
         for d in range(1, 7):
             assert q.n * (d + 1) <= inverse._FIT_TILE_ELEMENTS
             aq = np.empty((q.n, d + 1), order="F")
-            aq[:, :d] = _design_matrix(q.times, d)
+            aq[:, :d] = design(q.times, d)
             aq[:, d] = q.values
             r = np.linalg.qr(aq, mode="r")
             a, rhs = r[:d, :d], r[:d, d]
@@ -351,14 +375,18 @@ class TestTiledFit:
             assert cond == pytest.approx(cond_one, rel=1e-12, abs=0.0)
 
     def test_exp_sums_keep_the_bits_of_the_whole_decay(self, tile_elements, monkeypatch):
-        # the self-consistency model b @ e^{-k^2 t}, built a tile of the decay at a time
+        # the self-consistency model b @ e^{-k^2 t}, built a design tile at a time,
+        # over the whole grid and over the noise floor's tail from int(0.75 n)
         rng = np.random.default_rng(5)
-        t = 0.004 + 2e-3 * np.arange(1001)
+        grid = GridFn(0.004, 2e-3, np.zeros(3001))
+        k = int(0.75 * grid.n)
         monkeypatch.setattr(inverse, "_FIT_TILE_ELEMENTS", tile_elements)
         for d in range(1, 7):
             b = rng.standard_normal((3, d)) * 10.0 ** rng.uniform(-3, 3, d)
-            decay = np.exp(-np.outer(np.arange(1, d + 1) ** 2, t))
-            np.testing.assert_array_equal(inverse._exp_sums(b, t), [row @ decay for row in b])
+            decay = np.exp(-np.outer(np.arange(1, d + 1) ** 2, grid.times))
+            np.testing.assert_array_equal(inverse._exp_sums(b, grid), [row @ decay for row in b])
+            np.testing.assert_array_equal(inverse._exp_sums(b, grid, k),
+                                          [row @ decay[:, k:] for row in b])
 
     def test_rank_deficient_design_across_tiles(self, tile_elements, monkeypatch):
         monkeypatch.setattr(inverse, "_FIT_TILE_ELEMENTS", tile_elements)
@@ -370,7 +398,7 @@ class TestTiledFit:
         with pytest.raises(DataError, match=r"rank deficient \(rank 4 < depth 5"):
             peel_lsq(GridFn(0.0, 5e-7, np.exp(-t)), 5)
 
-    @pytest.mark.parametrize("tile_elements", [40, 5000], ids=["few-row-tiles", "long-tiles"])
+    @pytest.mark.parametrize("tile_elements", [1024, 5000], ids=["few-row-tiles", "long-tiles"])
     @pytest.mark.parametrize("noise", [0.0, 1e-8, 1e-4])
     def test_plans_match_across_tiles(self, noise, tile_elements, monkeypatch):
         q = exp_sum([1.0 / m for m in range(1, 12)], 6.0, 1e-3, noise=noise, seed=0)
@@ -401,11 +429,17 @@ class TestTiledFit:
 
 
 class TestDesignMatrix:
-    def test_columns_are_mode_decays(self):
-        t = np.linspace(0.0, 1.0, 11)
-        a = _design_matrix(t, 3)
-        np.testing.assert_allclose(a[:, 0], np.exp(-t))
-        np.testing.assert_allclose(a[:, 2], np.exp(-9.0 * t))
+    def test_columns_are_mode_decays(self, monkeypatch):
+        # the design tiles of a grid, gathered: e^{-k^2 t} at the bits of grid.times
+        monkeypatch.setattr(inverse, "_FIT_TILE_ELEMENTS", 1)
+        grid = GridFn(0.004, 2e-3, np.zeros(1001))
+        tiles = [(s, e, tile.copy(order="A")) for s, e, tile in inverse._design_tiles(grid, 3, 1)]
+        assert [(s, e) for s, e, _ in tiles] == [(s, min(s + 64, 1001)) for s in range(0, 1001, 64)]
+        assert all(tile.shape == (e - s, 4) and tile.flags.f_contiguous for s, e, tile in tiles)
+        a = np.vstack([tile[:, :3] for _, _, tile in tiles])
+        np.testing.assert_array_equal(a, design(grid.times, 3))
+        np.testing.assert_allclose(a[:, 0], np.exp(-grid.times))
+        np.testing.assert_allclose(a[:, 2], np.exp(-9.0 * grid.times))
 
     def test_same_time_plan_degenerates(self):
         # evaluating every mode at one common time telescopes the bracket to

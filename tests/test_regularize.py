@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from heatinv import (
+    ConfigError,
     DataError,
     DomainError,
     GridFn,
@@ -216,6 +217,16 @@ class TestRunNoiseStudy:
         run_noise_study(fourmode_problem, 1.0, (0.0, 1e-6, 1e-4), 20, base_seed=0)
         assert copies == [(2001,), (2001,)]
 
+    def test_huge_noise_floor_is_silent(self):
+        # the 'model' schedule's noise floor at level 1e300: its mean square
+        # overflows and is rescaled, so sigma stays finite and no warning fires
+        p = make_problem("generic", 8, 0.5, 0.01)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            study = run_noise_study(p, 1.0, [0.0, 1e300], trials=2, cfg=InversionConfig(order=8))
+        assert study.n_failed() == 0
+        assert all(math.isfinite(r.v_rel_l2) for r in study.records)
+
     def test_negative_base_seed_refused(self, fourmode_problem, stack_calls):
         with pytest.raises(DataError, match="seed must be non-negative"):
             run_noise_study(fourmode_problem, 1.0, levels=[0.0, 1e-6], trials=2, base_seed=-1)
@@ -228,6 +239,10 @@ class TestRunNoiseStudy:
             run_noise_study(fourmode_problem, 1.0, levels=[-1e-6], trials=2)
         with pytest.raises(DomainError):
             run_noise_study(fourmode_problem, 1.0, levels=[0.0], trials=0)
+        with pytest.raises(DomainError, match="^need at least one noise level$"):
+            run_noise_study(fourmode_problem, 1.0, levels=[], trials=2)
+        with pytest.raises(ConfigError, match="^need at least one noise level$"):
+            ExperimentConfig(levels=[])
         for levels in ([float("nan")], [0.0, float("inf")]):
             with pytest.raises(DomainError, match="finite"):
                 check_study(levels, 1)
