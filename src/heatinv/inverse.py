@@ -107,13 +107,23 @@ class DerivativeScheme:
             )
 
     def apply(self, values: np.ndarray, dt: float) -> tuple[np.ndarray, np.ndarray]:
-        if self.smooth_window:
-            w = self.smooth_window
-            if values.shape[-1] < w:
+        w, n, half = self.smooth_window, values.shape[-1], self.smooth_window // 2
+        if w:
+            if n < w:
                 raise DataError("series shorter than the smoothing window")
-            from scipy.signal import savgol_filter  # only smoothing needs scipy
-
-            values = np.apply_along_axis(savgol_filter, -1, values, w, self.smooth_polyorder)
+            # each window's least-squares polynomial (Legendre basis on [-1, 1])
+            # read at its centre; the first and last half samples read the end
+            # windows' fits (savgol_filter's mode "interp") by row-wise sums,
+            # not BLAS products, so that a stacked row keeps its bits
+            basis = np.polynomial.legendre.legvander(
+                np.arange(-half, half + 1) / max(half, 1), self.smooth_polyorder)
+            fit = np.linalg.pinv(basis)
+            ends = np.stack((values[..., :w], values[..., n - w:]), axis=-2)
+            fitted = ((ends[..., None, :] * fit).sum(-1)[..., None, :] * basis).sum(-1)
+            values = np.concatenate((
+                fitted[..., 0, :half],
+                np.lib.stride_tricks.sliding_window_view(values, w, axis=-1) @ (basis[half] @ fit),
+                fitted[..., 1, half + 1:]), axis=-1)
         return values, _derivative(values, dt)
 
     @property
@@ -129,6 +139,7 @@ def system_determinant() -> float:
     return m1.fprime0 * m3.c_m - m3.fprime0 * m1.c_m
 
 
+@np.errstate(over="ignore", invalid="ignore")  # GridFn rejects an overflow's inf or nan
 def recover_vh(
     obs: Observations,
     g1: float,
@@ -177,6 +188,7 @@ def recover_vh(
 # stage 3: forced response at the observation point
 # ---------------------------------------------------------------------------
 
+@np.errstate(over="ignore", invalid="ignore")  # GridFn rejects an overflow's inf or nan
 def _extend_to_zero(f: GridFn) -> GridFn:
     """Extend a grid function back to t = 0 by linear extrapolation.
 
@@ -677,14 +689,14 @@ def invert_stack(
     """Reconstruct every record of a list that shares one grid, point y and
     truncation in one pass: each stage runs once along the last axis of the
     stacked rows, and row i's result carries the bits of its own lone
-    inversion.  The 'model' and 'balance' schedules, the lsq peel and
-    smoothing stay per row.  peel_condition depends on the grid and depth
-    alone: it comes from the first row's plan or lsq fit, or, for the
-    ladder and a given plan, one more peel_lsq on the first row.  w(y, t) is
-    rebuilt from the modes of the records' truncation, or from cfg.order
-    when they do not state one.  Records that differ in y or order raise
-    InversionError (stage 'stack'); a failing stage fails the whole stack.
-    Each Reconstruction's v_hat and h_hat are views into the stack's."""
+    inversion.  The 'model' and 'balance' schedules and the lsq peel stay
+    per row.  peel_condition depends on the grid and depth alone: it comes
+    from the first row's plan or lsq fit, or, for the ladder and a given
+    plan, one more peel_lsq on the first row.  w(y, t) is rebuilt from the
+    modes of the records' truncation, or from cfg.order when they do not
+    state one.  Records that differ in y or order raise InversionError
+    (stage 'stack'); a failing stage fails the whole stack.  Each
+    Reconstruction's v_hat and h_hat are views into the stack's."""
     for r in records[1:]:
         if (r.y, r.order) != (records[0].y, records[0].order):
             raise InversionError(

@@ -289,12 +289,26 @@ class TestKernelCache:
 
 
 def test_import_loads_no_scipy():
-    # scipy is imported lazily, only by Savitzky-Golay smoothing and the FD oracle
+    # numpy is the only runtime dependency: nothing imports scipy, and the
+    # smoothing and the FD oracle run where scipy cannot be imported at all
     code = "import sys, heatinv; print(sorted(m for m in sys.modules if m.startswith('scipy')))"
     env = {**os.environ, "PYTHONPATH": str(Path(heatinv.__file__).resolve().parents[1])}
     proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                           text=True, timeout=120, check=True)
     assert proc.stdout.strip() == "[]"
+    code = (
+        "import sys; sys.modules['scipy'] = None\n"
+        "import heatinv as h\n"
+        "p = h.make_problem('generic', 8, 0.5, 1e-3)\n"
+        "cfg = h.InversionConfig(order=8, deriv=h.DerivativeScheme(smooth_window=21))\n"
+        "rec = h.invert(h.make_observations(p, 1.0), cfg)\n"
+        "fd = h.solve_fd(p, 64)\n"
+        "print(rec.v_hat.n, fd.u.shape)\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, timeout=120)
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert proc.stdout.split() == ["499", "(501,", "64)"]
 
 
 class TestSolveSpectral:
@@ -373,7 +387,36 @@ class TestProblemInstance:
                             order=4, t_final=t_final, dt=dt)
 
 
+def _solve_fd_banded(p, nx):
+    """The former solve_fd: one banded Crank-Nicolson solve per time step."""
+    from scipy.linalg import solve_banded
+
+    v, h = p.v_grid().values, p.h_grid().values
+    x = np.linspace(0.0, math.pi, nx)
+    r = p.dt / (2.0 * (x[1] - x[0]) ** 2)
+    u = np.empty((p.n_samples, nx))
+    u[0] = p.g(x)
+    u[:, 0], u[:, -1] = v, 0.0
+    ab = np.zeros((3, nx - 2))
+    ab[0, 1:] = ab[2, :-1] = -r
+    ab[1] = 1.0 + 2.0 * r
+    for k in range(p.n_samples - 1):
+        rhs = ((1.0 - 2.0 * r) * u[k, 1:-1] + r * (u[k, :-2] + u[k, 2:])
+               + p.dt * 0.5 * (h[k] + h[k + 1]))
+        rhs[0] += r * v[k + 1]  # implicit-side boundary term; explicit side sits in u[k, :-2]
+        u[k + 1, 1:-1] = solve_banded((1, 1), ab, rhs, check_finite=False)
+    return u
+
+
 class TestSolveFD:
+    @pytest.mark.parametrize("nx", [16, 64, 256, 512])
+    @pytest.mark.parametrize("preset", ["decay1", "steady", "generic"])
+    def test_matches_banded_reference(self, preset, nx):
+        p = make_problem(preset, 8, 1.0, 1e-2)
+        fd = solve_fd(p, nx)
+        ref = _solve_fd_banded(p, nx)
+        assert np.max(np.abs(fd.u - ref)) <= 1e-11 * np.max(np.abs(ref))
+
     def test_separable_decay(self):
         p = make_problem("decay1", 4, 1.0, 1e-3)
         fd = solve_fd(p, 128)

@@ -166,6 +166,66 @@ class TestRecoverVH:
         assert np.array_equal(ha.values, hb.values)
 
 
+
+def _smoothing_cases():
+    """(n, window, polyorder) where scipy's savgol_filter is itself accurate:
+    it builds its coefficients from unscaled powers of the positions, which
+    lose digits as the window and order grow (8e-10 relative at w = 101,
+    p = 4, against exact rational coefficients; 1e-10 at w = n = 2001,
+    p = 2, in its end fits), and its p = w - 1 filter drifts from the
+    identity from w = 9 on."""
+    cases = []
+    for n in (9, 60, 61, 2001, 60001):
+        for w in sorted({1, 5, 7, 21, 51, 101, n if n <= 61 else 1}):
+            for p in sorted({0, 1, 2, 3, 4, w - 1}):
+                if w % 2 and p < w <= n and (p <= 3 or w <= 21) and (p < w - 1 or w <= 7):
+                    cases.append((n, w, p))
+    return cases
+
+
+class TestSmoothing:
+    @pytest.mark.parametrize("n, w, p", _smoothing_cases())
+    def test_matches_savgol_filter(self, n, w, p):
+        from scipy.signal import savgol_filter
+
+        rng = np.random.default_rng(n + 100 * w + p)
+        x = np.sin(np.linspace(0.0, 3.0, n)) + 0.1 * rng.standard_normal((3, n))
+        smooth = DerivativeScheme(w, p).apply(x, 0.1)[0]
+        ref = savgol_filter(x, w, p, axis=-1)  # mode "interp"
+        assert np.max(np.abs(smooth - ref)) <= 1e-12 * np.max(np.abs(x))
+        for row in range(3):  # a stacked row carries the bits of its lone filtering
+            np.testing.assert_array_equal(DerivativeScheme(w, p).apply(x[row], 0.1)[0],
+                                          smooth[row])
+
+    @pytest.mark.parametrize("n, w, p", [(2001, 101, 4), (2001, 2001, 4), (60001, 60001, 3)])
+    def test_wide_windows_are_local_least_squares_fits(self, n, w, p):
+        # where savgol_filter loses digits: each window's fit by Polynomial.fit
+        from numpy.polynomial import Polynomial
+
+        rng = np.random.default_rng(5)
+        x = np.sin(np.linspace(0.0, 3.0, n)) + 0.1 * rng.standard_normal(n)
+        smooth = DerivativeScheme(w, p).apply(x, 0.1)[0]
+        h = w // 2
+        pos = np.arange(-h, h + 1)
+        for i in (h, n // 2, n - 1 - h):
+            fit = Polynomial.fit(pos, x[i - h:i + h + 1], p)
+            assert abs(smooth[i] - fit(0)) <= 1e-12 * np.max(np.abs(x))
+        head, tail = Polynomial.fit(pos, x[:w], p), Polynomial.fit(pos, x[n - w:], p)
+        assert np.max(np.abs(smooth[:h] - head(pos[:h]))) <= 1e-12 * np.max(np.abs(x))
+        assert np.max(np.abs(smooth[n - h:] - tail(pos[h + 1:]))) <= 1e-12 * np.max(np.abs(x))
+
+    @pytest.mark.parametrize("w, p", [(5, 5), (5, 7), (5, -1)])
+    def test_order_outside_the_window_rejected(self, w, p):
+        with pytest.raises(DomainError, match=f"window {w}, polyorder {p}"):
+            DerivativeScheme(w, p)
+
+    def test_series_shorter_than_the_window_rejected(self):
+        with pytest.raises(DataError, match="shorter than the smoothing window"):
+            DerivativeScheme(21).apply(np.zeros((2, 20)), 0.1)
+        smooth, _ = DerivativeScheme(21).apply(np.ones(21), 0.1)
+        np.testing.assert_allclose(smooth, 1.0, rtol=1e-14)
+
+
 class TestComputeW:
     def test_zero_forcing(self):
         z = GridFn(0.0, 1e-3, np.zeros(1001))

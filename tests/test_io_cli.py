@@ -4,7 +4,11 @@ import argparse
 import builtins
 import json
 import math
+import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -29,6 +33,7 @@ from heatinv import (
     read_observations,
     write_observations,
 )
+import heatinv
 from heatinv.basis import basis_at
 from heatinv import cli
 from heatinv.cli import main
@@ -760,6 +765,24 @@ class TestCliStudy:
             "error_vs_level.dat", "error_vs_mode.dat", "study.csv", "study.json"]
         assert json.loads((out / "study.json").read_text())["n_failed"] == 4
         assert capsys.readouterr().err.splitlines() == ["note: 4 trial(s) failed; see study.csv"]
+
+    @pytest.mark.parametrize("level", [1e305, 1e308])
+    def test_overflowing_trials_noted_alone(self, tmp_path, level):
+        # the trials that overflow fail, and stderr holds the note alone under
+        # Python's default warning filter, in a process of its own as a user
+        # runs the CLI
+        cfg = ExperimentConfig(preset="generic", order=8, t_final=0.5, dt=0.01,
+                               levels=(0.0, level), trials=2)
+        save_config(cfg, tmp_path / "c.json")
+        out = tmp_path / "out"
+        env = {**os.environ, "PYTHONPATH": str(Path(heatinv.__file__).resolve().parents[1])}
+        env.pop("PYTHONWARNINGS", None)
+        proc = subprocess.run(
+            [sys.executable, "-m", "heatinv.cli", "study", "--config", str(tmp_path / "c.json"),
+             "--out", str(out)], env=env, capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0
+        assert json.loads((out / "study.json").read_text())["n_failed"] == 2
+        assert proc.stderr.splitlines() == ["note: 2 trial(s) failed; see study.csv"]
 
     def test_no_levels_exits_2(self, tmp_path, capsys):
         (tmp_path / "c.json").write_text(json.dumps(

@@ -119,21 +119,32 @@ class TestRunNoiseStudy:
     def test_failing_chunk_records_lone_messages(self, t_final, levels):
         p = make_problem("fourmode", 8, t_final, 2e-3)
         cfg = InversionConfig(order=8, schedule_method="ladder", window=1)
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", RuntimeWarning)  # overflow at level 1e305
-            study = run_noise_study(p, 1.0, levels, trials=3, cfg=cfg, base_seed=2)
-            lone = []
-            for r in study.records:
-                try:
-                    noisy = NoiseSpec("relative", r.level, r.seed).apply(make_observations(p, 1.0))
-                    lone.append((True, "", invert(noisy, cfg).b_hat))
-                except HeatInvError as exc:
-                    lone.append((False, str(exc), None))
+        study = run_noise_study(p, 1.0, levels, trials=3, cfg=cfg, base_seed=2)
+        lone = []
+        for r in study.records:
+            try:
+                noisy = NoiseSpec("relative", r.level, r.seed).apply(make_observations(p, 1.0))
+                lone.append((True, "", invert(noisy, cfg).b_hat))
+            except HeatInvError as exc:
+                lone.append((False, str(exc), None))
         assert study.n_failed() == (6 if t_final < 1 else 3)
         for r, (ok, message, b_hat) in zip(study.records, lone):
             assert (r.ok, r.message) == (ok, message)
             if ok:
                 np.testing.assert_array_equal(r.b_err, np.abs(b_hat - study.b_true))
+
+    @pytest.mark.parametrize("level, stages", [
+        (1e305, {"stage 'compute_w': ", "stage 'recover_vh': "}),  # _extend_to_zero's slope, h
+        (1e308, {""}),  # the noise draw itself
+    ])
+    def test_overflow_fails_with_a_data_error(self, level, stages):
+        # run under the project's filterwarnings = error: a RuntimeWarning
+        # would become the trial's message instead of GridFn's DataError
+        p = make_problem("generic", 8, 0.5, 0.01)
+        study = run_noise_study(p, 1.0, [0.0, level], trials=2)
+        failed = [r.message for r in study.records if not r.ok]
+        assert len(failed) == 2
+        assert {m.removesuffix("grid values contain non-finite entries") for m in failed} == stages
 
     def test_huge_finite_noise_keeps_errors_finite(self, fourmode_problem):
         # the noisy rows invert; their errors near 1e302 must stay finite and silent
