@@ -134,12 +134,10 @@ def mode_evolve(g, v: GridFn, h: GridFn, weights=None) -> np.ndarray:
         carries = zc[..., width:]
         carries[:, 0] = g
         np.matmul(zc[:, :-1, :width], carry_kernel.T, out=carries[:, 1:])
-        spare = np.empty((rows, blocks, order))
         steps = [1 << i for i in range((blocks - 1).bit_length())]  # 1, 2, 4, ... < blocks
         factors = np.exp(np.outer([s * span for s in steps], z))  # a^{sL}, directly
         for step, factor in zip(steps, factors):
-            np.multiply(carries[:, :-step], factor, out=spare[:, :-step])
-            carries[:, step:] += spare[:, :-step]
+            carries[:, step:] += carries[:, :-step] * factor
         # one GEMM per (row, r); copy=False: a copy would drop the products
         products = out[..., 1:].reshape(rows, len(w), blocks, span, copy=False)
         np.matmul(zc[:, None], kernel.transpose(0, 2, 1), out=products)
@@ -361,7 +359,7 @@ class Observations:
             _require_observed_modes(self.order)
 
 
-@np.errstate(over="ignore")  # GridFn rejects an overflowing draw
+@np.errstate(over="ignore")  # an overflowing draw is rejected below
 def _noisy_stack(obs: Observations, noises: list[NoiseSpec]) -> Observations:
     """The one record obs with noises[i] added to row i, as a stacked
     record of (rows, n) series.  One default_rng(seed) per spec draws, in
@@ -381,6 +379,8 @@ def _noisy_stack(obs: Observations, noises: list[NoiseSpec]) -> Observations:
             rng.standard_normal(out=row)
             row *= noise.level * (1.0 if noise.kind == "absolute" else sup)
             row += x
+            if not np.all(np.isfinite(row)):
+                raise DataError(f"noise level {noise.level} (seed {noise.seed}) overflows the data")
     out.flags.writeable = False
     u1, u3, uy = (GridFn(obs.u1.t0, obs.u1.dt, rows) for rows in out)
     return replace(obs, u1=u1, u3=u3, uy=uy)

@@ -131,10 +131,6 @@ class GridFn:
         self.require_same_grid(other)
         return GridFn(self.t0, self.dt, _read_only(self.values - other.values))
 
-    def __add__(self, other: "GridFn") -> "GridFn":
-        self.require_same_grid(other)
-        return GridFn(self.t0, self.dt, _read_only(self.values + other.values))
-
 
 def _evaluate(fn: Callable, x: np.ndarray) -> np.ndarray:
     """A user callable on the 1-D array x: one vectorised call, else (for a

@@ -111,13 +111,14 @@ class DerivativeScheme:
         if w:
             if n < w:
                 raise DataError("series shorter than the smoothing window")
-            # each window's least-squares polynomial (Legendre basis on [-1, 1])
-            # read at its centre; the first and last half samples read the end
-            # windows' fits (savgol_filter's mode "interp") by row-wise sums,
-            # not BLAS products, so that a stacked row keeps its bits
-            basis = np.polynomial.legendre.legvander(
-                np.arange(-half, half + 1) / max(half, 1), self.smooth_polyorder)
-            fit = np.linalg.pinv(basis)
+            # each window's least-squares polynomial read at its centre, by Q of
+            # the Legendre Vandermonde on [-1, 1] (an orthonormal basis: the fit is
+            # Q^T, the (w, w) hat Q Q^T is never formed); the first and last half
+            # samples read the end windows' fits (savgol_filter's mode "interp") by
+            # row-wise sums, not BLAS products, so that a stacked row keeps its bits
+            basis = np.linalg.qr(np.polynomial.legendre.legvander(
+                np.arange(-half, half + 1) / max(half, 1), self.smooth_polyorder))[0]
+            fit = basis.T
             ends = np.stack((values[..., :w], values[..., n - w:]), axis=-2)
             fitted = ((ends[..., None, :] * fit).sum(-1)[..., None, :] * basis).sum(-1)
             values = np.concatenate((
@@ -245,10 +246,10 @@ def _design_tiles(grid: GridFn, depth: int, extra: int = 0, start: int = 0):
     most _FIT_TILE_ELEMENTS elements where 64 rows fit."""
     width = depth + extra
     rows = max(64, _FIT_TILE_ELEMENTS // width // 64 * 64)
-    buf = np.empty(min(rows, grid.n - start) * width)
+    store = np.empty(min(rows, grid.n - start) * width)
     for s in range(start, grid.n, rows):
         e = min(s + rows, grid.n)
-        tile = buf[: (e - s) * width].reshape((e - s, width), order="F")
+        tile = store[: (e - s) * width].reshape((e - s, width), order="F")
         a = np.outer(grid.t0 + grid.dt * np.arange(s, e), -np.arange(1, depth + 1) ** 2,
                      out=tile[:, :depth])
         np.exp(a, out=a)
@@ -462,22 +463,16 @@ def plan_peel(
     noise_t += sigma_abs
     times = np.empty(depth)
     errs = np.empty(depth)
-    buf = np.empty((2, n))  # err_m and one of its terms, for every mode
 
     def forecast(m: int, stop: int) -> np.ndarray:
-        """err_m on the grid prefix t[:stop], a view of buf."""
+        """err_m on the grid prefix t[:stop]."""
         m2, ts = m * m, t[:stop]
-        model, term = buf[0, :stop], buf[1, :stop]
         # late times overflow to +inf, which is never the argmin
         with np.errstate(over="ignore"):
-            np.exp(np.multiply(m2, ts, out=term), out=term)
-            np.multiply(noise_t[:stop], term, out=model)
-            model /= math.sqrt(windows[m - 1])
+            model = noise_t[:stop] * np.exp(m2 * ts) / math.sqrt(windows[m - 1])
             terms = [(k, b_abs[k - 1]) for k in range(m + 1, depth + 2)]  # truncation
             for k, scale in terms + [(k, errs[k - 1]) for k in range(1, m)]:  # + inherited
-                np.exp(np.multiply(m2 - k * k, ts, out=term), out=term)
-                term *= scale
-                model += term
+                model += np.exp((m2 - k * k) * ts) * scale
         return model
 
     for m in range(1, depth + 1):
@@ -527,26 +522,22 @@ def peel_sequential(
         raise ScheduleError("scheduled times fall outside the data grid")
 
     t = q.times
-    spans = []
+    warnings: list[str] = []
+    b_hat = np.zeros((*q.values.shape[:-1], depth))
+    amp = np.empty(depth)
     for m in range(1, depth + 1):
         i = q.index_of(plan.times[m - 1])
         half = (int(plan.windows[m - 1]) - 1) // 2
         lo, hi = max(0, i - half), min(q.n, i + half + 1)
-        if m * m * t[hi - 1] > _LOG_MAX:
+        m2 = m * m
+        if m2 * t[hi - 1] > _LOG_MAX:
             raise ScheduleError(
                 f"mode {m} at t = {t[hi - 1]:.6g}: the multiplier e^(m^2 t) overflows"
             )
-        spans.append((i, lo, hi))
-
-    warnings: list[str] = []
-    b_hat = np.zeros((*q.values.shape[:-1], depth))
-    amp = np.empty(depth)
-    for m, (i, lo, hi) in enumerate(spans, start=1):
         ts = t[lo:hi]
         bracket = q.values[..., lo:hi].copy()
         for k in range(1, m):
             bracket -= b_hat[..., k - 1:k] * np.exp(-(k * k) * ts)
-        m2 = m * m
         b_hat[..., m - 1] = np.mean(np.exp(m2 * ts) * bracket, axis=-1)
         amp[m - 1] = math.exp(m2 * t[i])
         if amp[m - 1] > amplification_cap:

@@ -1,8 +1,8 @@
 """File formats: experiment configs, observation sets, reconstructions, studies.
 
-All floats are written with 17 significant digits so that parse(emit(x))
-reproduces x bit for bit; '#'-prefixed header lines carry metadata as a
-single canonical JSON object.  Outputs contain no timestamps or host
+CSV floats are written with 17 significant digits and JSON floats as their
+shortest repr, so that parse(emit(x)) reproduces x bit for bit; '#'-prefixed
+header lines carry metadata as a single canonical JSON object.  Outputs contain no timestamps or host
 information: a config plus a seed determines every byte.
 """
 

@@ -622,9 +622,10 @@ class TestMakeObservations:
     def test_noise_that_overflows_is_rejected(self):
         p = make_problem("generic", 8, 1.0, 1e-2)
         clean = make_observations(p, 1.0)
-        with np.errstate(over="ignore"), pytest.raises(DataError, match="non-finite"):
+        message = re.escape("noise level 1e+308 (seed 1) overflows the data")
+        with np.errstate(over="ignore"), pytest.raises(DataError, match=message):
             NoiseSpec("absolute", 1e308, seed=1).apply(clean)
-        with np.errstate(over="ignore"), pytest.raises(DataError, match="non-finite"):
+        with np.errstate(over="ignore"), pytest.raises(DataError, match=message):
             forward._noisy_stack(clean, [NoiseSpec(), NoiseSpec("absolute", 1e308, seed=1)])
 
     def test_absolute_noise_kind(self):

@@ -214,6 +214,15 @@ class TestSmoothing:
         assert np.max(np.abs(smooth[:h] - head(pos[:h]))) <= 1e-12 * np.max(np.abs(x))
         assert np.max(np.abs(smooth[n - h:] - tail(pos[h + 1:]))) <= 1e-12 * np.max(np.abs(x))
 
+    @pytest.mark.parametrize("w", [31, 41, 61])
+    def test_order_one_below_the_window_is_the_identity(self, w):
+        # a polynomial of degree w - 1 fits every window exactly, even where the
+        # Legendre Vandermonde on equispaced points is ill-conditioned
+        x = np.random.default_rng(w).standard_normal((3, 4 * w))
+        for values in (x[0], x):
+            smooth = DerivativeScheme(w, w - 1).apply(values, 0.1)[0]
+            assert np.max(np.abs(smooth - values)) <= 1e-12 * np.max(np.abs(values))
+
     @pytest.mark.parametrize("w, p", [(5, 5), (5, 7), (5, -1)])
     def test_order_outside_the_window_rejected(self, w, p):
         with pytest.raises(DomainError, match=f"window {w}, polyorder {p}"):

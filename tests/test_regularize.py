@@ -135,14 +135,15 @@ class TestRunNoiseStudy:
 
     @pytest.mark.parametrize("level, stages", [
         (1e305, {"stage 'compute_w': ", "stage 'recover_vh': "}),  # _extend_to_zero's slope, h
-        (1e308, {""}),  # the noise draw itself
+        (1e308, {"noise level 1e+308 (seed N) overflows the data"}),  # the noise draw itself
     ])
     def test_overflow_fails_with_a_data_error(self, level, stages):
         # run under the project's filterwarnings = error: a RuntimeWarning
-        # would become the trial's message instead of GridFn's DataError
+        # would become the trial's message instead of the DataError
         p = make_problem("generic", 8, 0.5, 0.01)
         study = run_noise_study(p, 1.0, [0.0, level], trials=2)
-        failed = [r.message for r in study.records if not r.ok]
+        failed = [r.message.replace(f"(seed {r.seed})", "(seed N)")
+                  for r in study.records if not r.ok]
         assert len(failed) == 2
         assert {m.removesuffix("grid values contain non-finite entries") for m in failed} == stages
 
