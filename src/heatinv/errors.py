@@ -1,4 +1,6 @@
-"""Exception hierarchy shared across the package."""
+"""Exception hierarchy shared across the package, and the integer-argument rule."""
+
+import numbers
 
 
 class HeatInvError(Exception):
@@ -50,3 +52,9 @@ class InversionError(HeatInvError, RuntimeError):
         self.stage = stage
         self.payload = payload or {}
         super().__init__(f"stage '{stage}': {message}")
+
+
+def _require_int(name: str, value, error: type = DomainError) -> None:
+    """Raise error unless value is an integer (a numpy one too), not a bool."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise error(f"{name} must be an integer, got {value!r}")

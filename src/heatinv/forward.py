@@ -17,7 +17,7 @@ import numpy as np
 
 from .basis import (BASIS_NORM, DEFAULT_POINT_THRESHOLD, SineSeries, _near_zero, _require_interior,
                     basis_at, mode_constants, project)
-from .errors import DataError, DomainError
+from .errors import DataError, DomainError, _require_int
 from .grid import GridFn, _evaluate
 
 TimeInput = Union[Callable, GridFn]
@@ -199,54 +199,31 @@ class ProblemInstance:
             return c
         return project(self.g, order).coeffs.copy()
 
-@dataclass(frozen=True)
-class SpectralSolution:
-    """Mode amplitudes u_m(t) for m = 1..M on a shared time grid."""
 
-    t0: float
-    dt: float
-    modes: np.ndarray  # shape (M, n)
-
-    @property
-    def order(self) -> int:
-        return self.modes.shape[0]
-
-    @property
-    def n(self) -> int:
-        return self.modes.shape[1]
-
-    @property
-    def times(self) -> np.ndarray:
-        return self.t0 + self.dt * np.arange(self.n)
-
-    def mode(self, m: int) -> GridFn:
-        if not 1 <= m <= self.order:
-            raise DomainError(f"mode {m} outside 1..{self.order}")
-        return GridFn(self.t0, self.dt, self.modes[m - 1])
-
-    def field(self, x: np.ndarray, v: GridFn | None = None) -> np.ndarray:
-        """Synthesis of u(x, t) on a spatial grid; shape (n, len(x)).
-
-        When the boundary values v are supplied, the identity
-        u = v(t)(1 - x/pi) + sum_m (u_m - v(t) l_m) f_m(x),  l_m = sqrt(2/pi)/m,
-        is used.  It regroups the exact series around the linear boundary
-        lift, so the truncated sum converges uniformly up to the boundary
-        instead of suffering the O(1) Gibbs error of the raw partial sum.
-        """
-        x = np.asarray(x, dtype=float)
-        m = np.arange(1, self.order + 1)
-        fx = BASIS_NORM * np.sin(np.outer(m, x))  # (M, nx)
-        if v is None:
-            return self.modes.T @ fx
-        _require_grid(v, self.t0, self.dt, self.n)
-        corrected = self.modes - np.outer(BASIS_NORM / m, v.values)  # u_m - v(t) l_m
-        return np.outer(v.values, 1.0 - x / math.pi) + corrected.T @ fx
+def solve_spectral(p: ProblemInstance) -> GridFn:
+    """Evolve all modes m = 1..p.order with coefficients of g as initial data;
+    row m - 1 of the (M, n) stack is u_m(t)."""
+    return GridFn(0.0, p.dt, mode_evolve(p.g_coeffs(), p.v_grid(), p.h_grid()))
 
 
-def solve_spectral(p: ProblemInstance) -> SpectralSolution:
-    """Evolve all modes m = 1..p.order with coefficients of g as initial data."""
-    modes = mode_evolve(p.g_coeffs(), p.v_grid(), p.h_grid())
-    return SpectralSolution(t0=0.0, dt=p.dt, modes=modes)
+def spectral_field(modes: GridFn, x: np.ndarray, v: GridFn | None = None) -> np.ndarray:
+    """Synthesis of u(x, t) from the (M, n) mode stack of solve_spectral on a
+    spatial grid; shape (n, len(x)).
+
+    When the boundary values v are supplied, the identity
+    u = v(t)(1 - x/pi) + sum_m (u_m - v(t) l_m) f_m(x),  l_m = sqrt(2/pi)/m,
+    is used.  It regroups the exact series around the linear boundary
+    lift, so the truncated sum converges uniformly up to the boundary
+    instead of suffering the O(1) Gibbs error of the raw partial sum.
+    """
+    x = np.asarray(x, dtype=float)
+    m = np.arange(1, modes.values.shape[0] + 1)
+    fx = BASIS_NORM * np.sin(np.outer(m, x))  # (M, nx)
+    if v is None:
+        return modes.values.T @ fx
+    _require_grid(v, modes.t0, modes.dt, modes.n)
+    corrected = modes.values - np.outer(BASIS_NORM / m, v.values)  # u_m - v(t) l_m
+    return np.outer(v.values, 1.0 - x / math.pi) + corrected.T @ fx
 
 
 @dataclass(frozen=True)
@@ -317,8 +294,7 @@ class NoiseSpec:
             raise DataError(f"unknown noise kind '{self.kind}'")
         if not (math.isfinite(self.level) and self.level >= 0.0):
             raise DataError(f"noise level must be finite and non-negative, got {self.level}")
-        if isinstance(self.seed, bool) or not isinstance(self.seed, (int, np.integer)):
-            raise DataError(f"noise seed must be an integer, got {self.seed!r}")
+        _require_int("noise seed", self.seed, DataError)
         if self.seed < 0:
             raise DataError(f"noise seed must be non-negative, got {self.seed}")
 
@@ -392,6 +368,7 @@ def _require_grid(f: GridFn, t0: float, dt: float, n: int) -> None:
 
 
 def _require_observed_modes(order: int) -> None:
+    _require_int("mode truncation", order)
     if order < 3:
         raise DomainError(f"observations need at least modes 1 and 3, got order {order}")
 

@@ -16,6 +16,7 @@ grid; `invert` runs a stack of one.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
@@ -34,6 +35,7 @@ from .errors import (
     InversionError,
     PreconditionError,
     ScheduleError,
+    _require_int,
 )
 from .forward import Observations, _observed_rows, _require_observed_modes, mode_evolve
 from .grid import GridFn, _norm, _read_only, rel_l2
@@ -100,6 +102,8 @@ class DerivativeScheme:
 
     def __post_init__(self):
         w, p = self.smooth_window, self.smooth_polyorder
+        _require_int("smoothing window", w)
+        _require_int("smoothing polynomial order", p)
         if w and (w % 2 == 0 or not 0 <= p < w):
             raise DomainError(
                 "smoothing window must be odd and exceed the polynomial order >= 0, "
@@ -269,13 +273,38 @@ def _exp_sums(b: np.ndarray, grid: GridFn, start: int = 0) -> np.ndarray:
 
 
 def _require_ridge(reg: float) -> None:
-    if not reg >= 0.0:
-        raise DomainError(f"ridge must be >= 0, got {reg}")
+    if not 0.0 <= reg < math.inf:
+        raise DomainError(f"ridge must be >= 0 and finite, got {reg}")
 
 
 def _require_depth(depth: int) -> None:
+    _require_int("peeling depth", depth)
     if depth < 1:
         raise DomainError(f"peeling depth must be >= 1, got {depth}")
+
+
+def _require_cap(cap: float) -> None:
+    """The amplification cap's rule: cap > 0, inf (never warn) included."""
+    if not cap > 0.0:
+        raise DomainError(f"amplification cap must be > 0, got {cap}")
+
+
+def _require_schedule(method: str = "model", windows=()) -> None:
+    """The rule of the schedule knobs method and window, raising ScheduleError:
+    method is one of SCHEDULE_METHODS and each window that is not None (the
+    default) an odd whole number >= 1, 3.0 included."""
+    if method not in SCHEDULE_METHODS:
+        raise ScheduleError(f"unknown scheduling method '{method}'")
+    for w in windows:
+        # w % 2 == 1 holds for odd whole numbers only; inf goes first, as inf % 2 warns
+        if w is not None and not (isinstance(w, numbers.Real) and math.isfinite(w)
+                                  and w >= 1 and w % 2 == 1):
+            raise ScheduleError(f"peeling window must be odd and >= 1, got {w!r}")
+
+
+def _require_plan_depth(plan: PeelPlan | None, depth: int) -> None:
+    if plan is not None and plan.depth != depth:
+        raise ScheduleError(f"schedule of {plan.depth} times does not match depth {depth}")
 
 
 class LsqFit(tuple):
@@ -343,13 +372,11 @@ class PeelPlan:
         t = np.atleast_1d(np.asarray(self.times, dtype=float))
         if not np.all(np.isfinite(t)):
             raise ScheduleError(f"schedule times must be finite, got {t.tolist()}")
-        w = np.ones(t.size) if self.windows is None else self.windows
-        w = np.atleast_1d(np.asarray(w, dtype=float))
+        w = np.ones(t.size, dtype=int) if self.windows is None else self.windows
+        w = np.atleast_1d(np.asarray(w))
         if t.size != w.size:
             raise ScheduleError("times and windows must have equal length")
-        # w % 2 == 1 holds for odd whole numbers only; inf goes first, as inf % 2 warns
-        if not np.all(np.isfinite(w)) or np.any((w < 1) | (w % 2 != 1)):
-            raise ScheduleError(f"windows must be odd and >= 1, got {w.tolist()}")
+        _require_schedule(windows=w.tolist())
         object.__setattr__(self, "times", t)
         object.__setattr__(self, "windows", w.astype(int))
 
@@ -412,10 +439,7 @@ def plan_peel(
     truncation bias.
     """
     _require_depth(depth)
-    if method not in SCHEDULE_METHODS:
-        raise ScheduleError(f"unknown scheduling method '{method}'")
-    if window is not None and (window < 1 or window % 2 != 1):
-        raise ScheduleError(f"peeling window must be odd and >= 1, got {window}")
+    _require_schedule(method, [window])
     t = q.times
     n = q.n
     dt = q.dt
@@ -515,9 +539,9 @@ def peel_sequential(
     Amplification factors above the cap, and a plan forecast that is not
     finite, are recorded as warnings, not failures.
     """
+    _require_cap(amplification_cap)
     plan = plan or plan_peel(q, depth)
-    if plan.depth != depth:
-        raise ScheduleError(f"plan depth {plan.depth} does not match requested {depth}")
+    _require_plan_depth(plan, depth)
     if np.any(plan.times > q.t_end + 1e-12) or np.any(plan.times < q.t0 - 1e-12):
         raise ScheduleError("scheduled times fall outside the data grid")
 
@@ -606,21 +630,15 @@ class InversionConfig:
     def __post_init__(self):
         if self.peel_method not in ("sequential", "lsq"):
             raise DomainError(f"unknown peeling method '{self.peel_method}'")
-        if self.schedule_method not in SCHEDULE_METHODS:
-            raise DomainError(f"unknown scheduling method '{self.schedule_method}'")
+        _require_schedule(self.schedule_method, [self.window])
         _require_observed_modes(self.order)
         _require_depth(self.depth)
-        if self.window is not None and self.window < 1:
-            raise DomainError(f"peeling window must be >= 1, got {self.window}")
-        if self.window is not None and self.window % 2 != 1:
-            raise DomainError(f"peeling window must be odd, got {self.window}")
+        _require_int("burn-in", self.burn_in)
         if self.burn_in < 0:
             raise DomainError(f"burn-in must be >= 0, got {self.burn_in}")
         _require_ridge(self.ridge)
-        if self.schedule is not None and self.schedule.depth != self.depth:
-            raise DomainError(
-                f"schedule of {self.schedule.depth} times does not match depth {self.depth}"
-            )
+        _require_plan_depth(self.schedule, self.depth)
+        _require_cap(self.amplification_cap)
 
 
 @dataclass(frozen=True)

@@ -140,20 +140,13 @@ class ExperimentConfig:
         return NoiseSpec(kind=self.noise_kind, level=self.noise_level, seed=self.seed)
 
     def inversion_config(self) -> InversionConfig:
+        """The InversionConfig of this config's fields of the same name, with
+        the smoothing knobs as deriv and schedule_times as schedule."""
+        shared = {f.name: getattr(self, f.name) for f in dataclasses.fields(InversionConfig)
+                  if f.name in self.__dataclass_fields__}
         schedule = None if self.schedule_times is None else PeelPlan(self.schedule_times)
-        return InversionConfig(
-            order=self.order,
-            depth=self.depth,
-            deriv=DerivativeScheme(self.smooth_window, self.smooth_polyorder),
-            burn_in=self.burn_in,
-            peel_method=self.peel_method,
-            ridge=self.ridge,
-            schedule=schedule,
-            schedule_method=self.schedule_method,
-            window=self.window,
-            divisor_threshold=self.divisor_threshold,
-            amplification_cap=self.amplification_cap,
-        )
+        return InversionConfig(**shared, schedule=schedule,
+                               deriv=DerivativeScheme(self.smooth_window, self.smooth_polyorder))
 
 
 def load_config(path: str | Path) -> ExperimentConfig:

@@ -15,7 +15,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .basis import basis_at
-from .errors import DataError, DomainError, HeatInvError
+from .errors import DataError, DomainError, HeatInvError, _require_int
 from .forward import NoiseSpec, Observations, ProblemInstance, _noisy_stack, make_observations
 from .grid import rel_l2
 from .inverse import InversionConfig, _invert_stacked
@@ -112,14 +112,16 @@ def _trial_seed(base_seed: int, level_index: int, trial: int, trials: int) -> in
 
 def check_study(levels, trials: int) -> list[float]:
     """The noise levels as floats; raises DomainError unless there are levels
-    and trials and the levels are finite, non-negative and ascending."""
+    and an integer number of trials and the levels are finite, non-negative
+    and strictly ascending (0.0 and -0.0 are one level)."""
     levels = [float(lv) for lv in levels]
     if not levels:
         raise DomainError("need at least one noise level")
     if not all(math.isfinite(lv) and lv >= 0 for lv in levels):
         raise DomainError("noise levels must be finite and non-negative")
-    if any(b > a for b, a in zip(levels, levels[1:])):
-        raise DomainError("noise levels must be ascending")
+    if any(b >= a for b, a in zip(levels, levels[1:])):
+        raise DomainError(f"noise levels must be strictly ascending, got {levels}")
+    _require_int("trials", trials)
     if trials < 1:
         raise DomainError(f"need at least one trial, got {trials}")
     return levels

@@ -22,6 +22,7 @@ from heatinv import (
     run_noise_study,
     solve_fd,
     solve_spectral,
+    spectral_field,
     system_determinant,
 )
 from heatinv.cli import main
@@ -84,7 +85,7 @@ def test_c4_forward_oracle_agreement():
     p = make_problem("generic", 32, 2.0, 1e-3)
     spec = solve_spectral(p)
     fd = solve_fd(p, 512)
-    field = spec.field(fd.x, v=p.v_grid())
+    field = spectral_field(spec, fd.x, v=p.v_grid())
     mask = spec.times >= 0.1
     err = float(np.max(np.abs(field[mask] - fd.u[mask])))
     ok = err <= 1e-3

@@ -31,6 +31,7 @@ from heatinv import (
     mode_evolve,
     solve_fd,
     solve_spectral,
+    spectral_field,
 )
 SQ = math.sqrt(2.0 / math.pi)
 
@@ -316,8 +317,8 @@ class TestSolveSpectral:
         p = make_problem("decay1", 4, 1.0, 1e-3)
         sol = solve_spectral(p)
         t = sol.times
-        np.testing.assert_allclose(sol.modes[0], np.exp(-t), atol=1e-13)
-        np.testing.assert_allclose(sol.modes[1:], 0.0, atol=1e-15)
+        np.testing.assert_allclose(sol.values[0], np.exp(-t), atol=1e-13)
+        np.testing.assert_allclose(sol.values[1:], 0.0, atol=1e-15)
 
     def test_steady_state_all_modes_constant(self):
         p = make_problem("steady", 8, 1.0, 1e-3)
@@ -325,8 +326,8 @@ class TestSolveSpectral:
         target = SQ / np.arange(1, 9)
         # g comes from quadrature projection, so the wiggle is bounded by
         # its O(h^2) error, not by the integrator
-        assert np.max(np.abs(sol.modes - target[:, None])) < 1e-5
-        drift = np.max(np.abs(sol.modes - sol.modes[:, :1]), axis=1)
+        assert np.max(np.abs(sol.values - target[:, None])) < 1e-5
+        drift = np.max(np.abs(sol.values - sol.values[:, :1]), axis=1)
         assert np.max(drift) < 2e-5
 
     def test_uniform_source_closed_form(self):
@@ -339,14 +340,31 @@ class TestSolveSpectral:
         for m in range(1, 5):
             cm = mode_constants(m).c_m
             expect = cm * (1.0 - np.exp(-m * m * t)) / (m * m)
-            np.testing.assert_allclose(sol.modes[m - 1], expect, atol=1e-13)
-        assert np.all(sol.modes[1] == 0.0)  # even modes blind to the source
-        assert np.all(sol.modes[3] == 0.0)
+            np.testing.assert_allclose(sol.values[m - 1], expect, atol=1e-13)
+        assert np.all(sol.values[1] == 0.0)  # even modes blind to the source
+        assert np.all(sol.values[3] == 0.0)
+
+    def test_mode_stack_is_a_grid_function_without_a_copy(self):
+        p = make_problem("generic", 8, 0.5, 1e-3)
+        sol = solve_spectral(p)
+        assert (sol.t0, sol.dt, sol.values.shape) == (0.0, 1e-3, (8, 501))
+        # mode_evolve's read-only output, adopted as it is: a view, not a fresh copy
+        assert not sol.values.flags.writeable and sol.values.base is not None
+        np.testing.assert_array_equal(
+            sol.values, mode_evolve(p.g_coeffs(), p.v_grid(), p.h_grid()))
+
+    def test_field_needs_v_on_the_mode_grid(self):
+        p = make_problem("generic", 8, 0.5, 1e-3)
+        x = np.linspace(0.0, math.pi, 5)
+        sol = solve_spectral(p)
+        with pytest.raises(GridMismatchError):
+            spectral_field(sol, x, v=make_problem("generic", 8, 1.0, 1e-3).v_grid())
+        assert spectral_field(sol, x).shape == spectral_field(sol, x, p.v_grid()).shape == (501, 5)
 
     def test_initial_condition_matches_projection(self):
         p = make_problem("generic", 8, 0.5, 1e-3)
         sol = solve_spectral(p)
-        np.testing.assert_allclose(sol.modes[:, 0], p.g_coeffs(8), atol=1e-15)
+        np.testing.assert_allclose(sol.values[:, 0], p.g_coeffs(8), atol=1e-15)
 
     def test_smoothing_bound(self):
         # |u_m(t)| <= |g_m| e^{-m^2 t0} + sup|forcing| (f_m'(0) + c_m) / m^2
@@ -355,12 +373,12 @@ class TestSolveSpectral:
         g = p.g_coeffs(8)
         v, h = p.v_grid().values, p.h_grid().values
         t0 = 0.1
-        k0 = sol.mode(1).index_of(t0)
+        k0 = sol.index_of(t0)
         for m in range(1, 9):
             mc = mode_constants(m)
             sup_force = np.max(np.abs(v)) * mc.fprime0 + np.max(np.abs(h)) * mc.c_m
             bound = abs(g[m - 1]) * math.exp(-mc.lam * t0) + sup_force / mc.lam
-            assert np.max(np.abs(sol.modes[m - 1, k0:])) <= bound * (1 + 1e-9)
+            assert np.max(np.abs(sol.values[m - 1, k0:])) <= bound * (1 + 1e-9)
 
 
 class TestProblemInstance:
@@ -446,7 +464,7 @@ class TestSolveFD:
                             g=SineSeries([0.0]), order=64, t_final=1.0, dt=1e-3)
         fd = solve_fd(p, 256)
         spec = solve_spectral(p)
-        field = spec.field(fd.x)
+        field = spectral_field(spec, fd.x)
         mask = spec.times >= 0.1
         assert np.max(np.abs(field[mask] - fd.u[mask])) < 1e-4
 
@@ -463,7 +481,7 @@ class TestSolveFD:
         scalar = replace(scalar, g=lambda x: math.sin(x) + 0.5 * math.sin(3.0 * x))
         vector = replace(scalar, g=lambda x: np.array([scalar.g(xi) for xi in x]))
         np.testing.assert_array_equal(solve_fd(scalar, 64).u, solve_fd(vector, 64).u)
-        np.testing.assert_array_equal(solve_spectral(scalar).modes, solve_spectral(vector).modes)
+        np.testing.assert_array_equal(solve_spectral(scalar).values, solve_spectral(vector).values)
 
     def test_too_few_points(self):
         p = make_problem("decay1", 4, 0.5, 1e-2)
@@ -479,8 +497,8 @@ class TestLiftedField:
         fd = solve_fd(p, 256)
         spec = solve_spectral(p)
         mask = spec.times >= 0.1
-        lifted = spec.field(fd.x, v=p.v_grid())
-        raw = spec.field(fd.x)
+        lifted = spectral_field(spec, fd.x, v=p.v_grid())
+        raw = spectral_field(spec, fd.x)
         err_lift = np.max(np.abs(lifted[mask] - fd.u[mask]))
         err_raw = np.max(np.abs(raw[mask] - fd.u[mask]))
         assert err_lift < 1e-3
@@ -539,7 +557,7 @@ class TestMakeObservations:
     def test_triple_projects_the_spectral_modes(self):
         p = make_problem("generic", 8, 1.0, 1e-3)
         obs = make_observations(p, 1.0)
-        modes = solve_spectral(p).modes
+        modes = solve_spectral(p).values
         np.testing.assert_array_equal(obs.u1.values, modes[0])
         np.testing.assert_array_equal(obs.u3.values, modes[2])
         fy = forward.basis_at(1.0, 8)

@@ -10,6 +10,7 @@ import pytest
 
 from heatinv import (
     DET_EXACT,
+    ConfigError,
     DataError,
     DomainError,
     GridFn,
@@ -18,6 +19,7 @@ from heatinv import (
     NoiseSpec,
     PreconditionError,
     ProblemInstance,
+    ScheduleError,
     SineSeries,
     assemble_g,
     compute_w,
@@ -28,12 +30,14 @@ from heatinv import (
     make_problem,
     mode_constants,
     peel_lsq,
+    peel_sequential,
     plan_peel,
     recover_vh,
     rel_l2,
     system_determinant,
 )
 from heatinv.forward import Observations, _observed_rows
+from heatinv.io import ExperimentConfig
 from heatinv.inverse import PROVISIONAL_RIDGE, DerivativeScheme, PeelPlan, forced_mode_values
 
 SQ = math.sqrt(2.0 / math.pi)
@@ -468,21 +472,21 @@ class TestInvert:
 
     @pytest.mark.parametrize("window", [0, -5])
     def test_window_below_one_rejected(self, window):
-        with pytest.raises(DomainError, match="window must be >= 1"):
+        with pytest.raises(ScheduleError, match=f"window must be odd and >= 1, got {window}"):
             InversionConfig(window=window)
 
     def test_even_window_rejected(self):
-        with pytest.raises(DomainError, match="peeling window must be odd, got 4"):
+        with pytest.raises(ScheduleError, match="peeling window must be odd and >= 1, got 4"):
             InversionConfig(window=4)
 
     def test_non_integral_window_rejected(self):
-        with pytest.raises(DomainError, match="peeling window must be odd, got 3.5"):
+        with pytest.raises(ScheduleError, match="peeling window must be odd and >= 1, got 3.5"):
             InversionConfig(window=3.5)
 
     def test_explicit_schedule_must_match_depth(self):
         # rejected when the config is built, before any stage runs
         plan = PeelPlan(times=np.array([1.0]), windows=np.ones(1, dtype=int))
-        with pytest.raises(DomainError, match="schedule of 1 times does not match depth 2"):
+        with pytest.raises(ScheduleError, match="schedule of 1 times does not match depth 2"):
             InversionConfig(order=8, depth=2, schedule=plan)
 
     def test_stage_error_carries_stage_name(self):
@@ -584,3 +588,112 @@ class TestInvertStack:
         np.testing.assert_allclose(invert(at_2).g_coeffs.coeffs[:4], p.g_coeffs(4), atol=0.1)
         noisy = make_observations(p, 1.0, NoiseSpec("relative", 1e-6, 1))
         assert len(invert_stack([at_1, noisy])) == 2
+
+
+def _decay(n=201, dt=1e-2):
+    return GridFn(0.0, dt, np.exp(-np.arange(n) * dt))
+
+
+#: each bad schedule knob: its one ScheduleError text, the library calls that
+#: take it, and the ExperimentConfig fields that give it (None: not a config value)
+BAD_SCHEDULE_KNOBS = {
+    "method": ("unknown scheduling method 'bogus'", [
+        lambda q: InversionConfig(schedule_method="bogus"),
+        lambda q: plan_peel(q, 2, method="bogus"),
+    ], {"schedule_method": "bogus"}),
+    **{f"window-{w}": (f"peeling window must be odd and >= 1, got {w}", [
+        lambda q, w=w: InversionConfig(window=w),
+        lambda q, w=w: plan_peel(q, 2, window=w),
+        lambda q, w=w: PeelPlan([1.0], [w]),
+        lambda q, w=w: PeelPlan([1.0, 2.0], np.array([1, w])),
+    ], {"window": w} if isinstance(w, int) else None) for w in (4, 0, -3, 3.5, math.nan, math.inf)},
+    "plan-depth": ("schedule of 1 times does not match depth 2", [
+        lambda q: InversionConfig(depth=2, schedule=PeelPlan([1.0])),
+        lambda q: peel_sequential(q, 2, plan=PeelPlan([1.0])),
+    ], {"depth": 2, "schedule_times": [1.0]}),
+}
+
+
+class TestKnobRules:
+    """Each knob has one rule, which every entry point that takes it reads."""
+
+    @pytest.mark.parametrize("knob", BAD_SCHEDULE_KNOBS)
+    def test_bad_schedule_knob_has_one_type_and_text(self, knob):
+        text, builds, config = BAD_SCHEDULE_KNOBS[knob]
+        for build in builds:
+            with pytest.raises(ScheduleError) as exc:
+                build(_decay())
+            assert (type(exc.value), str(exc.value)) == (ScheduleError, text)
+        if config is not None:
+            with pytest.raises(ConfigError) as exc:
+                ExperimentConfig(**config)
+            assert str(exc.value) == text
+
+    def test_good_windows_pass_every_entry_point(self):
+        assert InversionConfig(window=3.0).window == 3.0
+        assert np.all(plan_peel(_decay(), 2, window=np.int64(5)).windows == 5)
+
+    @pytest.mark.parametrize("cap", [0.0, -1.0, math.nan, -math.inf])
+    def test_amplification_cap_must_be_positive(self, cap):
+        q, plan = _decay(), PeelPlan([0.5])
+        text = f"amplification cap must be > 0, got {cap}"
+        for build in (lambda: InversionConfig(amplification_cap=cap),
+                      lambda: peel_sequential(q, 1, plan=plan, amplification_cap=cap)):
+            with pytest.raises(DomainError) as exc:
+                build()
+            assert str(exc.value) == text
+        if math.isfinite(cap):
+            with pytest.raises(ConfigError, match=f"^{text}$"):
+                ExperimentConfig(amplification_cap=cap)
+
+    def test_amplification_cap_flags_the_modes_above_it(self):
+        _, obs = observe("fourmode", order=8, t_final=4.0, dt=2e-3)
+        flagged = []
+        for cap in (50.0, math.inf):
+            diag = invert(obs, InversionConfig(order=8, depth=6, amplification_cap=cap)).diagnostics
+            np.testing.assert_allclose(diag.amplification[:3], [54.6, 110.4, 107.8], rtol=1e-3)
+            flagged.append([w.split(":")[0] for w in diag.warnings if "exceeds cap" in w])
+        assert flagged == [["mode 1", "mode 2", "mode 3"], []]
+
+    @pytest.mark.parametrize("ridge", [math.inf, -math.inf])
+    def test_ridge_must_be_finite(self, ridge, capfd):
+        text = f"ridge must be >= 0 and finite, got {ridge}"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for build in (lambda: peel_lsq(_decay(), 3, ridge),
+                          lambda: InversionConfig(peel_method="lsq", ridge=ridge)):
+                with pytest.raises(DomainError) as exc:
+                    build()
+                assert str(exc.value) == text
+        assert capfd.readouterr() == ("", "")  # nothing from LAPACK
+
+    @pytest.mark.parametrize("knobs", [
+        {"depth": 2.5}, {"depth": 4.0}, {"depth": True}, {"burn_in": 2.5}, {"burn_in": False},
+        {"order": 8.0}, {"order": 4.5},
+    ])
+    def test_integer_inversion_knobs_refuse_other_numbers(self, knobs):
+        (name, value), = knobs.items()
+        with pytest.raises(DomainError, match=f"must be an integer, got {value!r}$"):
+            InversionConfig(**knobs)
+
+    @pytest.mark.parametrize("knobs", [(5.0, 3), (5, 2.5), (True, 0), (5, np.float64(3.0))])
+    def test_smoothing_knobs_are_integers(self, knobs):
+        with pytest.raises(DomainError, match="must be an integer"):
+            DerivativeScheme(*knobs)
+
+    def test_integer_knob_fails_where_it_is_built_not_in_a_stage(self):
+        _, obs = observe("generic")
+        with pytest.raises(DomainError, match="^peeling depth must be an integer, got 2.5$"):
+            invert(obs, InversionConfig(depth=2.5))
+        q = _decay()
+        for build in (lambda: peel_lsq(q, 2.5), lambda: plan_peel(q, 2.5),
+                      lambda: peel_sequential(q, 2.5)):
+            with pytest.raises(DomainError, match="^peeling depth must be an integer"):
+                build()
+
+    def test_numpy_integers_are_integers(self):
+        _, obs = observe("generic")
+        cfg = InversionConfig(order=np.int64(8), depth=np.int32(3), burn_in=np.int64(2),
+                              deriv=DerivativeScheme(np.int64(5), np.int16(2)))
+        expect = invert(obs, InversionConfig(order=8, depth=3, deriv=DerivativeScheme(5, 2)))
+        assert_same_reconstruction(invert(obs, cfg), expect)

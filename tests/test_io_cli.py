@@ -131,7 +131,8 @@ class TestExperimentConfig:
         {"depth": 2, "schedule_times": [1.0]}, {"ridge": -1.0}, {"t_final": 1.0, "dt": 0.3},
         {"preset": None, "g_amplitudes": [1.0], "t_final": 1.0, "dt": 0.3},
         {"schedule_method": "bogus"}, {"depth": 0}, {"window": 0}, {"window": -5},
-        {"window": 4}, {"seed": -1},
+        {"window": 4}, {"seed": -1}, {"levels": [0.0, 1e-6, 1e-6]}, {"levels": [0.0, -0.0]},
+        {"amplification_cap": 0.0},
     ])
     def test_bad_knob_rejected_at_load(self, tmp_path, capsys, knobs):
         with pytest.raises(ConfigError):

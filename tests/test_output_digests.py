@@ -1,19 +1,31 @@
-"""tools/output_digests.py: it runs, and a rerun elsewhere prints the same digests."""
+"""tools/output_digests.py: it runs, and a rerun elsewhere prints the same
+digests; tools/compare_outputs.py prints the digests two source trees differ in."""
 
 import importlib.util
+import shutil
 from pathlib import Path
 
 from heatinv.io import ExperimentConfig
 
-_SPEC = importlib.util.spec_from_file_location(
-    "output_digests", Path(__file__).resolve().parents[1] / "tools" / "output_digests.py")
-digests = importlib.util.module_from_spec(_SPEC)
-_SPEC.loader.exec_module(digests)
+TOOLS = Path(__file__).resolve().parents[1] / "tools"
+
+
+def _load(name):
+    spec = importlib.util.spec_from_file_location(name, TOOLS / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+digests = _load("output_digests")
+compare = _load("compare_outputs")
+
+SMALL = {"preset": "generic", "order": 8, "t_final": 1.0, "dt": 1e-2, "depth": 2,
+         "levels": [0.0, 1e-6], "trials": 2}
 
 
 def test_one_small_config_digests_the_same_twice(tmp_path):
-    config = {"preset": "generic", "order": 8, "t_final": 1.0, "dt": 1e-2, "depth": 2,
-              "levels": [0.0, 1e-6], "trials": 2}
+    config = SMALL
     first = digests.digest_lines(tmp_path / "a", {"small": config})
     outputs = [*digests.FILES, "invert.stdout", "study.stderr"]
     assert [line.split()[0] for line in first] == [f"small/{name}" for name in outputs]
@@ -24,3 +36,24 @@ def test_one_small_config_digests_the_same_twice(tmp_path):
 def test_committed_configs_load():
     for config in digests.CONFIGS.values():
         ExperimentConfig.from_dict(config)
+
+
+def test_compare_outputs_of_the_same_tree_prints_nothing(tmp_path, capsys):
+    assert compare.main([str(compare.SRC), str(tmp_path)], {"small": SMALL}) == 0
+    assert capsys.readouterr().out == ""
+
+
+def test_compare_outputs_prints_the_lines_that_differ(tmp_path, capsys):
+    # a tree whose generic preset has another source h: its records move
+    other = tmp_path / "src"
+    shutil.copytree(compare.SRC / "heatinv", other / "heatinv",
+                    ignore=shutil.ignore_patterns("__pycache__"))
+    presets = other / "heatinv" / "presets.py"
+    text = presets.read_text()
+    assert text.count("1.0 + np.cos") == 2
+    presets.write_text(text.replace("1.0 + np.cos", "2.0 + np.cos", 1))
+    assert compare.main([str(other), str(tmp_path / "out")], {"small": SMALL}) == 1
+    lines = capsys.readouterr().out.splitlines()
+    changed = {line.split()[1] for line in lines}
+    assert [line[:2] for line in lines] == ["- "] * len(changed) + ["+ "] * len(changed)
+    assert {"small/observations.csv", "small/reconstruction.json", "small/study.csv"} <= changed

@@ -324,7 +324,7 @@ class TestPeelPlan:
 
     @pytest.mark.parametrize("windows", [[3.7], [4], [0], [math.nan]])
     def test_windows_must_be_odd_whole_numbers(self, windows):
-        with pytest.raises(ScheduleError, match=rf"windows must be odd and >= 1, got \[{windows[0]}"):
+        with pytest.raises(ScheduleError, match=f"window must be odd and >= 1, got {windows[0]}"):
             PeelPlan([1.0], windows)
         assert PeelPlan([1.0, 2.0], [3.0, 5]).windows.tolist() == [3, 5]
 

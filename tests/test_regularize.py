@@ -2,6 +2,7 @@
 
 import json
 import math
+import re
 import tracemalloc
 import warnings
 
@@ -173,11 +174,11 @@ class TestRunNoiseStudy:
         assert peak <= 3e6
 
     def test_matches_per_trial_resimulation(self, fourmode_problem):
-        # reference: every trial re-simulates its own noisy record; a repeated
-        # zero level shares the one clean inversion
+        # reference: every trial re-simulates its own noisy record; the trials
+        # of the zero level share the one clean inversion
         p, trials, base_seed = fourmode_problem, 4, 7
         cfg = InversionConfig(order=p.order, schedule_method="ladder", window=1)
-        for levels in ((0.0, 1e-6, 1e-4), (0.0, 0.0, 1e-6)):
+        for levels in ((0.0, 1e-6, 1e-4), (0.0, 1e-6)):
             study = run_noise_study(p, 1.0, levels, trials, base_seed=base_seed)
             reference = []
             for li, level in enumerate(levels):
@@ -261,6 +262,23 @@ class TestRunNoiseStudy:
             with pytest.raises(DomainError, match="finite"):
                 run_noise_study(fourmode_problem, 1.0, levels=levels, trials=2)
 
+    @pytest.mark.parametrize("levels", [[0.0, 1e-6, 1e-6], [0.0, -0.0], [1e-4, 1e-4]])
+    def test_levels_strictly_ascending(self, fourmode_problem, stack_calls, levels):
+        # a repeated level printed its error_vs_level.dat row twice, merged its
+        # trials in study.json and repeated trial indices in study.csv
+        text = f"noise levels must be strictly ascending, got {[float(lv) for lv in levels]}"
+        with pytest.raises(DomainError, match=f"^{re.escape(text)}$"):
+            run_noise_study(fourmode_problem, 1.0, levels=levels, trials=2)
+        assert stack_calls == []
+        with pytest.raises(ConfigError, match=f"^{re.escape(text)}$"):
+            ExperimentConfig(levels=levels)
+
+    @pytest.mark.parametrize("trials", [2.5, 2.0, True, "2"])
+    def test_trials_an_integer(self, fourmode_problem, trials):
+        with pytest.raises(DomainError, match=f"^trials must be an integer, got {re.escape(repr(trials))}$"):
+            run_noise_study(fourmode_problem, 1.0, levels=[0.0], trials=trials)
+        assert check_study([0.0, 1e-6], np.int64(2)) == [0.0, 1e-6]
+
     def test_clean_record_inverted_once(self, fourmode_problem, stack_calls):
         # the benchmark's study: 20 level-0 trials share one inversion of the
         # clean record, and the 40 noisy trials run in chunks of 2**14 // 2001 = 8
@@ -274,10 +292,15 @@ class TestRunNoiseStudy:
             == [(True, t, t) for t in range(20)]
 
     def test_repeated_zero_levels_invert_once(self, fourmode_problem, stack_calls):
-        study = run_noise_study(fourmode_problem, 1.0, (0.0, 0.0), 3, base_seed=4)
+        # a zero level is given once (levels are strictly ascending), and its
+        # trials repeat the one clean inversion
+        with pytest.raises(DomainError, match="strictly ascending"):
+            run_noise_study(fourmode_problem, 1.0, (0.0, 0.0), 3, base_seed=4)
+        assert stack_calls == []
+        study = run_noise_study(fourmode_problem, 1.0, (0.0,), 3, base_seed=4)
         assert [len(records) for records in stack_calls] == [1]
         assert [(r.level, r.trial, r.seed) for r in study.records] == [
-            (0.0, t, 4 + li * 3 + t) for li in range(2) for t in range(3)]
+            (0.0, t, 4 + t) for t in range(3)]
         assert study.n_failed() == 0
 
     def test_failing_clean_record_attempted_once(self, stack_calls):
