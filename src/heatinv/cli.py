@@ -18,6 +18,7 @@ from .forward import make_observations
 from .inverse import invert
 from .io import (
     ExperimentConfig,
+    _config_sha256,
     format_report,
     load_config,
     read_observations,
@@ -88,13 +89,10 @@ def _out_dir(args, cfg: ExperimentConfig) -> Path:
 
 
 def _provenance(cfg: ExperimentConfig, **extra) -> dict:
-    prov = {
-        "config": cfg.to_dict(),
-        "config_sha256": cfg.config_hash(),
-        "seed": cfg.seed,
-    }
-    prov.update(extra)
-    return prov
+    """What a command's outputs record of their config; the config is
+    serialised once, for both its dict and its hash."""
+    config = cfg.to_dict()
+    return {"config": config, "config_sha256": _config_sha256(config), "seed": cfg.seed, **extra}
 
 
 def cmd_simulate(args) -> int:
@@ -102,10 +100,11 @@ def cmd_simulate(args) -> int:
     problem = cfg.make_problem()
     obs = make_observations(problem, cfg.y, cfg.noise_spec())
     out = _out_dir(args, cfg)
+    prov = _provenance(cfg, y=cfg.y)
     meta = {"noise": cfg.noise_spec().to_dict(), "seed": cfg.seed, "preset": cfg.preset,
-            "config_sha256": cfg.config_hash()}
+            "config_sha256": prov["config_sha256"]}
     write_observations(out / "observations.csv", obs, meta)
-    write_json(out / "observations.json", _provenance(cfg, y=cfg.y))
+    write_json(out / "observations.json", prov)
     print(f"wrote {out / 'observations.csv'} ({obs.u1.n} samples)")
     return 0
 

@@ -170,6 +170,7 @@ class ProblemInstance:
             raise DataError(
                 f"final time {self.t_final} is not an integer number of steps of {self.dt}"
             )
+        _require_int("mode truncation", self.order)
         if self.order < 1:
             raise DomainError(f"mode truncation must be >= 1, got {self.order}")
 
@@ -248,6 +249,7 @@ def solve_fd(p: ProblemInstance, nx: int) -> FDSolution:
     and 0 strongly.  The DST-I diagonalises the constant step, so each step is
     one scalar recurrence per discrete sine mode.
     """
+    _require_int("spatial points", nx)
     if nx < 16:
         raise DomainError(f"need at least 16 spatial points, got {nx}")
     v = p.v_grid().values

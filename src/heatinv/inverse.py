@@ -144,6 +144,12 @@ def system_determinant() -> float:
     return m1.fprime0 * m3.c_m - m3.fprime0 * m1.c_m
 
 
+def _require_burn_in(burn_in: int) -> None:
+    _require_int("burn-in", burn_in)
+    if burn_in < 0:
+        raise DomainError(f"burn-in must be >= 0, got {burn_in}")
+
+
 @np.errstate(over="ignore", invalid="ignore")  # GridFn rejects an overflow's inf or nan
 def recover_vh(
     obs: Observations,
@@ -165,6 +171,7 @@ def recover_vh(
     the returned grid functions: one-sided stencils near t = 0 amplify noise
     the most.
     """
+    _require_burn_in(burn_in)
     deriv = deriv or DerivativeScheme()
     n = obs.u1.n
     if n < burn_in + 3:
@@ -633,9 +640,7 @@ class InversionConfig:
         _require_schedule(self.schedule_method, [self.window])
         _require_observed_modes(self.order)
         _require_depth(self.depth)
-        _require_int("burn-in", self.burn_in)
-        if self.burn_in < 0:
-            raise DomainError(f"burn-in must be >= 0, got {self.burn_in}")
+        _require_burn_in(self.burn_in)
         _require_ridge(self.ridge)
         _require_plan_depth(self.schedule, self.depth)
         _require_cap(self.amplification_cap)

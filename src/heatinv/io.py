@@ -1,9 +1,12 @@
 """File formats: experiment configs, observation sets, reconstructions, studies.
 
 CSV floats are written with 17 significant digits and JSON floats as their
-shortest repr, so that parse(emit(x)) reproduces x bit for bit; '#'-prefixed
-header lines carry metadata as a single canonical JSON object.  Outputs contain no timestamps or host
-information: a config plus a seed determines every byte.
+shortest repr, so that parse(emit(x)) reproduces x bit for bit.  A float
+series is formatted in numpy by floattext, a block of rows at a time, with
+the bytes of '%.17g' % v and float.__repr__(v).
+'#'-prefixed header lines carry metadata as a single canonical JSON object.
+Outputs contain no timestamps or host information: a config plus a seed
+determines every byte.
 """
 
 from __future__ import annotations
@@ -25,6 +28,7 @@ from .inverse import DET_EXACT, DerivativeScheme, InversionConfig, PeelPlan, Rec
 from .presets import make_problem
 from .regularize import NoiseStudy, check_study
 from .basis import DEFAULT_MODES, SineSeries
+from .floattext import _g17, _json_floats
 
 
 def fmt(x: float) -> str:
@@ -119,8 +123,7 @@ class ExperimentConfig:
             raise ConfigError(str(exc)) from None
 
     def config_hash(self) -> str:
-        canon = json.dumps(self.to_dict(), sort_keys=True, separators=(",", ":"))
-        return hashlib.sha256(canon.encode()).hexdigest()
+        return _config_sha256(self.to_dict())
 
     # -- factories ---------------------------------------------------------
 
@@ -149,6 +152,12 @@ class ExperimentConfig:
                                deriv=DerivativeScheme(self.smooth_window, self.smooth_polyorder))
 
 
+def _config_sha256(config: dict) -> str:
+    """The sha256 of the canonical JSON of a config's to_dict()."""
+    canon = json.dumps(config, sort_keys=True, separators=(",", ":"))
+    return hashlib.sha256(canon.encode()).hexdigest()
+
+
 def load_config(path: str | Path) -> ExperimentConfig:
     try:
         data = json.loads(Path(path).read_text())
@@ -163,128 +172,54 @@ def save_config(cfg: ExperimentConfig, path: str | Path) -> None:
     write_json(path, cfg.to_dict())
 
 
-def _json(x, pad: str = "") -> str:
-    """json.dumps(x, indent=2, sort_keys=True, allow_nan=False) at indent `pad` for
-    str dict keys, with ndarrays and numpy scalars as plain values and every float
-    that is not finite as null; a list of floats, or a 1-D float64 array, is
-    rendered in one join."""
-    floats = isinstance(x, np.ndarray) and x.ndim == 1 and x.dtype == np.float64
+def _json(x, pad: str = ""):
+    """The text of json.dumps(x, indent=2, sort_keys=True, allow_nan=False) at
+    indent `pad`, in pieces, for str dict keys, with ndarrays and numpy scalars
+    as plain values and every float that is not finite as null.  A list of
+    floats, or a 1-D float64 array, of _SERIES_MIN values or more is formatted
+    by _json_floats a block of _WRITE_ROWS values at a time."""
+    inner = pad + "  "
+    floats = (x.ndim == 1 and x.dtype == np.float64 if isinstance(x, np.ndarray)
+              else isinstance(x, (list, tuple)) and all(isinstance(v, float) for v in x))
+    if floats and len(x) >= _SERIES_MIN:
+        x, sep = np.asarray(x, dtype=np.float64), ",\n" + inner
+        tail = np.frombuffer(sep.encode(), np.uint8)
+        yield "[\n" + inner
+        for start in range(0, x.size, _WRITE_ROWS):
+            rows = _json_floats(x[start:start + _WRITE_ROWS])
+            block = np.concatenate([rows, np.broadcast_to(tail, (len(rows), tail.size))], 1)
+            yield (sep if start else "") + block[block != 0][:-tail.size].tobytes().decode()
+        yield f"\n{pad}]"
+        return
     if isinstance(x, (np.ndarray, np.generic)):
         x = x.tolist()
     if isinstance(x, float):
-        return float.__repr__(x) if math.isfinite(x) else "null"
-    if not x or not isinstance(x, (dict, list, tuple)):
-        return json.dumps(x)
-    inner = pad + "  "
-    if isinstance(x, dict):
-        items = [f"{json.dumps(k)}: {_json(v, inner)}" for k, v in sorted(x.items())]
-        return "{\n" + inner + f",\n{inner}".join(items) + f"\n{pad}}}"
-    if floats or all(isinstance(v, float) for v in x):
-        body = f",\n{inner}".join(map(float.__repr__, x))
-        if "n" in body:  # of all float reprs, only nan, inf and -inf hold an n
-            body = body.replace("-inf", "null").replace("inf", "null").replace("nan", "null")
+        yield float.__repr__(x) if math.isfinite(x) else "null"
+    elif not x or not isinstance(x, (dict, list, tuple)):
+        yield json.dumps(x)
     else:
-        body = f",\n{inner}".join(_json(v, inner) for v in x)
-    return "[\n" + inner + body + f"\n{pad}]"
+        if isinstance(x, dict):
+            items, brackets = [(json.dumps(k) + ": ", x[k]) for k in sorted(x)], "{}"
+        else:
+            items, brackets = [("", v) for v in x], "[]"
+        yield brackets[0]
+        for i, (key, v) in enumerate(items):
+            yield ("," if i else "") + "\n" + inner + key
+            yield from _json(v, inner)
+        yield f"\n{pad}{brackets[1]}"
 
 
 def write_json(path: str | Path, payload) -> None:
     """Every JSON file heatinv writes: strict JSON (a float that is not finite
-    becomes null), indented, keys sorted, newline-terminated."""
-    Path(path).write_text(_json(payload) + "\n")
-
-
-_POW10 = np.array([float(10 ** k) for k in range(23)])  # each one an exact double
-
-
-def _digit_groups() -> np.ndarray:
-    """The ASCII text of 0000..9999, four bytes per entry, viewed as uint32."""
-    k = np.arange(10_000, dtype=np.uint16)[:, None]
-    chars = (k // np.array([1000, 100, 10, 1], np.uint16) % 10 + 48).astype(np.uint8)
-    return chars.view(np.uint32)[:, 0]
-
-
-def _layouts() -> np.ndarray:
-    """Where each byte of the '%.17g' text of d0.d1...d16 x 10**e comes from,
-    for e in [-4, 15] and m trailing zero digits, as row (e + 4) * 17 + m of
-    24 byte positions, right-aligned: source bytes 0-2 are '0', 3-19 the
-    digits d0..d16, 20 is '.' and 21 NUL.  Column 0 is left for the sign."""
-    rows = []
-    digits = list(range(3, 20))
-    for e in range(-4, 16):
-        text = (digits[:e + 1] + [20] + digits[e + 1:] if e >= 0
-                else [0, 20] + [0] * (-e - 1) + digits)
-        for m in range(17):
-            cut = min(m, 16 - e)  # the fraction's trailing zeros; its point too if none is left
-            kept = text[:len(text) - cut - (cut == 16 - e)]
-            rows.append([21] * (24 - len(kept)) + kept)
-    return np.array(rows, np.intp)
-
-
-_DIGIT_GROUPS = _digit_groups()
-_LAYOUTS = _layouts()
-_POINT = np.frombuffer(b".\0\0\0", np.uint32)[0]
-
-
-def _two_product(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(hi, lo) with hi + lo = a * b exactly (Dekker 1971), for products far
-    from overflow and underflow; one ufunc per step, so none is fused."""
-    def split(x):
-        c = x * 134217729.0  # 2**27 + 1
-        high = c - (c - x)
-        return high, x - high
-    hi = a * b
-    ah, al = split(a)
-    bh, bl = split(b)
-    return hi, al * bl - (((hi - ah * bh) - al * bh) - ah * bl)
-
-
-def _g17(x: np.ndarray) -> np.ndarray:
-    """'%.17g' % v of each v in the float array x, as (x.size, 24) uint8 rows
-    of ASCII padded with NUL bytes; 24 is the longest such text.
-
-    For 1e-4 <= |v| < 1e16 the text is fixed-point, e = floor(log10 |v|) lies
-    in [-4, 15], and its 17 digits are N = |v| 10**(16 - e) rounded half to
-    even, as CPython's dtoa rounds.  The product is exact as hi + lo, and
-    hi >= 1e16 > 2**53 is an even integer, so N = hi + rint(lo).  np.log10 may
-    be one off next to a power of ten; the exact product shows it.  N never
-    rounds up to 10**17: the largest double below each power of ten in the
-    range is 8 units of its 17th digit or more below it.  Every other v (zero,
-    subnormal, tiny, huge, nan, inf) is formatted by '%' itself.
-    """
-    x = np.ravel(x)
-    a = np.abs(x)
-    fast = (a >= 1e-4) & (a < 1e16)
-    a[~fast] = 1.0
-    e = np.floor(np.log10(a)).astype(np.intp)
-    hi, lo = _two_product(a, _POW10[16 - e])
-    off = ((hi > 1e17) | (hi == 1e17) & (lo >= 0)).astype(np.intp) - (
-        (hi < 1e16) | (hi == 1e16) & (lo < 0))
-    fix = np.flatnonzero(off)
-    if fix.size:
-        e[fix] += off[fix]
-        hi[fix], lo[fix] = _two_product(a[fix], _POW10[16 - e[fix]])
-    n = hi.astype(np.int64) + np.rint(lo).astype(np.int64)
-    src = np.empty((x.size, 6), np.uint32)  # '000' d0, d1..d16 in fours, '.'
-    for j in range(4, 0, -1):
-        n, src[:, j] = np.divmod(n, 10_000)
-    src[:, 0] = n
-    src[:, :5] = _DIGIT_GROUPS.take(src[:, :5])
-    src[:, 5] = _POINT
-    src = src.view(np.uint8)
-    m = np.argmax(src[:, 19:2:-1] != 48, axis=1)  # d0 > 0 ends every search
-    where = _LAYOUTS.take((e + 4) * 17 + m, axis=0)
-    where += np.arange(0, src.size, 24)[:, None]
-    out = src.reshape(-1).take(where)
-    out[:, 0] = np.where(x < 0, 45, 0)  # '-'
-    slow = np.flatnonzero(~fast)
-    if slow.size:
-        text = np.array([b"%.17g" % v for v in x[slow].tolist()], "S24")
-        out[slow] = text.view(np.uint8).reshape(-1, 24)
-    return out
+    becomes null), indented, keys sorted, newline-terminated, written piece by
+    piece, so the text of a long float series is never held whole."""
+    with open(path, "w") as f:
+        f.writelines(_json(payload))
+        f.write("\n")
 
 
 _WRITE_ROWS = 1024  # rows per write: bounds a write's temporaries, not the file
+_SERIES_MIN = 64  # below this many floats, CPython's repr per value beats numpy's cost per block
 
 
 def _write_table(path: str | Path, title: str, meta: dict, header, columns) -> None:

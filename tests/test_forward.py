@@ -397,6 +397,13 @@ class TestProblemInstance:
         with pytest.raises(GridMismatchError):
             bad.h_grid()
 
+    @pytest.mark.parametrize("order", [8.5, 8.0, True])
+    def test_order_an_integer(self, order):
+        # ProblemInstance(order=8.5) was built and failed only in make_observations
+        with pytest.raises(DomainError, match=f"^mode truncation must be an integer, got {order!r}$"):
+            ProblemInstance(h=lambda t: t, v=lambda t: t, g=SineSeries([1.0]),
+                            order=order, t_final=1.0, dt=0.5)
+
     @pytest.mark.parametrize("t_final, dt", [(math.inf, 1e-3), (1e300, 1e-300)])
     def test_step_count_must_be_finite(self, t_final, dt):
         # round() of an infinite step count raised a bare OverflowError
@@ -487,6 +494,12 @@ class TestSolveFD:
         p = make_problem("decay1", 4, 0.5, 1e-2)
         with pytest.raises(DomainError):
             solve_fd(p, 8)
+
+    def test_points_an_integer(self):
+        # solve_fd raised a bare TypeError for 64.5
+        p = make_problem("decay1", 4, 0.5, 1e-2)
+        with pytest.raises(DomainError, match="^spatial points must be an integer, got 64.5$"):
+            solve_fd(p, 64.5)
 
 
 class TestLiftedField:

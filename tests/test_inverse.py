@@ -676,6 +676,16 @@ class TestKnobRules:
         with pytest.raises(DomainError, match=f"must be an integer, got {value!r}$"):
             InversionConfig(**knobs)
 
+    @pytest.mark.parametrize("burn_in, text", [
+        (2.5, "^burn-in must be an integer, got 2.5$"), (-1, "^burn-in must be >= 0, got -1$")])
+    def test_recover_vh_reads_the_burn_in_rule(self, burn_in, text):
+        # recover_vh raised a bare TypeError about slice indices for 2.5
+        _, obs = observe("generic")
+        with pytest.raises(DomainError, match=text):
+            recover_vh(obs, 1.0, 0.0, burn_in=burn_in)
+        with pytest.raises(DomainError, match=text):
+            InversionConfig(burn_in=burn_in)
+
     @pytest.mark.parametrize("knobs", [(5.0, 3), (5, 2.5), (True, 0), (5, np.float64(3.0))])
     def test_smoothing_knobs_are_integers(self, knobs):
         with pytest.raises(DomainError, match="must be an integer"):

@@ -329,7 +329,7 @@ class TestStrictJson:
         np.zeros((2, 0)),
     ], ids=["float-1d", "float-2d", "int", "empty", "empty-2d"])
     def test_array_written_as_its_list(self, tmp_path, array):
-        # a 1-D float64 array is joined without a per-value type scan
+        # an array is written as the list it holds
         by_array, by_list = tmp_path / "a.json", tmp_path / "l.json"
         write_json(by_array, {"x": array, "y": [array]})
         write_json(by_list, {"x": array.tolist(), "y": [array.tolist()]})
@@ -568,6 +568,22 @@ class TestCliSimulate:
         assert json.loads(line)["error"] == "ConfigError"
         assert "seed must be non-negative" in json.loads(line)["message"]
         assert not out.exists()
+
+    def test_config_serialised_once_per_command(self, tmp_path, monkeypatch):
+        # the provenance, its hash and the observations' meta each serialised it
+        cfg = ExperimentConfig(preset="generic", order=8, t_final=0.5, dt=1e-2, depth=2,
+                               levels=(0.0,), trials=1)
+        save_config(cfg, tmp_path / "c.json")
+        calls = []
+        to_dict = ExperimentConfig.to_dict
+        monkeypatch.setattr(ExperimentConfig, "to_dict", lambda c: calls.append(c) or to_dict(c))
+        args = ["--config", str(tmp_path / "c.json"), "--out", str(tmp_path)]
+        for command in (["simulate"], ["invert", str(tmp_path / "observations.csv")], ["study"]):
+            calls.clear()
+            assert main(command + args) == 0
+            assert calls == [cfg]
+        meta = read_observations(tmp_path / "observations.csv")[1]
+        assert meta["config_sha256"] == cfg.config_hash()
 
     def test_runs_without_config_file(self, tmp_path):
         # all-defaults invocation: the built-in generic preset

@@ -48,6 +48,9 @@ CONFIGS = {
                            "levels": [0.0, 1e-5], "trials": 2},
     "schedule-times": {"preset": "generic", "order": 8, "t_final": 4.0, "depth": 2,
                        "schedule_times": [3.0, 1.5], "trials": 2},
+    # h = v = 0: every JSON series value is below 1e-4, some of them -0.0
+    "zero-forcing": {"preset": None, "g_amplitudes": [1.0, 0.5, 0.25], "order": 8,
+                     "t_final": 2.0, "depth": 2},
 }
 
 
