@@ -337,30 +337,31 @@ class Observations:
             _require_observed_modes(self.order)
 
 
-@np.errstate(over="ignore")  # an overflowing draw is rejected below
+@np.errstate(over="ignore", invalid="ignore")  # an overflowing draw is rejected below
 def _noisy_stack(obs: Observations, noises: list[NoiseSpec]) -> Observations:
     """The one record obs with noises[i] added to row i, as a stacked
-    record of (rows, n) series.  One default_rng(seed) per spec draws, in
-    the order u1, u3, uy, standard_normal(n) straight into its rows, scaled
-    by level * scale, where scale is 1 ('absolute') or the clean series' sup
-    norm ('relative'); the clean series is added last.  A spec that adds no
-    noise leaves its rows clean."""
+    record of (rows, n) series, views of one (rows, 3, n) array.  One
+    default_rng(seed) per spec fills its record's u1, u3, uy, in that order,
+    by one standard_normal(out=...) (the bits of three draws of n); each
+    series is scaled by level * scale, where scale is 1 ('absolute') or the
+    clean series' sup norm ('relative'), and the clean series is added last.
+    A spec that adds no noise leaves its record clean."""
     series = [f.values for f in (obs.u1, obs.u3, obs.uy)]
     sups = [float(np.max(np.abs(x))) for x in series]
-    out = np.empty((3, len(noises), obs.u1.n))
-    for i, noise in enumerate(noises):
+    out = np.empty((len(noises), 3, obs.u1.n))
+    for noise, record in zip(noises, out):
         if not noise.adds_noise:
-            out[:, i] = series
+            for row, x in zip(record, series):
+                row[...] = x
             continue
-        rng = np.random.default_rng(noise.seed)
-        for row, x, sup in zip(out[:, i], series, sups):
-            rng.standard_normal(out=row)
+        np.random.default_rng(noise.seed).standard_normal(out=record)
+        for row, x, sup in zip(record, series, sups):
             row *= noise.level * (1.0 if noise.kind == "absolute" else sup)
             row += x
-            if not np.all(np.isfinite(row)):
-                raise DataError(f"noise level {noise.level} (seed {noise.seed}) overflows the data")
+        if not np.all(np.isfinite(record)):
+            raise DataError(f"noise level {noise.level} (seed {noise.seed}) overflows the data")
     out.flags.writeable = False
-    u1, u3, uy = (GridFn(obs.u1.t0, obs.u1.dt, rows) for rows in out)
+    u1, u3, uy = (GridFn(obs.u1.t0, obs.u1.dt, out[:, j]) for j in range(3))
     return replace(obs, u1=u1, u3=u3, uy=uy)
 
 

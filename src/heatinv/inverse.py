@@ -18,6 +18,7 @@ from __future__ import annotations
 import math
 import numbers
 from dataclasses import asdict, dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -709,22 +710,44 @@ def invert_stack(
     plan, one more peel_lsq on the first row.  w(y, t) is rebuilt from the
     modes of the records' truncation, or from cfg.order when they do not
     state one.  Records that differ in y or order raise InversionError
-    (stage 'stack'); a failing stage fails the whole stack.  Each
-    Reconstruction's v_hat and h_hat are views into the stack's."""
+    (stage 'stack'); a failing stage fails the whole stack.  The solve
+    stages (_solve_stacked) run first, then the self-consistency check and
+    the Reconstructions (_report_stacked).  Each Reconstruction's v_hat and
+    h_hat are views into the stack's."""
     for r in records[1:]:
         if (r.y, r.order) != (records[0].y, records[0].order):
             raise InversionError(
                 "stack", f"records differ in y or order: (y={records[0].y}, "
                 f"order={records[0].order}) vs (y={r.y}, order={r.order})")
-    return _invert_stacked(Observations(
+    obs = Observations(
         *[GridFn.stack([getattr(r, name) for r in records]) for name in ("u1", "u3", "uy")],
         y=records[0].y, order=records[0].order,
-    ), cfg)
-
-
-def _invert_stacked(obs: Observations, cfg: InversionConfig | None = None) -> list[Reconstruction]:
-    """invert_stack on a record whose series are (rows, n) stacks."""
+    )
     cfg = cfg or InversionConfig()
+    return _report_stacked(obs, cfg, _solve_stacked(obs, cfg))
+
+
+class _Solved(NamedTuple):
+    """What the solve stages give for a stacked record: one row per record,
+    except the peel condition, which every row shares."""
+
+    g1: np.ndarray
+    g3: np.ndarray
+    v_hat: GridFn
+    h_hat: GridFn
+    w: GridFn
+    forced: np.ndarray                   # the forced rows [u_1; u_3; w], (rows, 3, n)
+    b_hat: np.ndarray
+    assembled: AssembledG
+    cond: float
+    peels: list                          # per row: (amplification, predicted, warnings)
+
+
+def _solve_stacked(obs: Observations, cfg: InversionConfig, cond: float | None = None) -> _Solved:
+    """The stages extract_g13 through assemble_g on a record whose series are
+    (rows, n) stacks.  A given cond, the peel condition of an earlier solve
+    on the same grid and depth, stands in for this solve's own, so the
+    ladder and a given plan skip their extra peel_lsq."""
     g1, g3 = _stage("extract_g13", extract_g13, obs)
     v_hat, h_hat = _stage("recover_vh", recover_vh, obs, g1, g3, cfg.deriv, cfg.burn_in)
 
@@ -736,7 +759,7 @@ def _invert_stacked(obs: Observations, cfg: InversionConfig | None = None) -> li
     if cfg.peel_method == "lsq":
         fits = [_stage("peel", peel_lsq, qr, cfg.depth, cfg.ridge) for qr in q.rows()]
         b_hat = np.array([b for b, _ in fits])
-        cond = fits[0][1]
+        cond = fits[0][1] if cond is None else cond
         peels = [(np.ones(cfg.depth), None, []) for _ in fits]
     else:
         # only the ladder and a given plan ignore the data: one plan peels the stack
@@ -752,46 +775,52 @@ def _invert_stacked(obs: Observations, cfg: InversionConfig | None = None) -> li
                 amplification_cap=cfg.amplification_cap,
             ))
         b_hat = np.vstack([r.b_hat for r in results])
-        # the ladder, a given plan (a plan_peel output may come from another
-        # grid) and a record too short for the plan's fit need one more fit
-        cond = results[0].plan.condition if cfg.schedule is None else None
+        # unless an earlier solve gave cond, the ladder, a given plan (a
+        # plan_peel output may come from another grid) and a record too short
+        # for the plan's fit need one more fit
+        if cond is None and cfg.schedule is None:
+            cond = results[0].plan.condition
         if cond is None:
             _, cond = _stage("peel_condition", peel_lsq, q.rows()[0], cfg.depth, PROVISIONAL_RIDGE)
         peels = [(r.amplification, r.plan.predicted, r.warnings) for r in results]
         peels *= len(b_hat) // len(peels)  # a shared plan's numbers hold for every row
 
     assembled = _stage("assemble_g", assemble_g, b_hat, obs.y, cfg.divisor_threshold)
+    return _Solved(g1, g3, v_hat, h_hat, w, forced, b_hat, assembled, cond, peels)
 
-    # self-consistency: push each reconstruction back through the forward map
+
+def _report_stacked(obs: Observations, cfg: InversionConfig, s: _Solved) -> list[Reconstruction]:
+    """The Reconstructions of a solved stack, each with its self-consistency
+    residuals: every reconstruction pushed back through the forward map."""
     t = obs.u1.times
     e1, e9 = np.exp(-t), np.exp(-9.0 * t)
-    peeled = _exp_sums(b_hat, obs.u1)
+    peeled = _exp_sums(s.b_hat, obs.u1)
     det = system_determinant()
     out = []
-    rows = zip(peels, v_hat.rows(), h_hat.rows())
+    rows = zip(s.peels, s.v_hat.rows(), s.h_hat.rows())
     for i, ((amp, predicted, peel_warnings), v_row, h_row) in enumerate(rows):
         diagnostics = Diagnostics(
             determinant=det,
             deriv_scheme=cfg.deriv.name,
             burn_in=cfg.burn_in,
             peel_method=cfg.peel_method,
-            peel_condition=cond,
+            peel_condition=s.cond,
             amplification=amp,
             predicted_mode_error=predicted,
-            divisors=assembled.divisors,
-            rejected_modes=assembled.rejected,
-            residual_u1=rel_l2(g1[i] * e1 + forced[i, 0], obs.u1.values[i]),
-            residual_u3=rel_l2(g3[i] * e9 + forced[i, 1], obs.u3.values[i]),
-            residual_uy=rel_l2(w.values[i] + peeled[i], obs.uy.values[i]),
+            divisors=s.assembled.divisors,
+            rejected_modes=s.assembled.rejected,
+            residual_u1=rel_l2(s.g1[i] * e1 + s.forced[i, 0], obs.u1.values[i]),
+            residual_u3=rel_l2(s.g3[i] * e9 + s.forced[i, 1], obs.u3.values[i]),
+            residual_uy=rel_l2(s.w.values[i] + peeled[i], obs.uy.values[i]),
             warnings=tuple(peel_warnings),
         )
         out.append(Reconstruction(
             v_hat=v_row,
             h_hat=h_row,
-            g_coeffs=SineSeries(assembled.coeffs[i]),
-            b_hat=b_hat[i],
-            g1=float(g1[i]),
-            g3=float(g3[i]),
+            g_coeffs=SineSeries(s.assembled.coeffs[i]),
+            b_hat=s.b_hat[i],
+            g1=float(s.g1[i]),
+            g3=float(s.g3[i]),
             diagnostics=diagnostics,
         ))
     return out

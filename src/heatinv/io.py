@@ -175,13 +175,19 @@ def save_config(cfg: ExperimentConfig, path: str | Path) -> None:
 def _json(x, pad: str = ""):
     """The text of json.dumps(x, indent=2, sort_keys=True, allow_nan=False) at
     indent `pad`, in pieces, for str dict keys, with ndarrays and numpy scalars
-    as plain values and every float that is not finite as null.  A list of
-    floats, or a 1-D float64 array, of _SERIES_MIN values or more is formatted
-    by _json_floats a block of _WRITE_ROWS values at a time."""
+    as plain values and every float that is not finite as null.  A non-empty
+    list of floats, or 1-D float64 array, is written as one join of its
+    values' texts, and one of _SERIES_MIN values or more is formatted by
+    _json_floats a block of _WRITE_ROWS values at a time."""
     inner = pad + "  "
     floats = (x.ndim == 1 and x.dtype == np.float64 if isinstance(x, np.ndarray)
               else isinstance(x, (list, tuple)) and all(isinstance(v, float) for v in x))
-    if floats and len(x) >= _SERIES_MIN:
+    if floats and 0 < len(x) < _SERIES_MIN:
+        values = x.tolist() if isinstance(x, np.ndarray) else x
+        yield "[\n" + inner + (",\n" + inner).join(
+            float.__repr__(v) if math.isfinite(v) else "null" for v in values) + f"\n{pad}]"
+        return
+    if floats and len(x):
         x, sep = np.asarray(x, dtype=np.float64), ",\n" + inner
         tail = np.frombuffer(sep.encode(), np.uint8)
         yield "[\n" + inner
@@ -391,8 +397,9 @@ def write_reconstruction(
         "b_hat": rec.b_hat,
         "g_coeffs": rec.g_coeffs.coeffs,
         "g_sin_amplitudes": rec.g_coeffs.sin_amplitudes,
-        "v_hat": dataclasses.asdict(rec.v_hat),
-        "h_hat": dataclasses.asdict(rec.h_hat),
+        # the series themselves: dataclasses.asdict would copy them to format them
+        "v_hat": {"t0": rec.v_hat.t0, "dt": rec.v_hat.dt, "values": rec.v_hat.values},
+        "h_hat": {"t0": rec.h_hat.t0, "dt": rec.h_hat.dt, "values": rec.h_hat.values},
         "diagnostics": rec.diagnostics.to_dict(),
         "provenance": provenance,
     }

@@ -18,7 +18,7 @@ from .basis import basis_at
 from .errors import DataError, DomainError, HeatInvError, _require_int
 from .forward import NoiseSpec, Observations, ProblemInstance, _noisy_stack, make_observations
 from .grid import rel_l2
-from .inverse import InversionConfig, _invert_stacked
+from .inverse import InversionConfig, _solve_stacked
 
 #: a stacked chunk of noisy records holds rows * n <= this many samples per
 #: series: its (rows, n) series and temporaries, and mode_evolve's (rows, n/L,
@@ -127,17 +127,28 @@ def check_study(levels, trials: int) -> list[float]:
     return levels
 
 
-def _invert_chunk(clean: Observations, noises: list[NoiseSpec], cfg: InversionConfig) -> list:
-    """Reconstructions of the records noise.apply(clean), drawn into one
-    stack just before it is inverted.  If that fails, each record is drawn
-    and inverted alone, and one that fails comes back as its HeatInvError:
-    the same one its lone inversion raises."""
+def _invert_chunk(
+    clean: Observations, noises: list[NoiseSpec], cfg: InversionConfig, cond: float | None = None
+) -> tuple[list, float | None]:
+    """The solve stages (_solve_stacked) on the records noise.apply(clean),
+    drawn into one stack just before it is solved: one (b_hat, g
+    coefficients, v_hat, h_hat) row of arrays per record, and the peel
+    condition of the solve, which a given cond stands in for.  If the stack
+    fails, each record is drawn and solved alone, the first that succeeds
+    supplying cond to the rest, and one that fails comes back as its
+    HeatInvError: the same one its lone inversion raises.  cond stays None
+    while no solve has succeeded."""
     try:
-        return _invert_stacked(_noisy_stack(clean, noises), cfg)
+        s = _solve_stacked(_noisy_stack(clean, noises), cfg, cond)
     except HeatInvError as exc:
         if len(noises) == 1:
-            return [exc]
-        return [out for noise in noises for out in _invert_chunk(clean, [noise], cfg)]
+            return [exc], cond
+        rows = []
+        for noise in noises:
+            row, cond = _invert_chunk(clean, [noise], cfg, cond)
+            rows += row
+        return rows, cond
+    return list(zip(s.b_hat, s.assembled.coeffs, s.v_hat.values, s.h_hat.values)), s.cond
 
 
 def run_noise_study(
@@ -156,7 +167,10 @@ def run_noise_study(
     gets a copy of that outcome under its own trial and seed.  The noisy
     records are drawn and inverted a chunk at a time, as one stack of at
     most _CHUNK_SAMPLES samples per series, and every trial's record
-    equals that of its own lone inversion.  A record that cannot be built
+    equals that of its own lone inversion.  Only the solve stages run (a
+    record holds no residual), and the peel condition, which depends on
+    the grid and depth alone, comes from the first solve that succeeds and
+    serves every later one.  A record that cannot be built
     (an unsafe y or a negative base_seed, say) raises; a failure inside a
     single trial's inversion is recorded, not raised.  Level 0 reproduces
     the clean baseline exactly.
@@ -178,31 +192,38 @@ def run_noise_study(
     v_true, h_true = p.v_grid(), p.h_grid()
     clean = make_observations(replace(p, v=v_true, h=h_true), y)
 
-    def outcome(rec) -> dict:
-        """The TrialRecord fields of one inversion, or of its failure."""
-        if isinstance(rec, HeatInvError):
-            return {"ok": False, "message": str(rec)}
-        k = v_true.n - rec.v_hat.n  # the inversion's burn-in
+    def outcome(row, cond) -> dict:
+        """The TrialRecord fields of one solve's row, or of its failure."""
+        if isinstance(row, HeatInvError):
+            return {"ok": False, "message": str(row)}
+        b_hat, coeffs, v_hat, h_hat = row
+        k = v_true.n - v_hat.size  # the inversion's burn-in
         return {
             "ok": True,
-            "b_err": np.abs(rec.b_hat - b_true),
-            "g_err": np.abs(rec.g_coeffs.coeffs - g_true),
-            "v_rel_l2": rel_l2(rec.v_hat.values, v_true.values[k:]),
-            "h_rel_l2": rel_l2(rec.h_hat.values, h_true.values[k:]),
-            "peel_condition": rec.diagnostics.peel_condition,
+            "b_err": np.abs(b_hat - b_true),
+            "g_err": np.abs(coeffs - g_true),
+            "v_rel_l2": rel_l2(v_hat, v_true.values[k:]),
+            "h_rel_l2": rel_l2(h_hat, h_true.values[k:]),
+            "peel_condition": cond,
         }
 
     noisy = [noise for _, noise in jobs if noise.adds_noise]
     rows = max(1, _CHUNK_SAMPLES // clean.u1.n)
 
-    clean_outcome = None
+    clean_outcome, cond = None, None
     if len(noisy) < len(jobs):
-        clean_outcome = outcome(_invert_chunk(clean, [NoiseSpec()], cfg)[0])
-    # lazy: each chunk becomes TrialRecords before the next one is inverted
-    fresh = (outcome(rec) for start in range(0, len(noisy), rows)
-             for rec in _invert_chunk(clean, noisy[start:start + rows], cfg))
+        (row,), cond = _invert_chunk(clean, [NoiseSpec()], cfg)
+        clean_outcome = outcome(row, cond)
+
+    def fresh(cond):
+        """Each chunk's outcomes, made before the next chunk is solved."""
+        for start in range(0, len(noisy), rows):
+            chunk, cond = _invert_chunk(clean, noisy[start:start + rows], cfg, cond)
+            yield from (outcome(row, cond) for row in chunk)
+
+    outcomes = fresh(cond)
     records = [TrialRecord(noise.level, trial, noise.seed,
-                           **(next(fresh) if noise.adds_noise else clean_outcome))
+                           **(next(outcomes) if noise.adds_noise else clean_outcome))
                for trial, noise in jobs]
     return NoiseStudy(
         levels=tuple(levels),

@@ -624,6 +624,8 @@ class TestMakeObservations:
 
     @pytest.mark.parametrize("kind", ["absolute", "relative"])
     def test_apply_draws_u1_u3_uy_in_order(self, kind):
+        # one standard_normal(out=...) over a record's three series holds the
+        # bits of three standard_normal(n) draws from its default_rng(seed)
         p = make_problem("generic", 8, 1.0, 1e-2)
         clean = make_observations(p, 1.0)
         noisy = NoiseSpec(kind, 1e-3, seed=9).apply(clean)
@@ -632,9 +634,9 @@ class TestMakeObservations:
         for name in ("u1", "u3", "uy"):
             values = getattr(clean, name).values
             scale = 1.0 if kind == "absolute" else np.max(np.abs(values))
-            expect = values + (1e-3 * scale) * rng.standard_normal(values.size)
-            np.testing.assert_array_equal(getattr(noisy, name).values, expect)
-            np.testing.assert_array_equal(getattr(direct, name).values, expect)
+            expect = (values + (1e-3 * scale) * rng.standard_normal(values.size)).tobytes()
+            assert getattr(noisy, name).values.tobytes() == expect
+            assert getattr(direct, name).values.tobytes() == expect
         assert (noisy.y, noisy.order, noisy.u1.dt) == (clean.y, clean.order, clean.u1.dt)
 
     @pytest.mark.parametrize("kind", ["absolute", "relative"])

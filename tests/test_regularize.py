@@ -25,6 +25,7 @@ from heatinv import (
     run_noise_study,
 )
 import heatinv.grid
+import heatinv.inverse
 import heatinv.regularize
 from heatinv.cli import main
 from heatinv.io import ExperimentConfig, save_config
@@ -38,15 +39,29 @@ def fourmode_problem():
 
 @pytest.fixture
 def stack_calls(monkeypatch):
-    """The rows, as values (u1, u3, uy), of every stack a noise study inverts."""
+    """The rows, as values (u1, u3, uy), of every stack a noise study solves."""
     calls = []
-    real = heatinv.regularize._invert_stacked
+    real = heatinv.regularize._solve_stacked
 
-    def counting(obs, cfg=None):
+    def counting(obs, cfg, cond=None):
         calls.append(list(zip(obs.u1.values, obs.u3.values, obs.uy.values)))
-        return real(obs, cfg)
+        return real(obs, cfg, cond)
 
-    monkeypatch.setattr(heatinv.regularize, "_invert_stacked", counting)
+    monkeypatch.setattr(heatinv.regularize, "_solve_stacked", counting)
+    return calls
+
+
+@pytest.fixture
+def lsq_calls(monkeypatch):
+    """The (depth, reg) of every peel_lsq call the inversion stages make."""
+    calls = []
+    real = heatinv.inverse.peel_lsq
+
+    def counting(q, depth, reg=0.0):
+        calls.append((depth, reg))
+        return real(q, depth, reg)
+
+    monkeypatch.setattr(heatinv.inverse, "peel_lsq", counting)
     return calls
 
 
@@ -175,33 +190,61 @@ class TestRunNoiseStudy:
 
     def test_matches_per_trial_resimulation(self, fourmode_problem):
         # reference: every trial re-simulates its own noisy record; the trials
-        # of the zero level share the one clean inversion
-        p, trials, base_seed = fourmode_problem, 4, 7
-        cfg = InversionConfig(order=p.order, schedule_method="ladder", window=1)
-        for levels in ((0.0, 1e-6, 1e-4), (0.0, 1e-6)):
-            study = run_noise_study(p, 1.0, levels, trials, base_seed=base_seed)
-            reference = []
-            for li, level in enumerate(levels):
-                for trial in range(trials):
-                    seed = base_seed + li * trials + trial
-                    noise = NoiseSpec("relative" if level > 0 else "none", level, seed)
-                    try:
-                        reference.append((seed, invert(make_observations(p, 1.0, noise), cfg)))
-                    except HeatInvError:
-                        reference.append((seed, None))
-            assert len(study.records) == len(reference)
-            for r, (seed, rec) in zip(study.records, reference):
-                assert r.seed == seed
-                assert r.ok == (rec is not None)
-                if rec is None:
-                    continue
-                np.testing.assert_array_equal(r.b_err, np.abs(rec.b_hat - study.b_true))
-                np.testing.assert_array_equal(r.g_err,
-                                              np.abs(rec.g_coeffs.coeffs - study.g_true))
-                k = int(round(rec.v_hat.t0 / rec.v_hat.dt))
-                assert r.v_rel_l2 == rel_l2(rec.v_hat.values, p.v_grid().values[k:])
-                assert r.h_rel_l2 == rel_l2(rec.h_hat.values, p.h_grid().values[k:])
-                assert r.peel_condition == rec.diagnostics.peel_condition
+        # of the zero level share the one clean inversion.  20 trials a level
+        # run the noisy records in chunks of 8, and the peel condition of the
+        # first solve stands in for every later one
+        p, trials, base_seed = fourmode_problem, 20, 7
+        ladder = InversionConfig(order=p.order, schedule_method="ladder", window=1)
+        # the default (ladder, window 1), the 'model' schedule and the lsq peel
+        for cfg, lone_cfg in ((None, ladder), (InversionConfig(order=8),) * 2,
+                              (InversionConfig(order=8, peel_method="lsq"),) * 2):
+            for levels in ((0.0, 1e-6, 1e-4), (0.0, 1e-6)):
+                study = run_noise_study(p, 1.0, levels, trials, cfg=cfg, base_seed=base_seed)
+                reference = []
+                for li, level in enumerate(levels):
+                    for trial in range(trials):
+                        seed = base_seed + li * trials + trial
+                        noise = NoiseSpec("relative" if level > 0 else "none", level, seed)
+                        try:
+                            obs = make_observations(p, 1.0, noise)
+                            reference.append((seed, invert(obs, lone_cfg)))
+                        except HeatInvError:
+                            reference.append((seed, None))
+                assert len(study.records) == len(reference)
+                for r, (seed, rec) in zip(study.records, reference):
+                    assert r.seed == seed
+                    assert r.ok == (rec is not None)
+                    if rec is None:
+                        continue
+                    np.testing.assert_array_equal(r.b_err, np.abs(rec.b_hat - study.b_true))
+                    np.testing.assert_array_equal(r.g_err,
+                                                  np.abs(rec.g_coeffs.coeffs - study.g_true))
+                    k = int(round(rec.v_hat.t0 / rec.v_hat.dt))
+                    assert r.v_rel_l2 == rel_l2(rec.v_hat.values, p.v_grid().values[k:])
+                    assert r.h_rel_l2 == rel_l2(rec.h_hat.values, p.h_grid().values[k:])
+                    assert r.peel_condition == rec.diagnostics.peel_condition
+
+    def test_ladder_study_fits_one_peel_condition(self, fourmode_problem, lsq_calls):
+        # the benchmark's study: the clean record and 5 noisy chunks, one peel_lsq
+        study = run_noise_study(fourmode_problem, 1.0, (0.0, 1e-6, 1e-4), 20, base_seed=0)
+        assert lsq_calls == [(4, heatinv.inverse.PROVISIONAL_RIDGE)]
+        assert len({r.peel_condition for r in study.records}) == 1
+
+    def test_failing_first_chunk_keeps_lone_conditions(self, fourmode_problem, stack_calls,
+                                                       lsq_calls):
+        # no level 0, and the first chunk (6 records at 1e-6, 2 at 1e308) fails
+        # at its draw: its records are solved alone, the first that succeeds
+        # fits the peel condition, and every later solve reuses it
+        p = fourmode_problem
+        study = run_noise_study(p, 1.0, (1e-6, 1e308), 6, base_seed=3)
+        assert [len(records) for records in stack_calls] == [1] * 6
+        assert len(lsq_calls) == 1
+        assert [r.ok for r in study.records] == [True] * 6 + [False] * 6
+        cfg = InversionConfig(order=8, schedule_method="ladder", window=1)
+        for r in study.records_at(1e-6):
+            lone = invert(NoiseSpec("relative", 1e-6, r.seed).apply(make_observations(p, 1.0)), cfg)
+            assert r.peel_condition == lone.diagnostics.peel_condition
+            np.testing.assert_array_equal(r.b_err, np.abs(lone.b_hat - study.b_true))
 
     def test_unsafe_point_raises(self, fourmode_problem, tmp_path, capsys):
         # sin(2 y) vanishes at y = pi/2: no record can be built, so no trial runs
