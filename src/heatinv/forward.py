@@ -170,6 +170,8 @@ class ProblemInstance:
             raise DataError(
                 f"final time {self.t_final} is not an integer number of steps of {self.dt}"
             )
+        if round(steps) < 1:
+            raise DataError(f"final time {self.t_final} is shorter than one step of {self.dt}")
         _require_int("mode truncation", self.order)
         if self.order < 1:
             raise DomainError(f"mode truncation must be >= 1, got {self.order}")
@@ -227,22 +229,9 @@ def spectral_field(modes: GridFn, x: np.ndarray, v: GridFn | None = None) -> np.
     return np.outer(v.values, 1.0 - x / math.pi) + corrected.T @ fx
 
 
-@dataclass(frozen=True)
-class FDSolution:
-    """Finite-difference solution on the full space-time grid."""
-
-    x: np.ndarray
-    t0: float
-    dt: float
-    u: np.ndarray  # shape (n_t, nx)
-
-    @property
-    def times(self) -> np.ndarray:
-        return self.t0 + self.dt * np.arange(self.u.shape[0])
-
-
-def solve_fd(p: ProblemInstance, nx: int) -> FDSolution:
-    """Crank-Nicolson oracle on nx spatial points (boundaries included).
+def solve_fd(p: ProblemInstance, nx: int) -> tuple[np.ndarray, np.ndarray]:
+    """Crank-Nicolson oracle on nx spatial points (boundaries included): the
+    points x and u of shape (n, nx) on the problem's time grid.
 
     Second order in space and time for smooth compatible data; implicit, so
     the time step is unrestricted by nx.  Boundary rows are pinned to v(t)
@@ -275,7 +264,7 @@ def solve_fd(p: ProblemInstance, nx: int) -> FDSolution:
     for j in range(1, len(modes)):
         modes[j] += decay * modes[j - 1]
     u = np.column_stack((v, modes @ dst, np.zeros_like(v)))
-    return FDSolution(x=x, t0=0.0, dt=dt, u=u)
+    return x, u
 
 
 @dataclass(frozen=True)
@@ -386,6 +375,18 @@ def _observed_rows(y: float, order: int) -> np.ndarray:
     return rows
 
 
+def _safe_observed_rows(y: float, order: int) -> np.ndarray:
+    """_observed_rows(y, order), refusing with a DomainError a y with some
+    f_m(y) near zero (basis._near_zero), the worst mode named."""
+    weights = _observed_rows(y, order)
+    if _near_zero(weights[2]).any():
+        worst = int(np.argmin(np.abs(weights[2])))
+        raise DomainError(f"observation point y={y} unsafe: |sin({worst + 1} y)| = "
+                          f"{abs(weights[2, worst]) / BASIS_NORM:.3e} below threshold "
+                          f"{DEFAULT_POINT_THRESHOLD:.3e}")
+    return weights
+
+
 def make_observations(
     p: ProblemInstance,
     y: float,
@@ -396,14 +397,9 @@ def make_observations(
     The modes are evolved straight into their three observed projections
     (_observed_rows), u(y, t) being the truncated synthesis over the M modes;
     the optional noise is added to the three series by NoiseSpec.apply.  A y
-    with some f_m(y) near zero (basis._near_zero) is refused first.
+    with some f_m(y) near zero is refused first (_safe_observed_rows).
     """
-    weights = _observed_rows(y, p.order)
-    if _near_zero(weights[2]).any():
-        worst = int(np.argmin(np.abs(weights[2])))
-        raise DomainError(f"observation point y={y} unsafe: |sin({worst + 1} y)| = "
-                          f"{abs(weights[2, worst]) / BASIS_NORM:.3e} below threshold "
-                          f"{DEFAULT_POINT_THRESHOLD:.3e}")
+    weights = _safe_observed_rows(y, p.order)
     rows = mode_evolve(p.g_coeffs(), p.v_grid(), p.h_grid(), weights)
     clean = Observations(*(GridFn(0.0, p.dt, r) for r in rows), y=float(y), order=p.order)
     return (noise or NoiseSpec()).apply(clean)

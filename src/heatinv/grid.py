@@ -51,8 +51,10 @@ class GridFn:
             raise DataError("grid values must form a non-empty 1-D array or a 2-D stack")
         if not np.all(np.isfinite(v)):
             raise DataError("grid values contain non-finite entries")
-        if not self.dt > 0.0:
-            raise DataError(f"grid step must be positive, got {self.dt}")
+        if not math.isfinite(self.t0):
+            raise DataError(f"grid start must be finite, got {self.t0}")
+        if not 0.0 < self.dt < math.inf:
+            raise DataError(f"grid step must be finite and positive, got {self.dt}")
         object.__setattr__(self, "values", v)
 
     @classmethod

@@ -285,6 +285,11 @@ def _require_ridge(reg: float) -> None:
         raise DomainError(f"ridge must be >= 0 and finite, got {reg}")
 
 
+def _require_threshold(threshold: float) -> None:
+    if not 0.0 <= threshold < 1.0:
+        raise DomainError(f"divisor threshold must be >= 0 and < 1, got {threshold}")
+
+
 def _require_depth(depth: int) -> None:
     _require_int("peeling depth", depth)
     if depth < 1:
@@ -603,7 +608,9 @@ def assemble_g(
     b_hat: np.ndarray, y: float, threshold: float = DEFAULT_POINT_THRESHOLD
 ) -> AssembledG:
     """g_m = b_m / f_m(y) along the last axis, rejecting modes with a
-    near-vanishing divisor; non-finite coefficients raise DataError."""
+    near-vanishing divisor; non-finite coefficients raise DataError, and a
+    threshold outside [0, 1) DomainError."""
+    _require_threshold(threshold)
     b_hat = np.atleast_1d(np.asarray(b_hat, dtype=float))
     divisors = basis_at(y, b_hat.shape[-1])
     keep = ~_near_zero(divisors, threshold)
@@ -645,6 +652,7 @@ class InversionConfig:
         _require_ridge(self.ridge)
         _require_plan_depth(self.schedule, self.depth)
         _require_cap(self.amplification_cap)
+        _require_threshold(self.divisor_threshold)
 
 
 @dataclass(frozen=True)
@@ -705,9 +713,9 @@ def invert_stack(
     truncation in one pass: each stage runs once along the last axis of the
     stacked rows, and row i's result carries the bits of its own lone
     inversion.  The 'model' and 'balance' schedules and the lsq peel stay
-    per row.  peel_condition depends on the grid and depth alone: it comes
-    from the first row's plan or lsq fit, or, for the ladder and a given
-    plan, one more peel_lsq on the first row.  w(y, t) is rebuilt from the
+    per row.  peel_condition depends on the grid, depth and path alone: it
+    comes from the first row's plan (its depth + 1 fit) or lsq fit, or, for
+    the ladder and a given plan, one more peel_lsq on the first row.  w(y, t) is rebuilt from the
     modes of the records' truncation, or from cfg.order when they do not
     state one.  Records that differ in y or order raise InversionError
     (stage 'stack'); a failing stage fails the whole stack.  The solve
@@ -735,7 +743,6 @@ class _Solved(NamedTuple):
     g3: np.ndarray
     v_hat: GridFn
     h_hat: GridFn
-    w: GridFn
     forced: np.ndarray                   # the forced rows [u_1; u_3; w], (rows, 3, n)
     b_hat: np.ndarray
     assembled: AssembledG
@@ -786,7 +793,7 @@ def _solve_stacked(obs: Observations, cfg: InversionConfig, cond: float | None =
         peels *= len(b_hat) // len(peels)  # a shared plan's numbers hold for every row
 
     assembled = _stage("assemble_g", assemble_g, b_hat, obs.y, cfg.divisor_threshold)
-    return _Solved(g1, g3, v_hat, h_hat, w, forced, b_hat, assembled, cond, peels)
+    return _Solved(g1, g3, v_hat, h_hat, forced, b_hat, assembled, cond, peels)
 
 
 def _report_stacked(obs: Observations, cfg: InversionConfig, s: _Solved) -> list[Reconstruction]:
@@ -811,7 +818,7 @@ def _report_stacked(obs: Observations, cfg: InversionConfig, s: _Solved) -> list
             rejected_modes=s.assembled.rejected,
             residual_u1=rel_l2(s.g1[i] * e1 + s.forced[i, 0], obs.u1.values[i]),
             residual_u3=rel_l2(s.g3[i] * e9 + s.forced[i, 1], obs.u3.values[i]),
-            residual_uy=rel_l2(s.w.values[i] + peeled[i], obs.uy.values[i]),
+            residual_uy=rel_l2(s.forced[i, 2] + peeled[i], obs.uy.values[i]),
             warnings=tuple(peel_warnings),
         )
         out.append(Reconstruction(

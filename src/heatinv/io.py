@@ -22,7 +22,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ConfigError, DataError, HeatInvError, ParseError
-from .forward import NoiseSpec, Observations, ProblemInstance
+from .forward import NoiseSpec, Observations, ProblemInstance, _safe_observed_rows
 from .grid import GridFn
 from .inverse import DET_EXACT, DerivativeScheme, InversionConfig, PeelPlan, Reconstruction
 from .presets import make_problem
@@ -99,6 +99,7 @@ class ExperimentConfig:
             check_study(self.levels, self.trials)
             self.inversion_config()
             self.noise_spec()
+            _safe_observed_rows(self.y, self.order)
             if self.preset is None:
                 self._unread_problem()
             else:
@@ -121,9 +122,6 @@ class ExperimentConfig:
             return cls(**data)
         except TypeError as exc:
             raise ConfigError(str(exc)) from None
-
-    def config_hash(self) -> str:
-        return _config_sha256(self.to_dict())
 
     # -- factories ---------------------------------------------------------
 

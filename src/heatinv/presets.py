@@ -21,7 +21,6 @@ from .forward import ProblemInstance
 
 @dataclass(frozen=True)
 class Preset:
-    name: str
     description: str
     h: Callable
     v: Callable
@@ -34,28 +33,24 @@ def _const(value: float) -> Callable:
 
 PRESETS: dict[str, Preset] = {
     "decay1": Preset(
-        name="decay1",
         description="pure first-mode decay: h = 0, v = 0, g = f_1",
         h=_const(0.0),
         v=_const(0.0),
         g=SineSeries([1.0]),
     ),
     "steady": Preset(
-        name="steady",
         description="equilibrium ramp: h = 0, v = 1, g = 1 - x/pi (u stays put)",
         h=_const(0.0),
         v=_const(1.0),
         g=lambda x: 1.0 - np.asarray(x, dtype=float) / math.pi,
     ),
     "generic": Preset(
-        name="generic",
         description="smooth forcing: h = 1 + cos t, v = e^{-t} - 1, g = sin x + 0.5 sin 2x",
         h=lambda t: 1.0 + np.cos(np.asarray(t, dtype=float)),
         v=lambda t: np.exp(-np.asarray(t, dtype=float)) - 1.0,
         g=SineSeries.from_sin_amplitudes([1.0, 0.5]),
     ),
     "fourmode": Preset(
-        name="fourmode",
         description="four-mode initial data for peeling studies: "
         "g = sin x + 0.6 sin 2x + 0.35 sin 3x + 0.2 sin 4x, forcing as 'generic'",
         h=lambda t: 1.0 + np.cos(np.asarray(t, dtype=float)),

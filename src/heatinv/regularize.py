@@ -105,11 +105,6 @@ class NoiseStudy:
         return out
 
 
-def _trial_seed(base_seed: int, level_index: int, trial: int, trials: int) -> int:
-    # distinct, reproducible, order-independent
-    return base_seed + level_index * max(trials, 1) + trial
-
-
 def check_study(levels, trials: int) -> list[float]:
     """The noise levels as floats; raises DomainError unless there are levels
     and an integer number of trials and the levels are finite, non-negative
@@ -161,15 +156,16 @@ def run_noise_study(
 ) -> NoiseStudy:
     """Invert noisy observations at each relative noise level.
 
-    The clean observation record is built once; each (level, trial) pair
-    perturbs it with its own seed (NoiseSpec.apply).  A level-0 trial adds
+    The clean observation record is built once; the i-th (level, trial)
+    pair, counted level by level, perturbs it with seed base_seed + i
+    (NoiseSpec.apply).  A level-0 trial adds
     no noise, so the clean record is inverted once and every level-0 trial
     gets a copy of that outcome under its own trial and seed.  The noisy
     records are drawn and inverted a chunk at a time, as one stack of at
     most _CHUNK_SAMPLES samples per series, and every trial's record
     equals that of its own lone inversion.  Only the solve stages run (a
     record holds no residual), and the peel condition, which depends on
-    the grid and depth alone, comes from the first solve that succeeds and
+    the grid, depth and path alone, comes from the first solve that succeeds and
     serves every later one.  A record that cannot be built
     (an unsafe y or a negative base_seed, say) raises; a failure inside a
     single trial's inversion is recorded, not raised.  Level 0 reproduces
@@ -184,7 +180,7 @@ def run_noise_study(
     levels = check_study(levels, trials)
     cfg = cfg or InversionConfig(schedule_method="ladder", window=1)
 
-    jobs = [(trial, NoiseSpec("relative", level, _trial_seed(base_seed, li, trial, trials)))
+    jobs = [(trial, NoiseSpec("relative", level, base_seed + li * trials + trial))
             for li, level in enumerate(levels) for trial in range(trials)]
     g_true = p.g_coeffs(cfg.depth)
     b_true = g_true * basis_at(y, cfg.depth)

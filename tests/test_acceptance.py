@@ -84,10 +84,10 @@ def test_c3_convergence_order():
 def test_c4_forward_oracle_agreement():
     p = make_problem("generic", 32, 2.0, 1e-3)
     spec = solve_spectral(p)
-    fd = solve_fd(p, 512)
-    field = spectral_field(spec, fd.x, v=p.v_grid())
+    x, u = solve_fd(p, 512)
+    field = spectral_field(spec, x, v=p.v_grid())
     mask = spec.times >= 0.1
-    err = float(np.max(np.abs(field[mask] - fd.u[mask])))
+    err = float(np.max(np.abs(field[mask] - u[mask])))
     ok = err <= 1e-3
     assert _report("C4", "forward oracle agreement", ok,
                    f"sup |spectral - FD| = {err:.3e} <= 1e-3 on t in [0.1, 2]")

@@ -303,8 +303,8 @@ def test_import_loads_no_scipy():
         "p = h.make_problem('generic', 8, 0.5, 1e-3)\n"
         "cfg = h.InversionConfig(order=8, deriv=h.DerivativeScheme(smooth_window=21))\n"
         "rec = h.invert(h.make_observations(p, 1.0), cfg)\n"
-        "fd = h.solve_fd(p, 64)\n"
-        "print(rec.v_hat.n, fd.u.shape)\n"
+        "x, u = h.solve_fd(p, 64)\n"
+        "print(rec.v_hat.n, u.shape)\n"
     )
     proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                           text=True, timeout=120)
@@ -412,6 +412,15 @@ class TestProblemInstance:
                             order=4, t_final=t_final, dt=dt)
 
 
+    @pytest.mark.parametrize("dt", [1e10, 1e308, math.inf])
+    def test_at_least_one_step(self, dt):
+        # t_final / dt rounded to 0 steps within the tolerance, so the grid had
+        # one sample, and make_observations at dt = inf died on a numpy warning
+        with pytest.raises(DataError) as exc:
+            make_problem("generic", 8, 1.0, dt)
+        assert str(exc.value) == f"final time 1.0 is shorter than one step of {dt}"
+
+
 def _solve_fd_banded(p, nx):
     """The former solve_fd: one banded Crank-Nicolson solve per time step."""
     from scipy.linalg import solve_banded
@@ -438,48 +447,48 @@ class TestSolveFD:
     @pytest.mark.parametrize("preset", ["decay1", "steady", "generic"])
     def test_matches_banded_reference(self, preset, nx):
         p = make_problem(preset, 8, 1.0, 1e-2)
-        fd = solve_fd(p, nx)
+        _, u = solve_fd(p, nx)
         ref = _solve_fd_banded(p, nx)
-        assert np.max(np.abs(fd.u - ref)) <= 1e-11 * np.max(np.abs(ref))
+        assert np.max(np.abs(u - ref)) <= 1e-11 * np.max(np.abs(ref))
 
     def test_separable_decay(self):
         p = make_problem("decay1", 4, 1.0, 1e-3)
-        fd = solve_fd(p, 128)
-        t = fd.times
-        exact = np.exp(-t)[:, None] * (SQ * np.sin(fd.x))[None, :]
-        assert np.max(np.abs(fd.u - exact)) < 5e-5
+        x, u = solve_fd(p, 128)
+        t = p.v_grid().times
+        exact = np.exp(-t)[:, None] * (SQ * np.sin(x))[None, :]
+        assert np.max(np.abs(u - exact)) < 5e-5
 
     def test_space_convergence_second_order(self):
         p = make_problem("decay1", 4, 0.5, 1e-4)
         errs = []
         for nx in (33, 65):
-            fd = solve_fd(p, nx)
-            exact = np.exp(-fd.times)[:, None] * (SQ * np.sin(fd.x))[None, :]
-            errs.append(np.max(np.abs(fd.u - exact)))
+            x, u = solve_fd(p, nx)
+            exact = np.exp(-p.v_grid().times)[:, None] * (SQ * np.sin(x))[None, :]
+            errs.append(np.max(np.abs(u - exact)))
         assert errs[0] / errs[1] == pytest.approx(4.0, rel=0.25)
 
     def test_steady_profile_preserved(self):
         p = make_problem("steady", 4, 1.0, 1e-2)
-        fd = solve_fd(p, 64)
-        profile = 1.0 - fd.x / math.pi
-        assert np.max(np.abs(fd.u - profile[None, :])) < 1e-12
+        x, u = solve_fd(p, 64)
+        profile = 1.0 - x / math.pi
+        assert np.max(np.abs(u - profile[None, :])) < 1e-12
 
     def test_cross_solver_uniform_source(self):
         # the source-driven coefficients decay like m^-3, so M = 64 modes are
         # needed before the synthesis tail drops under the 1e-4 target
         p = ProblemInstance(h=lambda t: np.ones_like(t), v=lambda t: np.zeros_like(t),
                             g=SineSeries([0.0]), order=64, t_final=1.0, dt=1e-3)
-        fd = solve_fd(p, 256)
+        x, u = solve_fd(p, 256)
         spec = solve_spectral(p)
-        field = spectral_field(spec, fd.x)
+        field = spectral_field(spec, x)
         mask = spec.times >= 0.1
-        assert np.max(np.abs(field[mask] - fd.u[mask])) < 1e-4
+        assert np.max(np.abs(field[mask] - u[mask])) < 1e-4
 
     def test_boundary_rows_pinned(self):
         p = make_problem("generic", 4, 0.5, 1e-2)
-        fd = solve_fd(p, 64)
-        np.testing.assert_allclose(fd.u[:, 0], p.v_grid().values, atol=0.0)
-        np.testing.assert_allclose(fd.u[:, -1], 0.0, atol=0.0)
+        _, u = solve_fd(p, 64)
+        np.testing.assert_allclose(u[:, 0], p.v_grid().values, atol=0.0)
+        np.testing.assert_allclose(u[:, -1], 0.0, atol=0.0)
 
     def test_scalar_only_initial_data(self):
         # a g that takes only scalars is called once per point, as project
@@ -487,7 +496,7 @@ class TestSolveFD:
         scalar = make_problem("decay1", 4, 0.2, 1e-2)
         scalar = replace(scalar, g=lambda x: math.sin(x) + 0.5 * math.sin(3.0 * x))
         vector = replace(scalar, g=lambda x: np.array([scalar.g(xi) for xi in x]))
-        np.testing.assert_array_equal(solve_fd(scalar, 64).u, solve_fd(vector, 64).u)
+        np.testing.assert_array_equal(solve_fd(scalar, 64)[1], solve_fd(vector, 64)[1])
         np.testing.assert_array_equal(solve_spectral(scalar).values, solve_spectral(vector).values)
 
     def test_too_few_points(self):
@@ -507,13 +516,13 @@ class TestLiftedField:
         # nonzero boundary input: raw truncated synthesis has an O(1) Gibbs
         # error near x = 0, the lifted one does not
         p = make_problem("generic", 32, 0.5, 1e-3)
-        fd = solve_fd(p, 256)
+        x, u = solve_fd(p, 256)
         spec = solve_spectral(p)
         mask = spec.times >= 0.1
-        lifted = spectral_field(spec, fd.x, v=p.v_grid())
-        raw = spectral_field(spec, fd.x)
-        err_lift = np.max(np.abs(lifted[mask] - fd.u[mask]))
-        err_raw = np.max(np.abs(raw[mask] - fd.u[mask]))
+        lifted = spectral_field(spec, x, v=p.v_grid())
+        raw = spectral_field(spec, x)
+        err_lift = np.max(np.abs(lifted[mask] - u[mask]))
+        err_raw = np.max(np.abs(raw[mask] - u[mask]))
         assert err_lift < 1e-3
         assert err_raw > 0.1
 

@@ -42,6 +42,19 @@ def test_rejects_bad_step():
         GridFn(0.0, -0.1, [1.0])
 
 
+@pytest.mark.parametrize("t0, dt, text", [
+    (math.nan, 1e-3, "grid start must be finite, got nan"),
+    (-math.inf, 1e-3, "grid start must be finite, got -inf"),
+    (0.0, math.inf, "grid step must be finite and positive, got inf"),
+    (0.0, math.nan, "grid step must be finite and positive, got nan"),
+])
+def test_grid_start_and_step_must_be_finite(t0, dt, text):
+    # GridFn(nan, 1e-3, ...) was built, and its grid then differed from itself
+    with pytest.raises(DataError) as exc:
+        GridFn(t0, dt, [1.0, 2.0])
+    assert str(exc.value) == text
+
+
 def test_arithmetic_requires_same_grid():
     a = GridFn(0.0, 0.1, [1.0, 2.0, 3.0])
     b = GridFn(0.0, 0.1, [1.0, 1.0, 1.0])

@@ -655,6 +655,25 @@ class TestKnobRules:
             flagged.append([w.split(":")[0] for w in diag.warnings if "exceeds cap" in w])
         assert flagged == [["mode 1", "mode 2", "mode 3"], []]
 
+    @pytest.mark.parametrize("threshold", [math.nan, math.inf, -1e-3, 1.0, 2.0])
+    def test_divisor_threshold_in_unit_interval(self, threshold):
+        # a NaN or infinite threshold rejected every mode with no warning
+        text = f"divisor threshold must be >= 0 and < 1, got {threshold}"
+        for build in (lambda: InversionConfig(divisor_threshold=threshold),
+                      lambda: assemble_g(np.ones(4), 1.0, threshold)):
+            with pytest.raises(DomainError) as exc:
+                build()
+            assert str(exc.value) == text
+        if math.isfinite(threshold):
+            with pytest.raises(ConfigError) as exc:
+                ExperimentConfig(divisor_threshold=threshold)
+            assert str(exc.value) == text
+
+    def test_divisor_threshold_bounds_pass(self):
+        assert InversionConfig().divisor_threshold == 1e-3
+        assert InversionConfig(divisor_threshold=0.0).divisor_threshold == 0.0
+        assert assemble_g(np.ones(4), 1.0, 0.999).rejected == (1, 2, 3, 4)
+
     @pytest.mark.parametrize("ridge", [math.inf, -math.inf])
     def test_ridge_must_be_finite(self, ridge, capfd):
         text = f"ridge must be >= 0 and finite, got {ridge}"

@@ -38,8 +38,8 @@ from heatinv.basis import basis_at
 from heatinv import cli
 from heatinv.cli import main
 from heatinv.inverse import DET_EXACT, Diagnostics, Reconstruction
-from heatinv.io import (ExperimentConfig, fmt, load_config, save_config, write_json,
-                        write_reconstruction, write_study)
+from heatinv.io import (ExperimentConfig, _config_sha256, fmt, load_config, save_config,
+                        write_json, write_reconstruction, write_study)
 from heatinv.regularize import run_noise_study
 
 
@@ -80,12 +80,25 @@ class TestExperimentConfig:
         with pytest.raises(ConfigError, match="mutually exclusive"):
             ExperimentConfig(preset="generic", g_amplitudes=(1.0,))
 
+    @pytest.mark.parametrize("y", [5.0, 0.0, -1.0, math.pi / 2])
+    def test_observation_point_checked_at_load(self, y):
+        # each of these loaded, and only simulate or study refused the point
+        with pytest.raises(DomainError) as exc:
+            make_observations(make_problem("generic", ExperimentConfig.order, 0.1, 1e-2), y)
+        with pytest.raises(ConfigError) as cfg_exc:
+            ExperimentConfig(y=y)
+        assert str(cfg_exc.value) == str(exc.value)
+
+    def test_grid_of_at_least_one_step(self):
+        with pytest.raises(ConfigError, match="^final time 1.0 is shorter than one step of "):
+            ExperimentConfig(t_final=1.0, dt=1e10)
+
     def test_hash_stable_and_sensitive(self):
         a = ExperimentConfig(seed=1)
         b = ExperimentConfig(seed=1)
         c = ExperimentConfig(seed=2)
-        assert a.config_hash() == b.config_hash()
-        assert a.config_hash() != c.config_hash()
+        assert _config_sha256(a.to_dict()) == _config_sha256(b.to_dict())
+        assert _config_sha256(a.to_dict()) != _config_sha256(c.to_dict())
 
     def test_not_json_object(self, tmp_path):
         path = tmp_path / "bad.json"
@@ -153,7 +166,7 @@ class TestExperimentConfig:
 
     def test_inversion_defaults_shared(self):
         assert ExperimentConfig().inversion_config() == InversionConfig()
-        assert ExperimentConfig().config_hash() == (
+        assert _config_sha256(ExperimentConfig().to_dict()) == (
             "a04a7804856582c0ac54cac0d3acd06ed9784001ebbea3f85837a65c43525694"
         )
 
@@ -409,6 +422,15 @@ class TestObservationFiles:
         with pytest.raises(DataError, match="uniform grid"):
             read_observations(path)
 
+    def test_time_column_of_nan_is_a_grid_error(self, tmp_path):
+        # this failed with "grids differ" between two printings of one grid
+        path = tmp_path / "obs.csv"
+        path.write_text('# meta = {"y": 1.0, "dt": 0.001}\nt,u1,u3,uy\n'
+                        + "nan,1,0,0\n" * 3)
+        with pytest.raises(DataError) as exc:
+            read_observations(path)
+        assert str(exc.value) == "grid start must be finite, got nan"
+
     @pytest.mark.parametrize("value", ["5", "null", '"y"', "[1, 2]"])
     def test_meta_not_an_object_exits_2(self, tmp_path, capsys, value):
         path, cfg_path = self._simulate_with_meta(tmp_path, "y", 1.0)
@@ -537,15 +559,15 @@ class TestCliSimulate:
         assert (out1 / "observations.json").read_bytes() == (out2 / "observations.json").read_bytes()
 
     def test_unsafe_point_cited(self, tmp_path, capsys):
-        cfg = ExperimentConfig(preset="generic", order=4, t_final=0.1, dt=1e-2,
-                               y=math.pi / 2)
-        save_config(cfg, tmp_path / "c.json")
+        # the config refuses the point at load, so it is written by hand
+        (tmp_path / "c.json").write_text(json.dumps(
+            {"preset": "generic", "order": 4, "t_final": 0.1, "dt": 1e-2, "y": math.pi / 2}))
         code = main(["simulate", "--config", str(tmp_path / "c.json"), "--out", str(tmp_path)])
         assert code == 2
         err = capsys.readouterr().err
         diag = json.loads(err.strip())
         assert "sin" in diag["message"]  # cites the non-vanishing condition
-        assert diag["error"] == "DomainError"
+        assert diag["error"] == "ConfigError"
 
     def test_seed_and_preset_overrides(self, tmp_path):
         cfg = ExperimentConfig(preset="generic", order=4, t_final=0.1, dt=1e-2, seed=0)
@@ -583,7 +605,7 @@ class TestCliSimulate:
             assert main(command + args) == 0
             assert calls == [cfg]
         meta = read_observations(tmp_path / "observations.csv")[1]
-        assert meta["config_sha256"] == cfg.config_hash()
+        assert meta["config_sha256"] == _config_sha256(cfg.to_dict())
 
     def test_runs_without_config_file(self, tmp_path):
         # all-defaults invocation: the built-in generic preset
