@@ -15,7 +15,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import DataError, DomainError
+from .errors import DataError, DomainError, _require_int
 from .grid import _evaluate
 
 #: sqrt(2/pi), the normalisation constant of the basis.
@@ -60,11 +60,16 @@ def eval_basis(m: int, x):
     x may be a scalar or an array; the domain check applies elementwise.
     """
     m = mode_constants(m).m  # checks the mode index
+    out = BASIS_NORM * np.sin(m * _on_rod(x))
+    return float(out) if np.isscalar(x) else out
+
+
+def _on_rod(x) -> np.ndarray:
+    """x as a float array; the one home of the rule 0 <= x <= pi for a position."""
     xa = np.asarray(x, dtype=float)
     if np.any(xa < 0.0) or np.any(xa > math.pi):
         raise DomainError("position outside [0, pi]")
-    out = BASIS_NORM * np.sin(m * xa)
-    return float(out) if np.isscalar(x) else out
+    return xa
 
 
 def _require_interior(y: float) -> None:
@@ -76,6 +81,7 @@ def _require_interior(y: float) -> None:
 def basis_at(y: float, order: int) -> np.ndarray:
     """f_m(y) for m = 1..order at an interior point 0 < y < pi."""
     _require_interior(y)
+    _require_int("truncation order", order)
     return BASIS_NORM * np.sin(np.arange(1, order + 1) * y)
 
 
@@ -117,17 +123,10 @@ class SineSeries:
         return self.coeffs * BASIS_NORM
 
     def __call__(self, x):
-        return synthesize(self, x)
-
-
-def synthesize(series: SineSeries, x):
-    """Evaluate the truncated series at x (scalar or array) in [0, pi]."""
-    xa = np.asarray(x, dtype=float)
-    if np.any(xa < 0.0) or np.any(xa > math.pi):
-        raise DomainError("position outside [0, pi]")
-    m = np.arange(1, series.order + 1)
-    out = BASIS_NORM * np.sin(np.multiply.outer(xa, m)) @ series.coeffs
-    return float(out) if np.isscalar(x) else out
+        """Evaluate the truncated series at x (scalar or array) in [0, pi]."""
+        m = np.arange(1, self.order + 1)
+        out = BASIS_NORM * np.sin(np.multiply.outer(_on_rod(x), m)) @ self.coeffs
+        return float(out) if np.isscalar(x) else out
 
 
 def project(fn: Callable, order: int, quad_points: int = DEFAULT_QUAD_POINTS) -> SineSeries:
@@ -138,6 +137,7 @@ def project(fn: Callable, order: int, quad_points: int = DEFAULT_QUAD_POINTS) ->
     sine orthogonality exactly, so projecting a sine polynomial of degree
     below the number of grid intervals is exact up to rounding.
     """
+    _require_int("truncation order", order)
     if order < 1:
         raise DomainError(f"truncation order must be >= 1, got {order}")
     if quad_points < max(16, 2 * order):

@@ -101,7 +101,7 @@ def cmd_simulate(args) -> int:
     obs = make_observations(problem, cfg.y, cfg.noise_spec())
     out = _out_dir(args, cfg)
     prov = _provenance(cfg, y=cfg.y)
-    meta = {"noise": cfg.noise_spec().to_dict(), "seed": cfg.seed, "preset": cfg.preset,
+    meta = {"noise": dataclasses.asdict(cfg.noise_spec()), "seed": cfg.seed, "preset": cfg.preset,
             "config_sha256": prov["config_sha256"]}
     write_observations(out / "observations.csv", obs, meta)
     write_json(out / "observations.json", prov)

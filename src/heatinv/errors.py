@@ -20,10 +20,6 @@ class GridMismatchError(DataError):
     """Two grid functions do not share the same time grid."""
 
 
-class PreconditionError(HeatInvError, ValueError):
-    """A documented operation precondition is not met."""
-
-
 class ScheduleError(HeatInvError, ValueError):
     """A peeling schedule is inconsistent with the data grid."""
 

@@ -15,8 +15,8 @@ from typing import Callable, Union
 
 import numpy as np
 
-from .basis import (BASIS_NORM, DEFAULT_POINT_THRESHOLD, SineSeries, _near_zero, _require_interior,
-                    basis_at, mode_constants, project)
+from .basis import (BASIS_NORM, DEFAULT_POINT_THRESHOLD, SineSeries, _near_zero, _on_rod,
+                    _require_interior, basis_at, mode_constants, project)
 from .errors import DataError, DomainError, _require_int
 from .grid import GridFn, _evaluate
 
@@ -195,6 +195,7 @@ class ProblemInstance:
     def g_coeffs(self, order: int | None = None) -> np.ndarray:
         """Sine coefficients of g, padded or truncated to `order` modes."""
         order = self.order if order is None else order
+        _require_int("mode truncation", order)
         if isinstance(self.g, SineSeries):
             c = np.zeros(order)
             k = min(order, self.g.order)
@@ -217,9 +218,10 @@ def spectral_field(modes: GridFn, x: np.ndarray, v: GridFn | None = None) -> np.
     u = v(t)(1 - x/pi) + sum_m (u_m - v(t) l_m) f_m(x),  l_m = sqrt(2/pi)/m,
     is used.  It regroups the exact series around the linear boundary
     lift, so the truncated sum converges uniformly up to the boundary
-    instead of suffering the O(1) Gibbs error of the raw partial sum.
+    instead of suffering the O(1) Gibbs error of the raw partial sum.  A
+    position outside [0, pi] raises DomainError.
     """
-    x = np.asarray(x, dtype=float)
+    x = _on_rod(x)
     m = np.arange(1, modes.values.shape[0] + 1)
     fx = BASIS_NORM * np.sin(np.outer(m, x))  # (M, nx)
     if v is None:
@@ -303,9 +305,6 @@ class NoiseSpec:
         noisy = _noisy_stack(obs, [self])
         u1, u3, uy = (f.rows()[0] for f in (noisy.u1, noisy.u3, noisy.uy))
         return replace(obs, u1=u1, u3=u3, uy=uy)
-
-    def to_dict(self) -> dict:
-        return {"kind": self.kind, "level": self.level, "seed": self.seed}
 
 
 @dataclass(frozen=True)

@@ -99,16 +99,15 @@ class GridFn:
     def times(self) -> np.ndarray:
         return self.t0 + self.dt * np.arange(self.n)
 
-    def same_grid(self, other: "GridFn") -> bool:
+    def require_same_grid(self, other: "GridFn") -> None:
+        """Raise GridMismatchError unless other has this shape, dt and t0 (both
+        to _REL_TOL relative)."""
         scale = max(abs(self.dt), abs(other.dt), 1e-300)
-        return (
+        if not (
             self.values.shape == other.values.shape
             and abs(self.dt - other.dt) <= _REL_TOL * scale
             and abs(self.t0 - other.t0) <= _REL_TOL * max(scale, abs(self.t0), abs(other.t0))
-        )
-
-    def require_same_grid(self, other: "GridFn") -> None:
-        if not self.same_grid(other):
+        ):
             raise GridMismatchError(
                 f"grids differ: (t0={self.t0}, dt={self.dt}, n={self.n}) vs "
                 f"(t0={other.t0}, dt={other.dt}, n={other.n})"

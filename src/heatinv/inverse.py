@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import math
 import numbers
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
@@ -34,7 +34,6 @@ from .errors import (
     DataError,
     DomainError,
     InversionError,
-    PreconditionError,
     ScheduleError,
     _require_int,
 )
@@ -74,20 +73,13 @@ def extract_g13(obs: Observations) -> tuple[np.ndarray, np.ndarray]:
     """g_1 = u_1(0), g_3 = u_3(0), one per row of a stacked record; the grid
     must start at t = 0."""
     if abs(obs.u1.t0) > 1e-12:
-        raise PreconditionError(f"observation grid must start at t = 0, got t0 = {obs.u1.t0}")
+        raise DataError(f"observation grid must start at t = 0, got t0 = {obs.u1.t0}")
     return obs.u1.values[..., 0], obs.u3.values[..., 0]
 
 
 # ---------------------------------------------------------------------------
 # stage 2: boundary input and source from the 2x2 mode system
 # ---------------------------------------------------------------------------
-
-def _derivative(values: np.ndarray, dt: float) -> np.ndarray:
-    """Second-order derivative: central stencils inside, one-sided at the ends."""
-    if values.shape[-1] < 3:
-        raise DataError("derivative stencil needs at least 3 samples")
-    return np.gradient(values, dt, axis=-1, edge_order=2)
-
 
 @dataclass(frozen=True)
 class DerivativeScheme:
@@ -130,7 +122,10 @@ class DerivativeScheme:
                 fitted[..., 0, :half],
                 np.lib.stride_tricks.sliding_window_view(values, w, axis=-1) @ (basis[half] @ fit),
                 fitted[..., 1, half + 1:]), axis=-1)
-        return values, _derivative(values, dt)
+        if n < 3:
+            raise DataError("derivative stencil needs at least 3 samples")
+        # second order: central stencils inside, one-sided at the ends
+        return values, np.gradient(values, dt, axis=-1, edge_order=2)
 
     @property
     def name(self) -> str:
@@ -339,6 +334,8 @@ def peel_lsq(q: GridFn, depth: int, reg: float = 0.0) -> LsqFit:
     """
     _require_depth(depth)
     _require_ridge(reg)
+    if q.values.ndim != 1:
+        raise DataError(f"peel_lsq fits one record, got a stack of {len(q.values)} rows")
     if q.n < depth:
         raise DataError(f"grid of {q.n} samples cannot support depth {depth}")
     # R of [A | q] has A's singular values, and R b = Q^T q
@@ -548,7 +545,8 @@ def peel_sequential(
     b_hat_m = e^{m^2 t_m} [ q(t_m) - sum_{k<m} b_hat_k e^{-k^2 t_m} ],
     the instantaneous estimate averaged over the plan's window around t_m.
     A stacked q peels every row on the one plan; b_hat then has shape
-    (rows, depth).  Without a plan, plan_peel picks the default schedule.
+    (rows, depth).  Without a plan, plan_peel picks the default schedule,
+    which fits one record: a stack needs a given plan or the 'ladder'.
     Amplification factors above the cap, and a plan forecast that is not
     finite, are recorded as warnings, not failures.
     """
@@ -651,6 +649,8 @@ class InversionConfig:
         _require_burn_in(self.burn_in)
         _require_ridge(self.ridge)
         _require_plan_depth(self.schedule, self.depth)
+        if self.schedule is not None and self.window is not None:
+            raise ScheduleError("a given schedule carries its own windows: window must be None")
         _require_cap(self.amplification_cap)
         _require_threshold(self.divisor_threshold)
 
@@ -672,9 +672,6 @@ class Diagnostics:
     residual_u3: float
     residual_uy: float
     warnings: tuple[str, ...]
-
-    def to_dict(self) -> dict:
-        return asdict(self)
 
 
 @dataclass(frozen=True)

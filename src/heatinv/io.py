@@ -398,7 +398,7 @@ def write_reconstruction(
         # the series themselves: dataclasses.asdict would copy them to format them
         "v_hat": {"t0": rec.v_hat.t0, "dt": rec.v_hat.dt, "values": rec.v_hat.values},
         "h_hat": {"t0": rec.h_hat.t0, "dt": rec.h_hat.dt, "values": rec.h_hat.values},
-        "diagnostics": rec.diagnostics.to_dict(),
+        "diagnostics": dataclasses.asdict(rec.diagnostics),
         "provenance": provenance,
     }
     json_path = out / "reconstruction.json"

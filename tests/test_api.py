@@ -1,6 +1,8 @@
 """The public name list of the package."""
 
+import re
 import types
+from pathlib import Path
 
 import heatinv
 
@@ -10,3 +12,11 @@ def test_all_lists_each_public_name_once():
               if not name.startswith("_") and not isinstance(value, types.ModuleType)}
     assert len(heatinv.__all__) == len(set(heatinv.__all__))
     assert set(heatinv.__all__) == public
+
+
+def test_readme_names_every_public_name():
+    # in code: a fenced block or a `span`, so the word "Mode" in prose does not count
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    prose = re.sub(r"```.*?```", "", text, flags=re.S)
+    code = " ".join(re.findall(r"```.*?```", text, flags=re.S) + re.findall(r"`([^`\n]+)`", prose))
+    assert [name for name in heatinv.__all__ if not re.search(rf"\b{name}\b", code)] == []

@@ -18,7 +18,6 @@ from heatinv import (
     make_problem,
     mode_constants,
     project,
-    synthesize,
 )
 from heatinv.basis import _near_zero, basis_at
 
@@ -36,6 +35,17 @@ class TestBasisAt:
     def test_interior_points_only(self, y):
         with pytest.raises(DomainError, match=r"observation point must lie in \(0, pi\)"):
             basis_at(y, 4)
+
+
+@pytest.mark.parametrize("count", [
+    lambda n: project(np.sin, n),
+    lambda n: basis_at(1.0, n),
+], ids=["project", "basis_at"])
+@pytest.mark.parametrize("n", [2.5, 3.0, True])
+def test_mode_counts_are_integers(count, n):
+    # project(f, 2.5) gave 3 coefficients and basis_at(1.0, 2.5) 3 values
+    with pytest.raises(DomainError, match=f"^truncation order must be an integer, got {n!r}$"):
+        count(n)
 
 
 class TestModeConstants:
@@ -129,21 +139,21 @@ class TestProject:
 class TestSynthesize:
     def test_single_mode(self):
         s = SineSeries([1.0])
-        assert synthesize(s, math.pi / 2) == pytest.approx(SQ, abs=1e-15)
+        assert s(math.pi / 2) == pytest.approx(SQ, abs=1e-15)
 
     def test_zero_series(self):
         s = SineSeries([0.0, 0.0, 0.0])
-        assert synthesize(s, 1.234) == 0.0
+        assert s(1.234) == 0.0
 
     def test_two_modes(self):
         s = SineSeries([1.0, 0.5])
         expect = SQ * (math.sin(1.0) + 0.5 * math.sin(2.0))
-        assert synthesize(s, 1.0) == pytest.approx(expect, abs=1e-15)
+        assert s(1.0) == pytest.approx(expect, abs=1e-15)
 
     def test_boundary_values_vanish(self):
         s = SineSeries([0.3, -1.2, 0.7])
-        assert synthesize(s, 0.0) == 0.0
-        assert abs(synthesize(s, math.pi)) < 1e-14
+        assert s(0.0) == 0.0
+        assert abs(s(math.pi)) < 1e-14
 
     def test_sin_amplitude_convention(self):
         s = SineSeries.from_sin_amplitudes([1.0, 0.5])
@@ -153,7 +163,7 @@ class TestSynthesize:
 
     def test_domain_error(self):
         with pytest.raises(DomainError):
-            synthesize(SineSeries([1.0]), 4.0)
+            SineSeries([1.0])(4.0)
 
 
 class TestOrthonormality:
@@ -179,7 +189,7 @@ class TestRoundTrip:
     @settings(max_examples=25, deadline=None)
     def test_project_synthesize_identity(self, coeffs):
         s = SineSeries(coeffs)
-        back = project(lambda x: synthesize(s, x), s.order)
+        back = project(s, s.order)
         np.testing.assert_allclose(back.coeffs, s.coeffs, atol=1e-10)
 
 

@@ -361,6 +361,15 @@ class TestSolveSpectral:
             spectral_field(sol, x, v=make_problem("generic", 8, 1.0, 1e-3).v_grid())
         assert spectral_field(sol, x).shape == spectral_field(sol, x, p.v_grid()).shape == (501, 5)
 
+    @pytest.mark.parametrize("x", [[-1.0, 4.0], [0.0, math.pi + 1e-9], -0.5])
+    def test_field_only_on_the_rod(self, x):
+        # spectral_field(modes, [-1.0, 4.0], v) returned a field outside the rod
+        p = make_problem("generic", 8, 0.5, 1e-3)
+        sol = solve_spectral(p)
+        for v in (None, p.v_grid()):
+            with pytest.raises(DomainError, match=r"^position outside \[0, pi\]$"):
+                spectral_field(sol, x, v)
+
     def test_initial_condition_matches_projection(self):
         p = make_problem("generic", 8, 0.5, 1e-3)
         sol = solve_spectral(p)
@@ -403,6 +412,12 @@ class TestProblemInstance:
         with pytest.raises(DomainError, match=f"^mode truncation must be an integer, got {order!r}$"):
             ProblemInstance(h=lambda t: t, v=lambda t: t, g=SineSeries([1.0]),
                             order=order, t_final=1.0, dt=0.5)
+
+    @pytest.mark.parametrize("preset", ["steady", "decay1"])  # g projected, g a SineSeries
+    def test_g_coeffs_order_an_integer(self, preset):
+        # g_coeffs(2.5) raised a bare TypeError from np.zeros
+        with pytest.raises(DomainError, match="^mode truncation must be an integer, got 2.5$"):
+            make_problem(preset, 8, 1.0, 1e-2).g_coeffs(2.5)
 
     @pytest.mark.parametrize("t_final, dt", [(math.inf, 1e-3), (1e300, 1e-300)])
     def test_step_count_must_be_finite(self, t_final, dt):

@@ -3,7 +3,7 @@
 import math
 import tracemalloc
 import warnings
-from dataclasses import replace
+from dataclasses import asdict, replace
 
 import numpy as np
 import pytest
@@ -17,7 +17,6 @@ from heatinv import (
     InversionConfig,
     InversionError,
     NoiseSpec,
-    PreconditionError,
     ProblemInstance,
     ScheduleError,
     SineSeries,
@@ -57,8 +56,8 @@ def assert_same_reconstruction(a, b):
     np.testing.assert_array_equal(a.b_hat, b.b_hat)
     np.testing.assert_array_equal(a.g_coeffs.coeffs, b.g_coeffs.coeffs)
     assert (a.g1, a.g3) == (b.g1, b.g3)
-    b_diag = b.diagnostics.to_dict()
-    for key, value in a.diagnostics.to_dict().items():
+    b_diag = asdict(b.diagnostics)
+    for key, value in asdict(a.diagnostics).items():
         np.testing.assert_array_equal(value, b_diag[key], err_msg=key)
 
 
@@ -87,7 +86,7 @@ class TestExtractG13:
         shifted = Observations(
             u1=obs.u1.trim_head(1), u3=obs.u3.trim_head(1), uy=obs.uy.trim_head(1), y=obs.y
         )
-        with pytest.raises(PreconditionError):
+        with pytest.raises(DataError, match="must start at t = 0"):
             extract_g13(shifted)
 
 
@@ -262,7 +261,7 @@ class TestComputeW:
         v_hat, h_hat = recover_vh(obs, *extract_g13(obs))
         w_rec = compute_w(v_hat, h_hat, obs.y, 8)
         w_true = compute_w(p.v_grid(), p.h_grid(), obs.y, 8)
-        assert w_rec.same_grid(w_true)
+        w_rec.require_same_grid(w_true)
         assert np.max(np.abs(w_rec.values - w_true.values)) < 1e-5
 
     def test_head_extension_restores_full_grid(self):
@@ -393,7 +392,7 @@ class TestInvert:
         assert d.residual_uy < 1e-3
         assert d.peel_condition > 1.0
         assert len(d.amplification) == 2
-        assert d.to_dict()["burn_in"] == 2
+        assert asdict(d)["burn_in"] == 2
 
     def test_lsq_method_agrees_on_clean_data(self):
         p, obs = observe("generic", order=16, t_final=6.0)
@@ -488,6 +487,14 @@ class TestInvert:
         plan = PeelPlan(times=np.array([1.0]), windows=np.ones(1, dtype=int))
         with pytest.raises(ScheduleError, match="schedule of 1 times does not match depth 2"):
             InversionConfig(order=8, depth=2, schedule=plan)
+
+    def test_given_schedule_refuses_a_window(self):
+        # the window was ignored: b_hat equalled the one with window=None
+        text = "^a given schedule carries its own windows: window must be None$"
+        with pytest.raises(ScheduleError, match=text):
+            InversionConfig(depth=2, schedule=PeelPlan([1.0, 0.5]), window=5)
+        with pytest.raises(ConfigError, match=text):
+            ExperimentConfig(depth=2, schedule_times=(1.0, 0.5), window=5)
 
     def test_stage_error_carries_stage_name(self):
         from heatinv import InversionError

@@ -38,8 +38,8 @@ from heatinv.basis import basis_at
 from heatinv import cli
 from heatinv.cli import main
 from heatinv.inverse import DET_EXACT, Diagnostics, Reconstruction
-from heatinv.io import (ExperimentConfig, _config_sha256, fmt, load_config, save_config,
-                        write_json, write_reconstruction, write_study)
+from heatinv.io import (ExperimentConfig, _config_sha256, fmt, format_report, load_config,
+                        save_config, write_json, write_reconstruction, write_study)
 from heatinv.regularize import run_noise_study
 
 
@@ -76,6 +76,11 @@ class TestExperimentConfig:
         with pytest.raises(ConfigError, match="unknown preset"):
             ExperimentConfig.from_dict({"preset": "nope"})
 
+    def test_problem_data_required(self):
+        text = "^either a preset or explicit problem data must be given$"
+        with pytest.raises(ConfigError, match=text):
+            ExperimentConfig(preset=None)
+
     def test_preset_and_samples_mutually_exclusive(self):
         with pytest.raises(ConfigError, match="mutually exclusive"):
             ExperimentConfig(preset="generic", g_amplitudes=(1.0,))
@@ -99,6 +104,12 @@ class TestExperimentConfig:
         c = ExperimentConfig(seed=2)
         assert _config_sha256(a.to_dict()) == _config_sha256(b.to_dict())
         assert _config_sha256(a.to_dict()) != _config_sha256(c.to_dict())
+
+    def test_not_json(self, tmp_path):
+        path = tmp_path / "bad.json"
+        path.write_text('{"seed": 1,}')
+        with pytest.raises(ConfigError, match=f"^config {path} is not valid JSON: "):
+            load_config(path)
 
     def test_not_json_object(self, tmp_path):
         path = tmp_path / "bad.json"
@@ -199,6 +210,14 @@ class TestSampleFiles:
         with pytest.raises(DataError, match="grid step"):
             self.load(tmp_path, "0,1\n0.5,2\n1.25,3\n1.5,4\n")
 
+    def test_header_must_start_with_t(self, tmp_path):
+        with pytest.raises(ParseError, match=r"^line 2: expected a 't,\.\.\.' header in "):
+            self.load(tmp_path, "# source\nx,value\n0,1\n0.5,2\n1,3\n1.5,4\n")
+
+    def test_sample_count_must_match_the_grid(self, tmp_path):
+        with pytest.raises(DataError, match="expected 4 samples on the simulation grid, got 3$"):
+            self.load(tmp_path, "t,value\n0,1\n0.5,2\n1,3\n")
+
     def test_header_after_first_row_rejected(self, tmp_path):
         with pytest.raises(ParseError, match="line 2"):
             self.load(tmp_path, "0,1\nt,value\n0.5,2\n1,3\n1.5,4\n")
@@ -278,6 +297,17 @@ class TestFormatPins:
             '  "v_hat": {\n    "dt": 0.001,\n    "t0": 0.002,\n'
             '    "values": [\n      0.3333333333333333,\n      -0.0,\n      1e-300\n    ]\n  }\n'
             '}\n'
+        )
+
+    def test_report_lists_warnings(self):
+        # ladder times (2, 1) on T = 4: amplifications e^2 and e^4, both above a cap of 1
+        p = make_problem("generic", 8, 4.0, 1e-3)
+        rec = invert(make_observations(p, 1.0), InversionConfig(
+            order=8, depth=2, schedule_method="ladder", amplification_cap=1.0))
+        assert format_report(rec, {}).endswith(
+            "warnings:\n"
+            "  - mode 1: amplification 7.389e+00 exceeds cap 1.0e+00\n"
+            "  - mode 2: amplification 5.460e+01 exceeds cap 1.0e+00\n"
         )
 
     def test_study_csv_failed_rows(self, tmp_path):
@@ -658,6 +688,19 @@ class TestCliInvert:
         diag = json.loads(capsys.readouterr().err.strip())
         assert diag["stage"] == "recover_vh"
         assert "too short" in diag["message"]
+
+    def test_grid_starting_late_fails_at_extract_g13(self, tmp_path, capsys):
+        obs_path, cfg_path = self._simulate(tmp_path)
+        obs, meta = read_observations(obs_path)
+        late = [GridFn(1e-3, obs.u1.dt, f.values) for f in (obs.u1, obs.u3, obs.uy)]
+        write_observations(tmp_path / "late.csv", Observations(*late, y=obs.y, order=obs.order),
+                           meta)
+        code = main(["invert", str(tmp_path / "late.csv"), "--config", str(cfg_path),
+                     "--out", str(tmp_path / "late")])
+        assert code == 2
+        assert json.loads(capsys.readouterr().err.strip()) == {
+            "error": "InversionError", "stage": "extract_g13",
+            "message": "stage 'extract_g13': observation grid must start at t = 0, got t0 = 0.001"}
 
     def test_invert_rerun_byte_identical(self, tmp_path):
         obs_path, cfg_path = self._simulate(tmp_path)

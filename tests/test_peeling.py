@@ -113,6 +113,27 @@ class TestPeelSequential:
         np.testing.assert_allclose(res.b_hat, b, atol=1e-4)
 
 
+class TestStacks:
+    @pytest.mark.parametrize("peel", [
+        lambda s: peel_lsq(s, 2),
+        lambda s: plan_peel(s, 2, method="model"),
+        lambda s: plan_peel(s, 2, method="balance"),
+        lambda s: peel_sequential(s, 2),
+    ], ids=["peel_lsq", "plan_peel-model", "plan_peel-balance", "peel_sequential"])
+    def test_a_one_record_fit_refuses_a_stack(self, peel):
+        # each raised numpy's bare ValueError "could not broadcast input array"
+        q = exp_sum([1.0, 0.5], 2.0, 1e-2)
+        with pytest.raises(DataError, match="^peel_lsq fits one record, got a stack of 2 rows$"):
+            peel(GridFn.stack([q, q]))
+
+    def test_a_stack_peels_on_a_given_plan_or_the_ladder(self):
+        q = exp_sum([1.0, 0.5], 2.0, 1e-2)
+        stack = GridFn.stack([q, q])
+        for plan in (PeelPlan([1.0, 0.5]), plan_peel(stack, 2, method="ladder")):
+            lone = peel_sequential(q, 2, plan=plan).b_hat
+            np.testing.assert_array_equal(peel_sequential(stack, 2, plan=plan).b_hat, [lone, lone])
+
+
 class TestPeelLsq:
     def test_matches_sequential_on_clean_three_modes(self):
         b = (1.0, 0.5, 0.25)
