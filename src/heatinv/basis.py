@@ -78,10 +78,17 @@ def _require_interior(y: float) -> None:
         raise DomainError(f"observation point must lie in (0, pi), got {y}")
 
 
+def _require_mode_count(order: int, name: str = "truncation order") -> None:
+    """The one home of the rule that a count of modes is an integer >= 1."""
+    _require_int(name, order)
+    if order < 1:
+        raise DomainError(f"{name} must be >= 1, got {order}")
+
+
 def basis_at(y: float, order: int) -> np.ndarray:
     """f_m(y) for m = 1..order at an interior point 0 < y < pi."""
     _require_interior(y)
-    _require_int("truncation order", order)
+    _require_mode_count(order)
     return BASIS_NORM * np.sin(np.arange(1, order + 1) * y)
 
 
@@ -137,9 +144,7 @@ def project(fn: Callable, order: int, quad_points: int = DEFAULT_QUAD_POINTS) ->
     sine orthogonality exactly, so projecting a sine polynomial of degree
     below the number of grid intervals is exact up to rounding.
     """
-    _require_int("truncation order", order)
-    if order < 1:
-        raise DomainError(f"truncation order must be >= 1, got {order}")
+    _require_mode_count(order)
     if quad_points < max(16, 2 * order):
         raise DomainError("quadrature grid too coarse for the requested order")
     x = np.linspace(0.0, math.pi, quad_points)

@@ -16,7 +16,7 @@ from typing import Callable, Union
 import numpy as np
 
 from .basis import (BASIS_NORM, DEFAULT_POINT_THRESHOLD, SineSeries, _near_zero, _on_rod,
-                    _require_interior, basis_at, mode_constants, project)
+                    _require_interior, _require_mode_count, basis_at, mode_constants, project)
 from .errors import DataError, DomainError, _require_int
 from .grid import GridFn, _evaluate
 
@@ -172,9 +172,7 @@ class ProblemInstance:
             )
         if round(steps) < 1:
             raise DataError(f"final time {self.t_final} is shorter than one step of {self.dt}")
-        _require_int("mode truncation", self.order)
-        if self.order < 1:
-            raise DomainError(f"mode truncation must be >= 1, got {self.order}")
+        _require_mode_count(self.order, "mode truncation")
 
     @property
     def n_samples(self) -> int:
@@ -195,7 +193,7 @@ class ProblemInstance:
     def g_coeffs(self, order: int | None = None) -> np.ndarray:
         """Sine coefficients of g, padded or truncated to `order` modes."""
         order = self.order if order is None else order
-        _require_int("mode truncation", order)
+        _require_mode_count(order, "mode truncation")
         if isinstance(self.g, SineSeries):
             c = np.zeros(order)
             k = min(order, self.g.order)

@@ -17,7 +17,7 @@ import numpy as np
 from .basis import basis_at
 from .errors import DataError, DomainError, HeatInvError, _require_int
 from .forward import NoiseSpec, Observations, ProblemInstance, _noisy_stack, make_observations
-from .grid import rel_l2
+from .grid import _norm, _rel_l2_to
 from .inverse import InversionConfig, _solve_stacked
 
 #: a stacked chunk of noisy records holds rows * n <= this many samples per
@@ -187,19 +187,21 @@ def run_noise_study(
     # the truth is sampled once: the forward solve reads these samples
     v_true, h_true = p.v_grid(), p.h_grid()
     clean = make_observations(replace(p, v=v_true, h=h_true), y)
+    # the truth the inversion sees after its burn-in, and its norms, once per study
+    v_tail, h_tail = v_true.values[cfg.burn_in:], h_true.values[cfg.burn_in:]
+    v_norm, h_norm = _norm(v_tail), _norm(h_tail)
 
     def outcome(row, cond) -> dict:
         """The TrialRecord fields of one solve's row, or of its failure."""
         if isinstance(row, HeatInvError):
             return {"ok": False, "message": str(row)}
         b_hat, coeffs, v_hat, h_hat = row
-        k = v_true.n - v_hat.size  # the inversion's burn-in
         return {
             "ok": True,
             "b_err": np.abs(b_hat - b_true),
             "g_err": np.abs(coeffs - g_true),
-            "v_rel_l2": rel_l2(v_hat, v_true.values[k:]),
-            "h_rel_l2": rel_l2(h_hat, h_true.values[k:]),
+            "v_rel_l2": _rel_l2_to(v_hat, v_tail, v_norm),
+            "h_rel_l2": _rel_l2_to(h_hat, h_tail, h_norm),
             "peel_condition": cond,
         }
 

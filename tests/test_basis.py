@@ -37,14 +37,25 @@ class TestBasisAt:
             basis_at(y, 4)
 
 
-@pytest.mark.parametrize("count", [
+MODE_COUNTS = pytest.mark.parametrize("count", [
     lambda n: project(np.sin, n),
     lambda n: basis_at(1.0, n),
 ], ids=["project", "basis_at"])
+
+
+@MODE_COUNTS
 @pytest.mark.parametrize("n", [2.5, 3.0, True])
 def test_mode_counts_are_integers(count, n):
     # project(f, 2.5) gave 3 coefficients and basis_at(1.0, 2.5) 3 values
     with pytest.raises(DomainError, match=f"^truncation order must be an integer, got {n!r}$"):
+        count(n)
+
+
+@MODE_COUNTS
+@pytest.mark.parametrize("n", [0, -2])
+def test_mode_counts_at_least_one(count, n):
+    # basis_at(1.0, 0) and basis_at(1.0, -2) returned empty arrays
+    with pytest.raises(DomainError, match=f"^truncation order must be >= 1, got {n}$"):
         count(n)
 
 

@@ -291,8 +291,11 @@ class TestKernelCache:
 
 def test_import_loads_no_scipy():
     # numpy is the only runtime dependency: nothing imports scipy, and the
-    # smoothing and the FD oracle run where scipy cannot be imported at all
-    code = "import sys, heatinv; print(sorted(m for m in sys.modules if m.startswith('scipy')))"
+    # smoothing and the FD oracle run where scipy cannot be imported at all;
+    # the file layer (heatinv.io and what it imports) loads only on request
+    file_layer = ("heatinv.io", "heatinv.floattext", "heatinv.cli", "json", "hashlib")
+    code = ("import sys, heatinv; print(sorted(m for m in sys.modules"
+            f" if m.startswith('scipy') or m in {file_layer!r}))")
     env = {**os.environ, "PYTHONPATH": str(Path(heatinv.__file__).resolve().parents[1])}
     proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                           text=True, timeout=120, check=True)
@@ -418,6 +421,14 @@ class TestProblemInstance:
         # g_coeffs(2.5) raised a bare TypeError from np.zeros
         with pytest.raises(DomainError, match="^mode truncation must be an integer, got 2.5$"):
             make_problem(preset, 8, 1.0, 1e-2).g_coeffs(2.5)
+
+    @pytest.mark.parametrize("order", [0, -1])
+    @pytest.mark.parametrize("preset", ["steady", "decay1"])
+    def test_g_coeffs_order_at_least_one(self, preset, order):
+        # with g a SineSeries (decay1), g_coeffs(-1) raised numpy's bare
+        # ValueError and g_coeffs(0) returned an empty array
+        with pytest.raises(DomainError, match=f"^mode truncation must be >= 1, got {order}$"):
+            make_problem(preset, 8, 1.0, 1e-2).g_coeffs(order)
 
     @pytest.mark.parametrize("t_final, dt", [(math.inf, 1e-3), (1e300, 1e-300)])
     def test_step_count_must_be_finite(self, t_final, dt):

@@ -30,8 +30,6 @@ from heatinv import (
     invert,
     make_observations,
     make_problem,
-    read_observations,
-    write_observations,
 )
 import heatinv
 from heatinv.basis import basis_at
@@ -39,7 +37,8 @@ from heatinv import cli
 from heatinv.cli import main
 from heatinv.inverse import DET_EXACT, Diagnostics, Reconstruction
 from heatinv.io import (ExperimentConfig, _config_sha256, fmt, format_report, load_config,
-                        save_config, write_json, write_reconstruction, write_study)
+                        read_observations, save_config, write_json, write_observations,
+                        write_reconstruction, write_study)
 from heatinv.regularize import run_noise_study
 
 

@@ -10,9 +10,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import heatinv.io
-from heatinv import GridFn, Observations, ParseError, read_observations, write_observations
+from heatinv import GridFn, Observations, ParseError
 from heatinv.cli import main
-from heatinv.io import ExperimentConfig, _read_table, save_config
+from heatinv.io import (ExperimentConfig, _read_table, read_observations, save_config,
+                        write_observations)
 
 
 def reference_read_table(path, ncols):

@@ -15,9 +15,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import heatinv.io
-from heatinv import GridFn, Observations, make_problem, write_observations
+from heatinv import GridFn, Observations, make_problem
 from heatinv.inverse import InversionConfig
-from heatinv.io import _g17, _write_table, write_study
+from heatinv.io import _g17, _write_table, write_observations, write_study
 from heatinv.regularize import run_noise_study
 
 
