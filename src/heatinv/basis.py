@@ -47,8 +47,7 @@ def mode_constants(m: int) -> Mode:
     c_m = sqrt(2/pi) (1 - cos(m pi)) / m, evaluated through the parity of m
     so that even modes give an exact zero.
     """
-    if m < 1 or int(m) != m:
-        raise DomainError(f"mode index must be a positive integer, got {m}")
+    _require_int("mode index", m, least=1)
     m = int(m)
     c_m = 0.0 if m % 2 == 0 else 2.0 * BASIS_NORM / m
     return Mode(m=m, lam=float(m * m), c_m=c_m, fprime0=m * BASIS_NORM)
@@ -78,17 +77,10 @@ def _require_interior(y: float) -> None:
         raise DomainError(f"observation point must lie in (0, pi), got {y}")
 
 
-def _require_mode_count(order: int, name: str = "truncation order") -> None:
-    """The one home of the rule that a count of modes is an integer >= 1."""
-    _require_int(name, order)
-    if order < 1:
-        raise DomainError(f"{name} must be >= 1, got {order}")
-
-
 def basis_at(y: float, order: int) -> np.ndarray:
     """f_m(y) for m = 1..order at an interior point 0 < y < pi."""
     _require_interior(y)
-    _require_mode_count(order)
+    _require_int("truncation order", order, least=1)
     return BASIS_NORM * np.sin(np.arange(1, order + 1) * y)
 
 
@@ -144,9 +136,8 @@ def project(fn: Callable, order: int, quad_points: int = DEFAULT_QUAD_POINTS) ->
     sine orthogonality exactly, so projecting a sine polynomial of degree
     below the number of grid intervals is exact up to rounding.
     """
-    _require_mode_count(order)
-    if quad_points < max(16, 2 * order):
-        raise DomainError("quadrature grid too coarse for the requested order")
+    _require_int("truncation order", order, least=1)
+    _require_int("quadrature points", quad_points, least=max(16, 2 * order))
     x = np.linspace(0.0, math.pi, quad_points)
     vals = _evaluate(fn, x)
     if not np.all(np.isfinite(vals)):

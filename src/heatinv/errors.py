@@ -50,7 +50,10 @@ class InversionError(HeatInvError, RuntimeError):
         super().__init__(f"stage '{stage}': {message}")
 
 
-def _require_int(name: str, value, error: type = DomainError) -> None:
-    """Raise error unless value is an integer (a numpy one too), not a bool."""
+def _require_int(name: str, value, error: type = DomainError, least: int | None = None) -> None:
+    """The one home of every integer knob's rule: raise error unless value is
+    an integer (a numpy one too), not a bool, and at least `least` if given."""
     if isinstance(value, bool) or not isinstance(value, numbers.Integral):
         raise error(f"{name} must be an integer, got {value!r}")
+    if least is not None and value < least:
+        raise error(f"{name} must be >= {least}, got {value}")

@@ -16,7 +16,7 @@ from typing import Callable, Union
 import numpy as np
 
 from .basis import (BASIS_NORM, DEFAULT_POINT_THRESHOLD, SineSeries, _near_zero, _on_rod,
-                    _require_interior, _require_mode_count, basis_at, mode_constants, project)
+                    _require_interior, basis_at, mode_constants, project)
 from .errors import DataError, DomainError, _require_int
 from .grid import GridFn, _evaluate
 
@@ -172,7 +172,7 @@ class ProblemInstance:
             )
         if round(steps) < 1:
             raise DataError(f"final time {self.t_final} is shorter than one step of {self.dt}")
-        _require_mode_count(self.order, "mode truncation")
+        _require_int("mode truncation", self.order, least=1)
 
     @property
     def n_samples(self) -> int:
@@ -193,7 +193,7 @@ class ProblemInstance:
     def g_coeffs(self, order: int | None = None) -> np.ndarray:
         """Sine coefficients of g, padded or truncated to `order` modes."""
         order = self.order if order is None else order
-        _require_mode_count(order, "mode truncation")
+        _require_int("mode truncation", order, least=1)
         if isinstance(self.g, SineSeries):
             c = np.zeros(order)
             k = min(order, self.g.order)
@@ -217,8 +217,11 @@ def spectral_field(modes: GridFn, x: np.ndarray, v: GridFn | None = None) -> np.
     is used.  It regroups the exact series around the linear boundary
     lift, so the truncated sum converges uniformly up to the boundary
     instead of suffering the O(1) Gibbs error of the raw partial sum.  A
-    position outside [0, pi] raises DomainError.
+    position outside [0, pi] raises DomainError, and modes that are not an
+    (M, n) stack DataError.
     """
+    if modes.values.ndim != 2:
+        raise DataError(f"spectral_field needs an (M, n) mode stack, got {modes.values.shape}")
     x = _on_rod(x)
     m = np.arange(1, modes.values.shape[0] + 1)
     fx = BASIS_NORM * np.sin(np.outer(m, x))  # (M, nx)
@@ -238,9 +241,7 @@ def solve_fd(p: ProblemInstance, nx: int) -> tuple[np.ndarray, np.ndarray]:
     and 0 strongly.  The DST-I diagonalises the constant step, so each step is
     one scalar recurrence per discrete sine mode.
     """
-    _require_int("spatial points", nx)
-    if nx < 16:
-        raise DomainError(f"need at least 16 spatial points, got {nx}")
+    _require_int("spatial points", nx, least=16)
     v = p.v_grid().values
     h = p.h_grid().values
     x = np.linspace(0.0, math.pi, nx)
@@ -285,9 +286,7 @@ class NoiseSpec:
             raise DataError(f"unknown noise kind '{self.kind}'")
         if not (math.isfinite(self.level) and self.level >= 0.0):
             raise DataError(f"noise level must be finite and non-negative, got {self.level}")
-        _require_int("noise seed", self.seed, DataError)
-        if self.seed < 0:
-            raise DataError(f"noise seed must be non-negative, got {self.seed}")
+        _require_int("noise seed", self.seed, DataError, least=0)
 
     @property
     def adds_noise(self) -> bool:
@@ -331,7 +330,10 @@ def _noisy_stack(obs: Observations, noises: list[NoiseSpec]) -> Observations:
     by one standard_normal(out=...) (the bits of three draws of n); each
     series is scaled by level * scale, where scale is 1 ('absolute') or the
     clean series' sup norm ('relative'), and the clean series is added last.
-    A spec that adds no noise leaves its record clean."""
+    A spec that adds no noise leaves its record clean; a stacked obs raises
+    DataError."""
+    if obs.u1.values.ndim != 1:
+        raise DataError(f"noise is drawn onto one record, got a stack of {len(obs.u1.values)} rows")
     series = [f.values for f in (obs.u1, obs.u3, obs.uy)]
     sups = [float(np.max(np.abs(x))) for x in series]
     out = np.empty((len(noises), 3, obs.u1.n))
@@ -357,9 +359,7 @@ def _require_grid(f: GridFn, t0: float, dt: float, n: int) -> None:
 
 
 def _require_observed_modes(order: int) -> None:
-    _require_int("mode truncation", order)
-    if order < 3:
-        raise DomainError(f"observations need at least modes 1 and 3, got order {order}")
+    _require_int("mode truncation", order, least=3)
 
 
 def _observed_rows(y: float, order: int) -> np.ndarray:

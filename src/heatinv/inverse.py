@@ -141,9 +141,7 @@ def system_determinant() -> float:
 
 
 def _require_burn_in(burn_in: int) -> None:
-    _require_int("burn-in", burn_in)
-    if burn_in < 0:
-        raise DomainError(f"burn-in must be >= 0, got {burn_in}")
+    _require_int("burn-in", burn_in, least=0)
 
 
 @np.errstate(over="ignore", invalid="ignore")  # GridFn rejects an overflow's inf or nan
@@ -286,9 +284,7 @@ def _require_threshold(threshold: float) -> None:
 
 
 def _require_depth(depth: int) -> None:
-    _require_int("peeling depth", depth)
-    if depth < 1:
-        raise DomainError(f"peeling depth must be >= 1, got {depth}")
+    _require_int("peeling depth", depth, least=1)
 
 
 def _require_cap(cap: float) -> None:

@@ -81,11 +81,10 @@ class ExperimentConfig:
             kind = f.type.removesuffix(" | None")
             if val is None and kind != f.type:
                 continue
-            allowed = {"int": int, "str": str}.get(kind, (int, float))
             items = val if kind.startswith("tuple") else (val,)
+            want = {"int": int, "str": str}.get(kind, float)
             if not isinstance(items, (list, tuple)) or not all(
-                    isinstance(x, allowed) and not isinstance(x, bool)
-                    and (not isinstance(x, float) or math.isfinite(x)) for x in items):
+                    isinstance(x, str) if want is str else _is_number(x, want) for x in items):
                 noun = {"int": "an integer", "float": "a finite number",
                         "str": "a string"}.get(kind, "a number list")
                 raise ConfigError(f"{f.name} must be {noun}, got {val!r}")
@@ -173,19 +172,13 @@ def save_config(cfg: ExperimentConfig, path: str | Path) -> None:
 def _json(x, pad: str = ""):
     """The text of json.dumps(x, indent=2, sort_keys=True, allow_nan=False) at
     indent `pad`, in pieces, for str dict keys, with ndarrays and numpy scalars
-    as plain values and every float that is not finite as null.  A non-empty
-    list of floats, or 1-D float64 array, is written as one join of its
-    values' texts, and one of _SERIES_MIN values or more is formatted by
-    _json_floats a block of _WRITE_ROWS values at a time."""
+    as plain values and every float that is not finite as null.  A list of
+    floats, or 1-D float64 array, of _SERIES_MIN values or more is formatted
+    by _json_floats a block of _WRITE_ROWS values at a time."""
     inner = pad + "  "
     floats = (x.ndim == 1 and x.dtype == np.float64 if isinstance(x, np.ndarray)
               else isinstance(x, (list, tuple)) and all(isinstance(v, float) for v in x))
-    if floats and 0 < len(x) < _SERIES_MIN:
-        values = x.tolist() if isinstance(x, np.ndarray) else x
-        yield "[\n" + inner + (",\n" + inner).join(
-            float.__repr__(v) if math.isfinite(v) else "null" for v in values) + f"\n{pad}]"
-        return
-    if floats and len(x):
+    if floats and len(x) >= _SERIES_MIN:
         x, sep = np.asarray(x, dtype=np.float64), ",\n" + inner
         tail = np.frombuffer(sep.encode(), np.uint8)
         yield "[\n" + inner
@@ -367,12 +360,18 @@ def read_observations(path: str | Path) -> tuple[Observations, dict]:
     return Observations(u1=u1, u3=u3, uy=uy, y=y, order=order), meta
 
 
+def _is_number(x, kind: type) -> bool:
+    """The one rule of a number read from JSON as a `kind`: an int for int, and
+    for float an int or float that is a finite float; never a bool."""
+    return (not isinstance(x, bool) and isinstance(x, int if kind is int else (int, float))
+            and (kind is int or abs(x) <= sys.float_info.max))
+
+
 def _meta_value(meta: dict, key: str, kind: type, default=None):
     """meta[key], or the default when absent, as a `kind`; a ParseError unless
-    it is a finite JSON number (an integer when kind is int)."""
+    _is_number(meta[key], kind)."""
     val = meta.get(key, default)
-    if (isinstance(val, bool) or not isinstance(val, int if kind is int else (int, float))
-            or kind is float and not abs(val) <= sys.float_info.max):
+    if not _is_number(val, kind):
         noun = "an integer" if kind is int else "a finite number"
         raise ParseError(f"metadata {key} must be {noun}, got {val!r}")
     return kind(val)

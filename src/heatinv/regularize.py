@@ -116,9 +116,7 @@ def check_study(levels, trials: int) -> list[float]:
         raise DomainError("noise levels must be finite and non-negative")
     if any(b >= a for b, a in zip(levels, levels[1:])):
         raise DomainError(f"noise levels must be strictly ascending, got {levels}")
-    _require_int("trials", trials)
-    if trials < 1:
-        raise DomainError(f"need at least one trial, got {trials}")
+    _require_int("trials", trials, least=1)
     return levels
 
 

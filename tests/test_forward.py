@@ -364,6 +364,15 @@ class TestSolveSpectral:
             spectral_field(sol, x, v=make_problem("generic", 8, 1.0, 1e-3).v_grid())
         assert spectral_field(sol, x).shape == spectral_field(sol, x, p.v_grid()).shape == (501, 5)
 
+    def test_field_needs_a_mode_stack(self):
+        # one record of 101 samples gave shape (2,), and with v a (101, 2)
+        # array broadcast from (101,) against (101, 101)
+        row = GridFn(0.0, 1e-2, np.linspace(0.0, 1.0, 101))
+        for v in (None, row):
+            with pytest.raises(DataError, match=re.escape(
+                    "spectral_field needs an (M, n) mode stack, got (101,)")):
+                spectral_field(row, [0.5, 1.0], v)
+
     @pytest.mark.parametrize("x", [[-1.0, 4.0], [0.0, math.pi + 1e-9], -0.5])
     def test_field_only_on_the_rod(self, x):
         # spectral_field(modes, [-1.0, 4.0], v) returned a field outside the rod
@@ -637,7 +646,7 @@ class TestMakeObservations:
     @pytest.mark.parametrize("seed", [-1, -(2 ** 40)])
     def test_seed_must_be_non_negative(self, seed):
         # default_rng refuses it only when the noise is drawn
-        with pytest.raises(DataError, match="seed must be non-negative"):
+        with pytest.raises(DataError, match="seed must be >= 0"):
             NoiseSpec("relative", 1e-3, seed=seed)
 
     @pytest.mark.parametrize("seed", [1.5, 2.0, True, "3", None, np.float64(4.0)])
@@ -686,6 +695,13 @@ class TestMakeObservations:
             for row, spec in zip(rows, specs):
                 np.testing.assert_array_equal(row, getattr(spec.apply(clean), name).values)
         assert (stack.y, stack.order, stack.u1.dt) == (clean.y, clean.order, clean.u1.dt)
+
+    def test_apply_refuses_a_stack(self):
+        # a stack of two rows raised numpy's bare ValueError: non-broadcastable output operand
+        clean = make_observations(make_problem("generic", 8, 1.0, 1e-2), 1.0)
+        stack = forward._noisy_stack(clean, [NoiseSpec(), NoiseSpec()])
+        with pytest.raises(DataError, match="^noise is drawn onto one record, got a stack of 2 rows$"):
+            NoiseSpec("relative", 1e-3, 1).apply(stack)
 
     def test_noise_that_overflows_is_rejected(self):
         p = make_problem("generic", 8, 1.0, 1e-2)

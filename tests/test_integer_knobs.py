@@ -1,0 +1,62 @@
+"""Every integer knob fails in one form: `<name> must be an integer, got v`
+for a value that is not an integer, `<name> must be >= k, got v` below its
+bound."""
+
+import re
+
+import numpy as np
+import pytest
+
+from heatinv import (DataError, DomainError, GridFn, InversionConfig, NoiseSpec, Observations,
+                     ProblemInstance, SineSeries, eval_basis, make_problem, mode_constants,
+                     peel_lsq, plan_peel, project, recover_vh, solve_fd)
+from heatinv.basis import basis_at
+from heatinv.regularize import check_study
+
+_Q = GridFn(0.0, 1e-2, np.exp(-np.arange(101) * 1e-2))
+_ROW = GridFn(0.0, 1e-2, np.zeros(101))
+
+# entry point: (call of the knob's value, knob name, least value, error type)
+ENTRY_POINTS = {
+    "project": (lambda n: project(np.sin, n), "truncation order", 1, DomainError),
+    "basis_at": (lambda n: basis_at(1.0, n), "truncation order", 1, DomainError),
+    "ProblemInstance": (lambda n: ProblemInstance(h=np.cos, v=np.cos, g=SineSeries([1.0]),
+                                                  order=n, t_final=1.0, dt=0.5),
+                        "mode truncation", 1, DomainError),
+    "g_coeffs": (lambda n: make_problem("decay1", 8, 1.0, 1e-2).g_coeffs(n),
+                 "mode truncation", 1, DomainError),
+    "peel_lsq": (lambda n: peel_lsq(_Q, n), "peeling depth", 1, DomainError),
+    "plan_peel": (lambda n: plan_peel(_Q, n), "peeling depth", 1, DomainError),
+    "InversionConfig.depth": (lambda n: InversionConfig(depth=n), "peeling depth", 1, DomainError),
+    "recover_vh": (lambda n: recover_vh(Observations(_ROW, _ROW, _ROW, 1.0), 0.0, 0.0, burn_in=n),
+                   "burn-in", 0, DomainError),
+    "InversionConfig.burn_in": (lambda n: InversionConfig(burn_in=n), "burn-in", 0, DomainError),
+    "Observations": (lambda n: Observations(_ROW, _ROW, _ROW, 1.0, order=n),
+                     "mode truncation", 3, DomainError),
+    "InversionConfig.order": (lambda n: InversionConfig(order=n), "mode truncation", 3, DomainError),
+    "NoiseSpec": (lambda n: NoiseSpec("absolute", 1e-3, n), "noise seed", 0, DataError),
+    "check_study": (lambda n: check_study([0.0], n), "trials", 1, DomainError),
+    "solve_fd": (lambda n: solve_fd(make_problem("decay1", 4, 1.0, 0.5), n),
+                 "spatial points", 16, DomainError),
+    "project.quad_points": (lambda n: project(np.sin, 4, n), "quadrature points", 16, DomainError),
+    "mode_constants": (mode_constants, "mode index", 1, DomainError),
+    "eval_basis": (lambda n: eval_basis(n, 1.0), "mode index", 1, DomainError),
+}
+
+# (entry point, value), None standing for the value just below the bound
+CASES = ([(point, 2.5) for point in ENTRY_POINTS] + [(point, None) for point in ENTRY_POINTS]
+         + [(point, value) for point in ("mode_constants", "eval_basis") for value in (True, 2.0)])
+
+
+@pytest.mark.parametrize("point, value", CASES,
+                         ids=[f"{p}-{'below' if v is None else repr(v)}" for p, v in CASES])
+def test_integer_knob_messages(point, value):
+    # mode_constants(True) and mode_constants(2.0) returned modes 1 and 2;
+    # project(np.sin, 4, 100.5) raised a bare TypeError from np.linspace
+    call, name, least, error = ENTRY_POINTS[point]
+    if value is None:
+        value, text = least - 1, f"{name} must be >= {least}, got {least - 1}"
+    else:
+        text = f"{name} must be an integer, got {value!r}"
+    with pytest.raises(error, match=f"^{re.escape(text)}$"):
+        call(value)

@@ -93,6 +93,23 @@ class TestExperimentConfig:
             ExperimentConfig(y=y)
         assert str(cfg_exc.value) == str(exc.value)
 
+    @pytest.mark.parametrize("key", ["t_final", "dt", "y", "noise_level", "ridge",
+                                     "divisor_threshold", "amplification_cap",
+                                     "levels", "g_amplitudes", "schedule_times"])
+    def test_number_too_large_for_a_float_refused_at_load(self, tmp_path, capsys, key):
+        # a 401-digit dt, t_final, noise_level or level ended simulate with a
+        # bare OverflowError; the same ridge loaded and failed at stage peel
+        big = 10 ** 400
+        value = [0.5, big] if key in ("levels", "g_amplitudes", "schedule_times") else big
+        noun = "a number list" if isinstance(value, list) else "a finite number"
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps({"preset": None if key == "g_amplitudes" else "generic",
+                                    key: value}))
+        with pytest.raises(ConfigError, match=f"^{key} must be {noun}, got "):
+            load_config(path)
+        assert main(["simulate", "--config", str(path), "--out", str(tmp_path)]) == 2
+        assert json.loads(capsys.readouterr().err)["error"] == "ConfigError"
+
     def test_grid_of_at_least_one_step(self):
         with pytest.raises(ConfigError, match="^final time 1.0 is shorter than one step of "):
             ExperimentConfig(t_final=1.0, dt=1e10)
@@ -617,7 +634,7 @@ class TestCliSimulate:
                      "--seed", "-1"]) == 2
         (line,) = capsys.readouterr().err.splitlines()
         assert json.loads(line)["error"] == "ConfigError"
-        assert "seed must be non-negative" in json.loads(line)["message"]
+        assert "seed must be >= 0" in json.loads(line)["message"]
         assert not out.exists()
 
     def test_config_serialised_once_per_command(self, tmp_path, monkeypatch):

@@ -286,7 +286,7 @@ class TestRunNoiseStudy:
         assert all(math.isfinite(r.v_rel_l2) for r in study.records)
 
     def test_negative_base_seed_refused(self, fourmode_problem, stack_calls):
-        with pytest.raises(DataError, match="seed must be non-negative"):
+        with pytest.raises(DataError, match="seed must be >= 0"):
             run_noise_study(fourmode_problem, 1.0, levels=[0.0, 1e-6], trials=2, base_seed=-1)
         assert stack_calls == []
 
