@@ -50,10 +50,17 @@ class InversionError(HeatInvError, RuntimeError):
         super().__init__(f"stage '{stage}': {message}")
 
 
+#: the largest integer a knob may take: the largest int64, numpy's default integer
+_INT_MAX = 2 ** 63 - 1
+
+
 def _require_int(name: str, value, error: type = DomainError, least: int | None = None) -> None:
     """The one home of every integer knob's rule: raise error unless value is
-    an integer (a numpy one too), not a bool, and at least `least` if given."""
+    an integer (a numpy one too), not a bool, at least `least` if given and
+    at most _INT_MAX."""
     if isinstance(value, bool) or not isinstance(value, numbers.Integral):
         raise error(f"{name} must be an integer, got {value!r}")
     if least is not None and value < least:
         raise error(f"{name} must be >= {least}, got {value}")
+    if value > _INT_MAX:
+        raise error(f"{name} must be <= {_INT_MAX}, got {value}")

@@ -95,17 +95,22 @@ def mode_evolve(g, v: GridFn, h: GridFn, weights=None) -> np.ndarray:
     C_0 = g, C_{b+1} = a^L C_b + Z_b E^T, E the last row of each mode's
     kernel; recursive doubling (Kogge and Stone, 1973) solves them in
     log2(n / L) steps, each factor a^{sL} taken as exp(s L z) directly, so
-    the rounding of a^L is not compounded.  No exponent is positive, and
+    the rounding of a^L is not compounded.  The doubling runs on a
+    contiguous (rows, blocks, M) buffer of carries, its products written
+    into one scratch array of that shape, and one copy puts the carries into
+    [Z | C]: the operations of a doubling on [Z | C] itself, in the same
+    order, so the same bits in less time.  No exponent is positive, and
     with weights nothing of size M x n is built.  The output is read-only,
     so a GridFn adopts its rows without a copy.  A row holding a single 1
     has the kernel of its mode, so it keeps the bits of the unweighted
     output.
 
     [K_r | P_r], E and z are built once per grid (_block_kernel, cached).  A
-    stack fills one [Z | C] of shape (rows, blocks, 2L + 2 + M), about rows x
-    n x (2 + (M + 2)/L) floats (150 KB for a noise-study chunk), and each
-    product runs once over it: np.matmul still calls one GEMM per (row, r)
-    with a lone call's shapes, so each row keeps the bits of its own call.
+    stack fills one [Z | C] of shape (rows, blocks, 2L + 2 + M) and the two
+    carry arrays, about rows x n x (2 + (3M + 2)/L) floats (355 KiB for a
+    noise-study chunk of 8 rows), and each product runs once over it:
+    np.matmul still calls one GEMM per (row, r) with a lone call's shapes,
+    so each row keeps the bits of its own call.
     """
     v.require_same_grid(h)
     g = np.atleast_1d(np.asarray(g, dtype=float))
@@ -131,13 +136,14 @@ def mode_evolve(g, v: GridFn, h: GridFn, weights=None) -> np.ndarray:
             zc[:, :full, start:start + span] = series[:, :full * span].reshape(rows, full, span)
             zc[:, :full, start + span] = series[:, span:full * span + 1:span]
             zc[:, full:, start:start + n - full * span] = series[:, None, full * span:]
-        carries = zc[..., width:]
+        carries, scratch = np.empty((2, rows, blocks, order))
         carries[:, 0] = g
         np.matmul(zc[:, :-1, :width], carry_kernel.T, out=carries[:, 1:])
         steps = [1 << i for i in range((blocks - 1).bit_length())]  # 1, 2, 4, ... < blocks
         factors = np.exp(np.outer([s * span for s in steps], z))  # a^{sL}, directly
         for step, factor in zip(steps, factors):
-            carries[:, step:] += carries[:, :-step] * factor
+            carries[:, step:] += np.multiply(carries[:, :-step], factor, out=scratch[:, step:])
+        zc[..., width:] = carries
         # one GEMM per (row, r); copy=False: a copy would drop the products
         products = out[..., 1:].reshape(rows, len(w), blocks, span, copy=False)
         np.matmul(zc[:, None], kernel.transpose(0, 2, 1), out=products)

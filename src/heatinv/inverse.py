@@ -64,6 +64,10 @@ _LOG_MAX = math.log(np.finfo(float).max)
 #: stay this size whatever the record length
 _FIT_TILE_ELEMENTS = 2 ** 16
 
+#: the stride of the 'model' schedule's coarse search: one sample in 64, as
+#: design tiles are whole 64s of samples
+_SEARCH_STEP = 64
+
 
 # ---------------------------------------------------------------------------
 # stage 1: initial values of the observed modes
@@ -283,8 +287,12 @@ def _require_threshold(threshold: float) -> None:
         raise DomainError(f"divisor threshold must be >= 0 and < 1, got {threshold}")
 
 
-def _require_depth(depth: int) -> None:
+def _require_depth(depth: int, q: GridFn | None = None) -> None:
+    """The peeling depth's rule: an integer >= 1, and no more than the samples
+    of a given record q, which cannot support more modes (DataError)."""
     _require_int("peeling depth", depth, least=1)
+    if q is not None and q.n < depth:
+        raise DataError(f"grid of {q.n} samples cannot support depth {depth}")
 
 
 def _require_cap(cap: float) -> None:
@@ -296,14 +304,16 @@ def _require_cap(cap: float) -> None:
 def _require_schedule(method: str = "model", windows=()) -> None:
     """The rule of the schedule knobs method and window, raising ScheduleError:
     method is one of SCHEDULE_METHODS and each window that is not None (the
-    default) an odd whole number >= 1, 3.0 included."""
+    default) an odd whole number from 1 to _require_int's bound, 3.0 included."""
     if method not in SCHEDULE_METHODS:
         raise ScheduleError(f"unknown scheduling method '{method}'")
     for w in windows:
+        if w is None:
+            continue
         # w % 2 == 1 holds for odd whole numbers only; inf goes first, as inf % 2 warns
-        if w is not None and not (isinstance(w, numbers.Real) and math.isfinite(w)
-                                  and w >= 1 and w % 2 == 1):
+        if not (isinstance(w, numbers.Real) and 1 <= w < math.inf and w % 2 == 1):
             raise ScheduleError(f"peeling window must be odd and >= 1, got {w!r}")
+        _require_int("peeling window", int(w), ScheduleError)
 
 
 def _require_plan_depth(plan: PeelPlan | None, depth: int) -> None:
@@ -328,12 +338,10 @@ def peel_lsq(q: GridFn, depth: int, reg: float = 0.0) -> LsqFit:
     QR), so no buffer grows with the record; the QR of one triangular R is
     that R, so a record of one tile is one QR of the whole [design | q].
     """
-    _require_depth(depth)
+    _require_depth(depth, q)
     _require_ridge(reg)
     if q.values.ndim != 1:
         raise DataError(f"peel_lsq fits one record, got a stack of {len(q.values)} rows")
-    if q.n < depth:
-        raise DataError(f"grid of {q.n} samples cannot support depth {depth}")
     # R of [A | q] has A's singular values, and R b = Q^T q
     rs = []
     for s, e, tile in _design_tiles(q, depth, extra=1):
@@ -427,8 +435,10 @@ def plan_peel(
 
     with |b_k| and the noise scale sigma from a provisional ridge fit and
     env(t) the fitted envelope of |q|, formed from the fit's design tiles.
-    err_m is evaluated only up to where a lower bound of it that grows with t
-    exceeds err_m(t[0]), which keeps its argmin and minimum bit for bit.
+    err_m is a sum of exponentials in t with weights >= 0, so convex: it is
+    evaluated at every _SEARCH_STEP-th sample, then at the 2 _SEARCH_STEP - 1
+    samples around the first of those minima, which keeps np.argmin's index
+    and minimum over the whole grid bit for bit.
     method 'balance' applies the plain two-term rule
     t_m = log(|b_{m+1}| / sigma) / (m^2 + (m+1)^2); both plans carry the
     condition number of the depth-mode design from the fit's R.  method
@@ -439,12 +449,13 @@ def plan_peel(
     same time would telescope the bracket to zero, so the naive single-time
     choice must be staggered like this.)
 
-    A given window must be an odd whole number >= 1.  Windows default to
-    about a quarter of the local decay time of mode m, 1/(4 m^2 dt) samples in
+    depth may not exceed the samples of q (DataError).  A given window must
+    be an odd whole number from 1 to 2^63 - 1.  Windows default to about a
+    quarter of the local decay time of mode m, 1/(4 m^2 dt) samples in
     total, made odd, which averages rounding noise without inflating the
     truncation bias.
     """
-    _require_depth(depth)
+    _require_depth(depth, q)
     _require_schedule(method, [window])
     t = q.times
     n = q.n
@@ -494,30 +505,27 @@ def plan_peel(
     times = np.empty(depth)
     errs = np.empty(depth)
 
-    def forecast(m: int, stop: int) -> np.ndarray:
-        """err_m on the grid prefix t[:stop]."""
-        m2, ts = m * m, t[:stop]
+    def forecast(m: int, part: slice) -> np.ndarray:
+        """err_m at the samples t[part]."""
+        m2, ts = m * m, t[part]
         # late times overflow to +inf, which is never the argmin
         with np.errstate(over="ignore"):
-            model = noise_t[:stop] * np.exp(m2 * ts) / math.sqrt(windows[m - 1])
+            model = noise_t[part] * np.exp(m2 * ts) / math.sqrt(windows[m - 1])
             terms = [(k, b_abs[k - 1]) for k in range(m + 1, depth + 2)]  # truncation
             for k, scale in terms + [(k, errs[k - 1]) for k in range(1, m)]:  # + inherited
                 model += np.exp((m2 - k * k) * ts) * scale
         return model
 
     for m in range(1, depth + 1):
-        # sigma e^{m^2 t} / sqrt(w_m) and err_{m-1} e^{(2m-1) t} bound err_m from below
-        # and grow: past where one exceeds err_m(t[0]) (1e-6 covers rounding) no
-        # sample is the argmin
-        with np.errstate(divide="ignore", invalid="ignore"):
-            log_first = np.log(forecast(m, 1)[0])
-            rise = (log_first + 0.5 * math.log(windows[m - 1]) - math.log(sigma_abs)
-                    + 1e-6) / (m * m)
-            if m > 1:
-                rise = min(rise, (log_first - np.log(errs[m - 2]) + 1e-6) / (2 * m - 1))
-        model = forecast(m, max(1, int(np.searchsorted(t, rise, side="right"))))
+        # err_m, a sum of exponentials in t with weights >= 0, is convex: samples
+        # _SEARCH_STEP or more away from c, the first argmin of every
+        # _SEARCH_STEP-th sample, are no lower than c and lie after c where
+        # equal to it, so the first argmin of the samples between is np.argmin's
+        c = int(np.argmin(forecast(m, slice(0, n, _SEARCH_STEP)))) * _SEARCH_STEP
+        lo = max(0, c - _SEARCH_STEP + 1)
+        model = forecast(m, slice(lo, c + _SEARCH_STEP))
         i = int(np.argmin(model))
-        times[m - 1] = t[i]
+        times[m - 1] = t[lo + i]
         errs[m - 1] = model[i]
     return fitted_plan(times, errs)
 
@@ -546,6 +554,7 @@ def peel_sequential(
     Amplification factors above the cap, and a plan forecast that is not
     finite, are recorded as warnings, not failures.
     """
+    _require_depth(depth, q)
     _require_cap(amplification_cap)
     plan = plan or plan_peel(q, depth)
     _require_plan_depth(plan, depth)

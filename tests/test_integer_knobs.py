@@ -1,17 +1,21 @@
 """Every integer knob fails in one form: `<name> must be an integer, got v`
 for a value that is not an integer, `<name> must be >= k, got v` below its
-bound."""
+bound and `<name> must be <= 9223372036854775807, got v` above int64's."""
 
 import re
 
 import numpy as np
 import pytest
 
-from heatinv import (DataError, DomainError, GridFn, InversionConfig, NoiseSpec, Observations,
-                     ProblemInstance, SineSeries, eval_basis, make_problem, mode_constants,
-                     peel_lsq, plan_peel, project, recover_vh, solve_fd)
+from heatinv import (ConfigError, DataError, DomainError, GridFn, InversionConfig, NoiseSpec,
+                     Observations, PeelPlan, ProblemInstance, ScheduleError, SineSeries,
+                     eval_basis, make_problem, mode_constants, peel_lsq, plan_peel, project,
+                     recover_vh, solve_fd)
 from heatinv.basis import basis_at
+from heatinv.io import ExperimentConfig
 from heatinv.regularize import check_study
+
+INT64_MAX = 2 ** 63 - 1
 
 _Q = GridFn(0.0, 1e-2, np.exp(-np.arange(101) * 1e-2))
 _ROW = GridFn(0.0, 1e-2, np.zeros(101))
@@ -43,20 +47,60 @@ ENTRY_POINTS = {
     "eval_basis": (lambda n: eval_basis(n, 1.0), "mode index", 1, DomainError),
 }
 
+# a config field fails as a ConfigError in the message of the knob it feeds
+# (a value that is no integer fails the config's own type check first)
+CONFIG_FIELDS = {"order": "mode truncation", "depth": "peeling depth", "burn_in": "burn-in",
+                 "smooth_window": "smoothing window", "seed": "noise seed", "trials": "trials"}
+CONFIG_POINTS = {f"ExperimentConfig.{field}": (lambda n, field=field: ExperimentConfig(**{field: n}),
+                                               name, None, ConfigError)
+                 for field, name in CONFIG_FIELDS.items()}
+
 # (entry point, value), None standing for the value just below the bound
 CASES = ([(point, 2.5) for point in ENTRY_POINTS] + [(point, None) for point in ENTRY_POINTS]
-         + [(point, value) for point in ("mode_constants", "eval_basis") for value in (True, 2.0)])
+         + [(point, value) for point in ("mode_constants", "eval_basis") for value in (True, 2.0)]
+         + [(point, value) for point in {**ENTRY_POINTS, **CONFIG_POINTS}
+            for value in (INT64_MAX + 1, 10 ** 400)])
 
 
-@pytest.mark.parametrize("point, value", CASES,
-                         ids=[f"{p}-{'below' if v is None else repr(v)}" for p, v in CASES])
+def case_id(point, value) -> str:
+    label = {None: "below", 10 ** 400: "10**400"}.get(value, repr(value))
+    return f"{point}-{label}"
+
+
+@pytest.mark.parametrize("point, value", CASES, ids=[case_id(p, v) for p, v in CASES])
 def test_integer_knob_messages(point, value):
     # mode_constants(True) and mode_constants(2.0) returned modes 1 and 2;
-    # project(np.sin, 4, 100.5) raised a bare TypeError from np.linspace
-    call, name, least, error = ENTRY_POINTS[point]
+    # project(np.sin, 4, 100.5) raised a bare TypeError from np.linspace;
+    # ExperimentConfig(order=10**400) raised numpy's bare ValueError, and a
+    # depth, seed, trials or burn-in of 10**400 loaded
+    call, name, least, error = {**ENTRY_POINTS, **CONFIG_POINTS}[point]
     if value is None:
         value, text = least - 1, f"{name} must be >= {least}, got {least - 1}"
+    elif isinstance(value, int) and value > INT64_MAX:
+        text = f"{name} must be <= {INT64_MAX}, got {value}"
     else:
         text = f"{name} must be an integer, got {value!r}"
+    with pytest.raises(error, match=f"^{re.escape(text)}$"):
+        call(value)
+
+
+WINDOW_POINTS = {
+    "plan_peel": (lambda w: plan_peel(_Q, 1, window=w), ScheduleError),
+    "PeelPlan": (lambda w: PeelPlan([1.0], [w]), ScheduleError),
+    "InversionConfig": (lambda w: InversionConfig(window=w), ScheduleError),
+    "ExperimentConfig": (lambda w: ExperimentConfig(window=w), ConfigError),
+}
+
+
+@pytest.mark.parametrize("value, text", [
+    (INT64_MAX + 2, f"peeling window must be <= {INT64_MAX}, got {INT64_MAX + 2}"),
+    (10 ** 400 + 1, f"peeling window must be <= {INT64_MAX}, got {10 ** 400 + 1}"),
+    (10 ** 400, f"peeling window must be odd and >= 1, got {10 ** 400}"),
+], ids=["2**63+1", "10**400+1", "10**400"])
+@pytest.mark.parametrize("point", WINDOW_POINTS)
+def test_window_beyond_int64_is_refused(point, value, text):
+    # 10**400 raised a bare OverflowError from math.isfinite, and PeelPlan's
+    # astype(int) wrapped 2**63 + 1 to a negative window (an IndexError followed)
+    call, error = WINDOW_POINTS[point]
     with pytest.raises(error, match=f"^{re.escape(text)}$"):
         call(value)

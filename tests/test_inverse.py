@@ -451,11 +451,13 @@ class TestInvert:
             assert cfg.schedule.condition != pytest.approx(expect, rel=1e-3)
 
     @pytest.mark.parametrize("method", ["model", "balance", "ladder"])
-    def test_record_too_short_for_the_depth_fails_in_peel_condition(self, method):
+    def test_record_too_short_for_the_depth_fails_in_peel_schedule(self, method):
+        # plan_peel refuses the depth before it builds a window per mode (it
+        # planned 5 modes on 4 samples, and peel_condition's fit failed later)
         _, obs = observe("decay1", order=4, t_final=3e-3, dt=1e-3)  # 4 samples
         with pytest.raises(InversionError) as err:
             invert(obs, InversionConfig(order=4, depth=5, burn_in=0, schedule_method=method))
-        assert err.value.stage == "peel_condition"
+        assert err.value.stage == "peel_schedule"
         assert err.value.payload["exception"] == "DataError"
         assert "cannot support depth 5" in str(err.value)
 

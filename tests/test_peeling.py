@@ -12,14 +12,20 @@ from heatinv import (
     DomainError,
     GridFn,
     InversionConfig,
+    NoiseSpec,
     PeelPlan,
     ScheduleError,
+    compute_w,
+    extract_g13,
+    make_observations,
+    make_problem,
     peel_lsq,
     peel_sequential,
     plan_peel,
+    recover_vh,
 )
 from heatinv import inverse
-from heatinv.inverse import _noise_floor, _provisional_fit
+from heatinv.inverse import _exp_sums, _noise_floor, _provisional_fit
 
 SQ = math.sqrt(2.0 / math.pi)
 
@@ -29,18 +35,19 @@ def design(t, depth):
     return np.exp(np.outer(t, -np.arange(1, depth + 1) ** 2))
 
 
-def model_schedule_reference(q, depth):
-    """plan_peel's 'model' schedule with the forecast summed term by term and
-    no overflow handling; where nothing overflows (depth <= 10 on T = 6) the
-    two must agree bit for bit."""
+def model_schedule_reference(q, depth, window=None):
+    """plan_peel's 'model' schedule with the forecast summed term by term over
+    the whole grid, each argmin np.argmin's, and no overflow handling; where
+    nothing overflows (depth <= 10 on T = 6) the two must agree bit for bit.
+    The noise envelope is _exp_sums', whose tiled gemv bits the schedule
+    reads (an elementwise sum differs in the last bit at some samples)."""
     b_abs, sigma = _noise_floor(q, depth, _provisional_fit(q, depth))
     sigma = max(sigma, 1e-300)
     t, dt = q.times, q.dt
-    noise = sigma + 4.0 * np.finfo(float).eps * (b_abs @ np.exp(-np.outer(
-        np.arange(1, depth + 2) ** 2, t)))
+    noise = sigma + 4.0 * np.finfo(float).eps * _exp_sums(b_abs[None], q)[0]
     times, errs = np.empty(depth), np.empty(depth)
     for m in range(1, depth + 1):
-        w = max(1, min(int(round(0.25 / (m * m * dt))), max(1, q.n // 8))) | 1
+        w = window or max(1, min(int(round(0.25 / (m * m * dt))), max(1, q.n // 8))) | 1
         model = noise * np.exp(m * m * t) / math.sqrt(w)
         for k in range(m + 1, depth + 2):
             model = model + b_abs[k - 1] * np.exp(-(k * k - m * m) * t)
@@ -221,6 +228,22 @@ class TestPeelLsq:
             messages.add(str(exc.value))
         assert messages == {f"peeling depth must be >= 1, got {depth}"}
 
+    @pytest.mark.parametrize("depth", [102, 200, 2 ** 62])
+    def test_depth_above_the_samples_is_refused(self, depth):
+        # depth 200 on 101 samples gave a 'model' plan and a b_hat with no
+        # warning, and a huge depth built one window per mode without end
+        q = exp_sum([1.0, 0.5], 1.0, 1e-2)
+        stack = GridFn.stack([q, q])
+        text = f"^grid of 101 samples cannot support depth {depth}$"
+        builds = [lambda: peel_lsq(q, depth), lambda: plan_peel(q, depth),
+                  lambda: plan_peel(stack, depth, method="ladder"),
+                  lambda: peel_sequential(q, depth)]
+        if depth <= 200:  # a given plan of 2^62 times would not fit in memory
+            builds.append(lambda: peel_sequential(stack, depth, plan=PeelPlan([0.5] * depth)))
+        for build in builds:
+            with pytest.raises(DataError, match=text):
+                build()
+
     def test_rank_cut_scales_with_the_record_length(self):
         # 1 / cond lies between eps * depth and eps * n: deficient for the n x depth design
         t = np.arange(1000) * 5e-7
@@ -297,8 +320,9 @@ class TestPlanPeel:
     @pytest.mark.parametrize("noise", [0.0, 1e-8, 1e-4])
     @pytest.mark.parametrize("seed", range(5))
     def test_bounded_model_matches_reference_bit_for_bit(self, noise, seed):
-        # each mode's forecast is evaluated on a grid prefix only; its argmin
-        # and minimum must be those of the full-length forecast
+        # each mode's forecast is evaluated at every 64th sample and around the
+        # coarse minimum only; its argmin and minimum must be those of the
+        # full-length forecast
         q = exp_sum([1.0 / m for m in range(1, 12)], 6.0, 1e-3, noise=noise, seed=seed)
         for depth in range(1, 11):
             with warnings.catch_warnings():
@@ -307,6 +331,25 @@ class TestPlanPeel:
                 times, errs = model_schedule_reference(q, depth)
             np.testing.assert_array_equal(plan.times, times)
             np.testing.assert_array_equal(plan.predicted, errs)
+
+    @pytest.mark.parametrize("y", [1.0, 2.0])
+    @pytest.mark.parametrize("noise", [0.0, 1e-8, 1e-4])
+    def test_searched_model_matches_full_grid_on_a_long_record(self, noise, y):
+        # the forecast is searched at every 64th sample and around the coarse
+        # minimum; on a 60 001-sample q of many design tiles (the invert-long
+        # record) its argmin and minimum must be those of the whole grid
+        problem = make_problem("generic", 16, 6.0, 1e-4)
+        obs = make_observations(problem, y, NoiseSpec("relative", noise, 0) if noise else None)
+        v_hat, h_hat = recover_vh(obs, *extract_g13(obs))
+        q = obs.uy - compute_w(v_hat, h_hat, y, 16)
+        for depth in range(1, 9):
+            for window in (None, 1, 5):
+                with warnings.catch_warnings():
+                    warnings.simplefilter("error")
+                    plan = plan_peel(q, depth, window=window)
+                    times, errs = model_schedule_reference(q, depth, window)
+                np.testing.assert_array_equal(plan.times, times)
+                np.testing.assert_array_equal(plan.predicted, errs)
 
     @pytest.mark.parametrize("method", ["model", "balance"])
     def test_condition_of_the_provisional_fit(self, method):
