@@ -42,11 +42,11 @@ class ParseError(HeatInvError, ValueError):
 
 
 class InversionError(HeatInvError, RuntimeError):
-    """A reconstruction stage failed; carries the stage name and payload."""
+    """A reconstruction stage failed; carries the stage name, and the stage's
+    exception as its __cause__."""
 
-    def __init__(self, stage: str, message: str, payload: dict | None = None):
+    def __init__(self, stage: str, message: str):
         self.stage = stage
-        self.payload = payload or {}
         super().__init__(f"stage '{stage}': {message}")
 
 

@@ -214,26 +214,25 @@ def solve_spectral(p: ProblemInstance) -> GridFn:
     return GridFn(0.0, p.dt, mode_evolve(p.g_coeffs(), p.v_grid(), p.h_grid()))
 
 
-def spectral_field(modes: GridFn, x: np.ndarray, v: GridFn | None = None) -> np.ndarray:
-    """Synthesis of u(x, t) from the (M, n) mode stack of solve_spectral on a
-    spatial grid; shape (n, len(x)).
+def spectral_field(modes: GridFn, x: np.ndarray, v: GridFn) -> np.ndarray:
+    """Synthesis of u(x, t) from the (M, n) mode stack of solve_spectral and
+    the boundary values v on a spatial grid; shape (n, len(x)).
 
-    When the boundary values v are supplied, the identity
+    The identity
     u = v(t)(1 - x/pi) + sum_m (u_m - v(t) l_m) f_m(x),  l_m = sqrt(2/pi)/m,
-    is used.  It regroups the exact series around the linear boundary
-    lift, so the truncated sum converges uniformly up to the boundary
-    instead of suffering the O(1) Gibbs error of the raw partial sum.  A
-    position outside [0, pi] raises DomainError, and modes that are not an
-    (M, n) stack DataError.
+    regroups the exact series around the linear boundary lift, so the
+    truncated sum converges uniformly up to the boundary instead of
+    suffering the O(1) Gibbs error at x = 0 of the raw partial sum
+    sum_m u_m f_m(x) whenever v != 0.  A position outside [0, pi] raises
+    DomainError, modes that are not an (M, n) stack DataError, and v off
+    the modes' grid GridMismatchError.
     """
     if modes.values.ndim != 2:
         raise DataError(f"spectral_field needs an (M, n) mode stack, got {modes.values.shape}")
     x = _on_rod(x)
+    _require_grid(v, modes.t0, modes.dt, modes.n)
     m = np.arange(1, modes.values.shape[0] + 1)
     fx = BASIS_NORM * np.sin(np.outer(m, x))  # (M, nx)
-    if v is None:
-        return modes.values.T @ fx
-    _require_grid(v, modes.t0, modes.dt, modes.n)
     corrected = modes.values - np.outer(BASIS_NORM / m, v.values)  # u_m - v(t) l_m
     return np.outer(v.values, 1.0 - x / math.pi) + corrected.T @ fx
 

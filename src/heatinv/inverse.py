@@ -215,32 +215,20 @@ def _extend_to_zero(f: GridFn) -> GridFn:
     return GridFn(0.0, f.dt, _read_only(np.concatenate([head, f.values], axis=-1)))
 
 
-def forced_mode_values(v: GridFn, h: GridFn, order: int, weights=None) -> np.ndarray:
-    """Zero-initial-data Duhamel response of modes 1..order; shape (order, n),
-    or (rows, order, n) for stacked inputs.  With weights of shape (K, order)
-    only the K projections weights @ modes are kept (mode_evolve)."""
-    return mode_evolve(np.zeros(order), v, h, weights)
-
-
-def _forced_response(
-    v_hat: GridFn, h_hat: GridFn, y: float, order: int
-) -> tuple[GridFn, np.ndarray]:
-    """w(y, t) and the forced rows [u_1; u_3; w] of modes 1..order, all from
-    t = 0; the rows stack as (..., 3, n)."""
+def forced_mode_values(v_hat: GridFn, h_hat: GridFn, y: float, order: int) -> np.ndarray:
+    """The zero-initial-data Duhamel response of modes 1..order, observed:
+    the rows [u_1; u_3; w] from t = 0, shape (3, n), or (rows, 3, n) for
+    stacked inputs, where w(y, t) = sum_m f_m(y) * (forced response of mode
+    m) (mode_evolve).  Inputs that start after t = 0 (burn-in trim) are
+    extended back by linear extrapolation before integrating."""
     v_hat.require_same_grid(h_hat)
-    v0 = _extend_to_zero(v_hat)
-    h0 = _extend_to_zero(h_hat)
-    rows = forced_mode_values(v0, h0, order, _observed_rows(y, order))
-    return GridFn(v0.t0, v0.dt, rows[..., 2, :]), rows
+    return mode_evolve(np.zeros(order), _extend_to_zero(v_hat), _extend_to_zero(h_hat),
+                       _observed_rows(y, order))
 
 
 def compute_w(v_hat: GridFn, h_hat: GridFn, y: float, order: int) -> GridFn:
-    """w(y, t) = sum_{m<=order} f_m(y) * (forced response of mode m), order >= 3.
-
-    Inputs that start after t = 0 (burn-in trim) are extended back by linear
-    extrapolation before integrating.
-    """
-    return _forced_response(v_hat, h_hat, y, order)[0]
+    """w(y, t) from t = 0: the last of forced_mode_values' rows, order >= 3."""
+    return GridFn(0.0, v_hat.dt, forced_mode_values(v_hat, h_hat, y, order)[..., 2, :])
 
 
 # ---------------------------------------------------------------------------
@@ -699,8 +687,8 @@ class Reconstruction:
 def _stage(name: str, fn, *args, **kwargs):
     try:
         return fn(*args, **kwargs)
-    except Exception as exc:  # surface the failing stage with its payload
-        raise InversionError(name, str(exc), {"exception": type(exc).__name__}) from exc
+    except Exception as exc:  # surface the failing stage; exc is the __cause__
+        raise InversionError(name, str(exc)) from exc
 
 
 def invert(obs: Observations, cfg: InversionConfig | None = None) -> Reconstruction:
@@ -761,9 +749,9 @@ def _solve_stacked(obs: Observations, cfg: InversionConfig, cond: float | None =
     v_hat, h_hat = _stage("recover_vh", recover_vh, obs, g1, g3, cfg.deriv, cfg.burn_in)
 
     order = cfg.order if obs.order is None else obs.order
-    w, forced = _stage("compute_w", _forced_response, v_hat, h_hat, obs.y, order)
+    forced = _stage("compute_w", forced_mode_values, v_hat, h_hat, obs.y, order)
 
-    q = _stage("form_q", lambda: obs.uy - w)
+    q = _stage("form_q", lambda: obs.uy - GridFn(0.0, v_hat.dt, forced[..., 2, :]))
 
     if cfg.peel_method == "lsq":
         fits = [_stage("peel", peel_lsq, qr, cfg.depth, cfg.ridge) for qr in q.rows()]

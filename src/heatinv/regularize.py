@@ -156,12 +156,12 @@ def run_noise_study(
 
     The clean observation record is built once; the i-th (level, trial)
     pair, counted level by level, perturbs it with seed base_seed + i
-    (NoiseSpec.apply).  A level-0 trial adds
-    no noise, so the clean record is inverted once and every level-0 trial
-    gets a copy of that outcome under its own trial and seed.  The noisy
-    records are drawn and inverted a chunk at a time, as one stack of at
-    most _CHUNK_SAMPLES samples per series, and every trial's record
-    equals that of its own lone inversion.  Only the solve stages run (a
+    (NoiseSpec.apply).  A level-0 trial adds no noise: its spec is the clean
+    NoiseSpec(), so the clean record is inverted once, in the first chunk,
+    and every level-0 trial gets that outcome under its own trial and seed.
+    The distinct records are drawn and inverted a chunk at a time, as one
+    stack of at most _CHUNK_SAMPLES samples per series, and every trial's
+    record equals that of its own lone inversion.  Only the solve stages run (a
     record holds no residual), and the peel condition, which depends on
     the grid, depth and path alone, comes from the first solve that succeeds and
     serves every later one.  A record that cannot be built
@@ -203,24 +203,16 @@ def run_noise_study(
             "peel_condition": cond,
         }
 
-    noisy = [noise for _, noise in jobs if noise.adds_noise]
+    # every spec that adds no noise is the clean record's: one solve for all
+    specs = [noise if noise.adds_noise else NoiseSpec() for _, noise in jobs]
+    distinct = list(dict.fromkeys(specs))
     rows = max(1, _CHUNK_SAMPLES // clean.u1.n)
-
-    clean_outcome, cond = None, None
-    if len(noisy) < len(jobs):
-        (row,), cond = _invert_chunk(clean, [NoiseSpec()], cfg)
-        clean_outcome = outcome(row, cond)
-
-    def fresh(cond):
-        """Each chunk's outcomes, made before the next chunk is solved."""
-        for start in range(0, len(noisy), rows):
-            chunk, cond = _invert_chunk(clean, noisy[start:start + rows], cfg, cond)
-            yield from (outcome(row, cond) for row in chunk)
-
-    outcomes = fresh(cond)
-    records = [TrialRecord(noise.level, trial, noise.seed,
-                           **(next(outcomes) if noise.adds_noise else clean_outcome))
-               for trial, noise in jobs]
+    outcomes, cond = {}, None
+    for start in range(0, len(distinct), rows):
+        chunk, cond = _invert_chunk(clean, distinct[start:start + rows], cfg, cond)
+        outcomes.update((spec, outcome(row, cond)) for spec, row in zip(distinct[start:], chunk))
+    records = [TrialRecord(noise.level, trial, noise.seed, **outcomes[spec])
+               for (trial, noise), spec in zip(jobs, specs)]
     return NoiseStudy(
         levels=tuple(levels),
         trials=trials,

@@ -284,7 +284,7 @@ class TestComputeW:
                 for f in (p.v_grid(), p.h_grid()))
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
-            rows = forced_mode_values(v, h, 8, _observed_rows(1.0, 8))
+            rows = forced_mode_values(v, h, 1.0, 8)
         assert np.all(np.isfinite(rows))
 
     @pytest.mark.skipif(np.finfo(np.longdouble).eps >= np.finfo(float).eps,
@@ -300,8 +300,7 @@ class TestComputeW:
         order, dt = 16, 1e-4
         p = make_problem("generic", order, 2.0, dt)
         v, h = p.v_grid(), p.h_grid()
-        weights = _observed_rows(1.0, order)
-        rows = forced_mode_values(v, h, order, weights)
+        rows = forced_mode_values(v, h, 1.0, order)
         ld = np.longdouble
         u = np.zeros(order, dtype=ld)
         a = np.empty(order, dtype=ld)
@@ -320,7 +319,7 @@ class TestComputeW:
         for k in range(1, v.n):
             u = a * u + b_old * forcing[:, k - 1] + b_new * forcing[:, k]
             modes[:, k] = u
-        ref = weights.astype(ld) @ modes
+        ref = _observed_rows(1.0, order).astype(ld) @ modes
         for row, expect in zip(rows, ref):
             assert np.max(np.abs(row - expect)) <= 2e-15 * np.max(np.abs(expect))
 
@@ -458,7 +457,7 @@ class TestInvert:
         with pytest.raises(InversionError) as err:
             invert(obs, InversionConfig(order=4, depth=5, burn_in=0, schedule_method=method))
         assert err.value.stage == "peel_schedule"
-        assert err.value.payload["exception"] == "DataError"
+        assert type(err.value.__cause__).__name__ == "DataError"
         assert "cannot support depth 5" in str(err.value)
 
     def test_overflowing_schedule_names_mode_and_time(self):
@@ -469,7 +468,7 @@ class TestInvert:
             with pytest.raises(InversionError, match="mode 10 at t = 8:") as err:
                 invert(obs, cfg)
         assert err.value.stage == "peel"
-        assert err.value.payload["exception"] == "ScheduleError"
+        assert type(err.value.__cause__).__name__ == "ScheduleError"
 
     @pytest.mark.parametrize("window", [0, -5])
     def test_window_below_one_rejected(self, window):

@@ -326,13 +326,14 @@ class TestRunNoiseStudy:
 
     def test_clean_record_inverted_once(self, fourmode_problem, stack_calls):
         # the benchmark's study: 20 level-0 trials share one inversion of the
-        # clean record, and the 40 noisy trials run in chunks of 2**14 // 2001 = 8
+        # clean record, which leads the 41 distinct records in chunks of
+        # 2**14 // 2001 = 8
         p = fourmode_problem
         study = run_noise_study(p, 1.0, (0.0, 1e-6, 1e-4), 20, base_seed=0)
-        assert [len(records) for records in stack_calls] == [1] + [8] * 5
+        assert [len(records) for records in stack_calls] == [8] * 5 + [1]
         clean = make_observations(p, 1.0)
-        assert [any(_is_clean(r, clean) for r in records) for records in stack_calls] \
-            == [True] + [False] * 5
+        assert [[_is_clean(r, clean) for r in records] for records in stack_calls] \
+            == [[True] + [False] * 7] + [[False] * 8] * 4 + [[False]]
         assert [(r.ok, r.trial, r.seed) for r in study.records[:20]] \
             == [(True, t, t) for t in range(20)]
 
