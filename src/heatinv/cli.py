@@ -27,7 +27,7 @@ from .io import (
     write_reconstruction,
     write_study,
 )
-from .presets import preset_names
+from .presets import PRESETS, preset_names
 from .regularize import run_noise_study
 
 
@@ -54,7 +54,8 @@ def _build_parser() -> argparse.ArgumentParser:
             "--preset",
             choices=preset_names(),
             default=None,
-            help="override the config problem preset",
+            help="override the config problem preset: " + "; ".join(
+                f"{name}, {PRESETS[name].description}" for name in preset_names()),
         )
 
     p_sim = sub.add_parser("simulate", help="generate the observation triple")

@@ -54,13 +54,25 @@ class InversionError(HeatInvError, RuntimeError):
 _INT_MAX = 2 ** 63 - 1
 
 
+def _text(value, fmt=repr) -> str:
+    """fmt(value), or, where CPython's int-to-text limit refuses an integer in
+    value, an integer named by its bit length and anything else by its type."""
+    try:
+        return fmt(value)
+    except ValueError:  # longer than sys.get_int_max_str_digits()
+        if isinstance(value, numbers.Integral):
+            sign = "a negative" if value < 0 else "an"
+            return f"{sign} integer of {int(value).bit_length()} bits"
+        return f"a {type(value).__name__} holding an integer too long to write"
+
+
 def _require_int(name: str, value, error: type = DomainError, least: int | None = None) -> None:
     """The one home of every integer knob's rule: raise error unless value is
     an integer (a numpy one too), not a bool, at least `least` if given and
     at most _INT_MAX."""
     if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-        raise error(f"{name} must be an integer, got {value!r}")
+        raise error(f"{name} must be an integer, got {_text(value)}")
     if least is not None and value < least:
-        raise error(f"{name} must be >= {least}, got {value}")
+        raise error(f"{name} must be >= {least}, got {_text(value, str)}")
     if value > _INT_MAX:
-        raise error(f"{name} must be <= {_INT_MAX}, got {value}")
+        raise error(f"{name} must be <= {_INT_MAX}, got {_text(value, str)}")

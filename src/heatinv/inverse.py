@@ -36,6 +36,7 @@ from .errors import (
     InversionError,
     ScheduleError,
     _require_int,
+    _text,
 )
 from .forward import Observations, _observed_rows, _require_observed_modes, mode_evolve
 from .grid import GridFn, _norm, _read_only, rel_l2
@@ -300,7 +301,7 @@ def _require_schedule(method: str = "model", windows=()) -> None:
             continue
         # w % 2 == 1 holds for odd whole numbers only; inf goes first, as inf % 2 warns
         if not (isinstance(w, numbers.Real) and 1 <= w < math.inf and w % 2 == 1):
-            raise ScheduleError(f"peeling window must be odd and >= 1, got {w!r}")
+            raise ScheduleError(f"peeling window must be odd and >= 1, got {_text(w)}")
         _require_int("peeling window", int(w), ScheduleError)
 
 

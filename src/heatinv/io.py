@@ -21,7 +21,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ConfigError, DataError, HeatInvError, ParseError
+from .errors import ConfigError, DataError, HeatInvError, ParseError, _text
 from .forward import NoiseSpec, Observations, ProblemInstance, _safe_observed_rows
 from .grid import GridFn
 from .inverse import DET_EXACT, DerivativeScheme, InversionConfig, PeelPlan, Reconstruction
@@ -87,7 +87,7 @@ class ExperimentConfig:
                     isinstance(x, str) if want is str else _is_number(x, want) for x in items):
                 noun = {"int": "an integer", "float": "a finite number",
                         "str": "a string"}.get(kind, "a number list")
-                raise ConfigError(f"{f.name} must be {noun}, got {val!r}")
+                raise ConfigError(f"{f.name} must be {noun}, got {_text(val)}")
             if kind.startswith("tuple"):
                 object.__setattr__(self, f.name, tuple(map(float, val)))
         if self.preset is None and self.g_amplitudes is None:
@@ -114,13 +114,10 @@ class ExperimentConfig:
         if not isinstance(data, dict):
             raise ConfigError(f"config must be a JSON object, got {type(data).__name__}")
         known = {f.name for f in dataclasses.fields(cls)}
-        unknown = sorted(set(data) - known)
+        unknown = sorted(k if isinstance(k, str) else repr(k) for k in set(data) - known)
         if unknown:
             raise ConfigError(f"unknown config keys: {', '.join(unknown)}")
-        try:
-            return cls(**data)
-        except TypeError as exc:
-            raise ConfigError(str(exc)) from None
+        return cls(**data)
 
     # -- factories ---------------------------------------------------------
 
@@ -158,10 +155,10 @@ def _config_sha256(config: dict) -> str:
 def load_config(path: str | Path) -> ExperimentConfig:
     try:
         data = json.loads(Path(path).read_text())
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"config {path} is not valid JSON: {exc}") from None
     except UnicodeDecodeError as exc:
         raise ConfigError(f"config {path} is not {exc.encoding} text: {exc.reason}") from None
+    except ValueError as exc:  # JSONDecodeError, or an integer past the int-to-text limit
+        raise ConfigError(f"config {path} is not valid JSON: {exc}") from None
     return ExperimentConfig.from_dict(data)
 
 
@@ -293,7 +290,7 @@ def _read_table(
             if body.startswith("meta"):
                 try:
                     meta = json.loads(body.partition("=")[2])
-                except json.JSONDecodeError:
+                except ValueError:  # JSONDecodeError, or an integer past the int-to-text limit
                     raise ParseError("metadata line is not valid JSON", line=i) from None
                 if not isinstance(meta, dict):
                     raise ParseError("metadata line is not a JSON object", line=i)
@@ -373,7 +370,7 @@ def _meta_value(meta: dict, key: str, kind: type, default=None):
     val = meta.get(key, default)
     if not _is_number(val, kind):
         noun = "an integer" if kind is int else "a finite number"
-        raise ParseError(f"metadata {key} must be {noun}, got {val!r}")
+        raise ParseError(f"metadata {key} must be {noun}, got {_text(val)}")
     return kind(val)
 
 

@@ -176,6 +176,16 @@ class TestSynthesize:
         with pytest.raises(DomainError):
             SineSeries([1.0])(4.0)
 
+    @pytest.mark.parametrize("coeffs, text", [
+        ([], "coefficient vector must be one-dimensional and non-empty"),
+        ([[1.0, 0.5]], "coefficient vector must be one-dimensional and non-empty"),
+        ([1.0, math.nan], "coefficient vector contains non-finite entries"),
+        ([math.inf], "coefficient vector contains non-finite entries"),
+    ], ids=["empty", "2-D", "nan", "inf"])
+    def test_malformed_coefficients_refused(self, coeffs, text):
+        with pytest.raises(DataError, match=f"^{text}$"):
+            SineSeries(coeffs)
+
 
 class TestOrthonormality:
     def test_gram_matrix_is_identity(self):

@@ -249,6 +249,12 @@ class TestBlockKernel:
         with pytest.raises(DomainError, match=r"shape \(K, 16\)"):
             mode_evolve(np.zeros(16), v, v, np.ones((2, 8)))
 
+    @pytest.mark.parametrize("g", [[], np.zeros((2, 2))], ids=["empty", "2-D"])
+    def test_initial_values_a_non_empty_vector(self, g):
+        v = GridFn(0.0, 1e-3, np.zeros(11))
+        with pytest.raises(DomainError, match="^initial mode values must form a non-empty 1-D array$"):
+            mode_evolve(g, v, v)
+
 
 class TestKernelCache:
     """mode_evolve builds its block kernel once per (order, dt, weights, _BLOCK)."""
@@ -408,6 +414,12 @@ class TestProblemInstance:
             ProblemInstance(h=lambda t: t, v=lambda t: t, g=SineSeries([1.0]),
                             order=4, t_final=1.0, dt=0.3)
 
+    @pytest.mark.parametrize("dt", [0.0, -0.5, math.nan])
+    def test_time_step_positive(self, dt):
+        with pytest.raises(DataError, match=f"^time step must be positive, got {dt}$"):
+            ProblemInstance(h=lambda t: t, v=lambda t: t, g=SineSeries([1.0]),
+                            order=4, t_final=1.0, dt=dt)
+
     def test_gridfn_inputs_must_match_grid(self):
         h = GridFn(0.0, 1e-2, np.zeros(101))
         p = ProblemInstance(h=h, v=lambda t: np.zeros_like(t), g=SineSeries([1.0]),
@@ -533,6 +545,13 @@ class TestSolveFD:
         vector = replace(scalar, g=lambda x: np.array([scalar.g(xi) for xi in x]))
         np.testing.assert_array_equal(solve_fd(scalar, 64)[1], solve_fd(vector, 64)[1])
         np.testing.assert_array_equal(solve_spectral(scalar).values, solve_spectral(vector).values)
+
+    def test_initial_data_finite_on_the_grid(self):
+        # g = 1/x is finite inside the rod but not at x = 0
+        p = replace(make_problem("decay1", 4, 0.5, 1e-2), g=lambda x: 1.0 / np.asarray(x))
+        with np.errstate(divide="ignore"):
+            with pytest.raises(DataError, match="^initial data are not finite on the spatial grid$"):
+                solve_fd(p, 64)
 
     def test_too_few_points(self):
         p = make_problem("decay1", 4, 0.5, 1e-2)

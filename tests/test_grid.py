@@ -35,6 +35,13 @@ def test_rejects_non_finite():
         GridFn(0.0, 0.1, [np.inf])
 
 
+@pytest.mark.parametrize("values", [[], np.zeros((2, 2, 2)), np.zeros((2, 0))],
+                         ids=["empty", "3-D", "empty-stack"])
+def test_rejects_values_that_are_no_series_or_stack(values):
+    with pytest.raises(DataError, match="^grid values must form a non-empty 1-D array or a 2-D stack$"):
+        GridFn(0.0, 0.1, values)
+
+
 def test_rejects_bad_step():
     with pytest.raises(DataError):
         GridFn(0.0, 0.0, [1.0])
@@ -74,6 +81,11 @@ def test_sample_vectorised_and_scalar():
 
     g = GridFn.sample(lambda t: math.cos(t), 0.0, 0.5, 3)
     np.testing.assert_allclose(g.values, np.cos([0.0, 0.5, 1.0]))
+    # a callable that takes the array but gives one value for it is called per point
+    calls = []
+    c = GridFn.sample(lambda t: calls.append(np.shape(t)) or 1.0, 0.0, 0.5, 3)
+    assert c.values.tolist() == [1.0, 1.0, 1.0]
+    assert calls == [(3,), (), (), ()]
 
 
 def test_index_of_snaps_to_nearest():
@@ -138,6 +150,9 @@ def test_stack_and_rows_round_trip():
     # nothing to stack is a typed error, and so is an empty stack of records
     with pytest.raises(DataError, match="empty"):
         GridFn.stack([])
+    # a stack is not a row of another stack
+    with pytest.raises(DataError, match="^only 1-D grid functions stack$"):
+        GridFn.stack([s, s])
     with pytest.raises(HeatInvError, match="empty"):
         invert_stack([])
 

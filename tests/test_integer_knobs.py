@@ -1,6 +1,7 @@
 """Every integer knob fails in one form: `<name> must be an integer, got v`
 for a value that is not an integer, `<name> must be >= k, got v` below its
-bound and `<name> must be <= 9223372036854775807, got v` above int64's."""
+bound and `<name> must be <= 9223372036854775807, got v` above int64's; an
+integer past CPython's int-to-text limit is named by its bit length."""
 
 import re
 
@@ -16,6 +17,9 @@ from heatinv.io import ExperimentConfig
 from heatinv.regularize import check_study
 
 INT64_MAX = 2 ** 63 - 1
+
+#: past CPython's default limit of 4,300 digits for int-to-text conversion
+HUGE = 10 ** 5000
 
 _Q = GridFn(0.0, 1e-2, np.exp(-np.arange(101) * 1e-2))
 _ROW = GridFn(0.0, 1e-2, np.zeros(101))
@@ -59,12 +63,13 @@ CONFIG_POINTS = {f"ExperimentConfig.{field}": (lambda n, field=field: Experiment
 CASES = ([(point, 2.5) for point in ENTRY_POINTS] + [(point, None) for point in ENTRY_POINTS]
          + [(point, value) for point in ("mode_constants", "eval_basis") for value in (True, 2.0)]
          + [(point, value) for point in {**ENTRY_POINTS, **CONFIG_POINTS}
-            for value in (INT64_MAX + 1, 10 ** 400)])
+            for value in (INT64_MAX + 1, 10 ** 400, HUGE)]
+         + [(point, -HUGE) for point in ENTRY_POINTS])
 
 
 def case_id(point, value) -> str:
-    label = {None: "below", 10 ** 400: "10**400"}.get(value, repr(value))
-    return f"{point}-{label}"
+    label = {None: "below", 10 ** 400: "10**400", HUGE: "10**5000", -HUGE: "-10**5000"}
+    return f"{point}-{label.get(value) or repr(value)}"
 
 
 @pytest.mark.parametrize("point, value", CASES, ids=[case_id(p, v) for p, v in CASES])
@@ -72,10 +77,15 @@ def test_integer_knob_messages(point, value):
     # mode_constants(True) and mode_constants(2.0) returned modes 1 and 2;
     # project(np.sin, 4, 100.5) raised a bare TypeError from np.linspace;
     # ExperimentConfig(order=10**400) raised numpy's bare ValueError, and a
-    # depth, seed, trials or burn-in of 10**400 loaded
+    # depth, seed, trials or burn-in of 10**400 loaded; 10**5000 and -10**5000
+    # raised CPython's bare ValueError while the message was formatted
     call, name, least, error = {**ENTRY_POINTS, **CONFIG_POINTS}[point]
     if value is None:
         value, text = least - 1, f"{name} must be >= {least}, got {least - 1}"
+    elif value == HUGE:
+        text = f"{name} must be <= {INT64_MAX}, got an integer of 16610 bits"
+    elif value == -HUGE:
+        text = f"{name} must be >= {least}, got a negative integer of 16610 bits"
     elif isinstance(value, int) and value > INT64_MAX:
         text = f"{name} must be <= {INT64_MAX}, got {value}"
     else:
@@ -96,7 +106,9 @@ WINDOW_POINTS = {
     (INT64_MAX + 2, f"peeling window must be <= {INT64_MAX}, got {INT64_MAX + 2}"),
     (10 ** 400 + 1, f"peeling window must be <= {INT64_MAX}, got {10 ** 400 + 1}"),
     (10 ** 400, f"peeling window must be odd and >= 1, got {10 ** 400}"),
-], ids=["2**63+1", "10**400+1", "10**400"])
+    (HUGE + 1, f"peeling window must be <= {INT64_MAX}, got an integer of 16610 bits"),
+    (HUGE, "peeling window must be odd and >= 1, got an integer of 16610 bits"),
+], ids=["2**63+1", "10**400+1", "10**400", "10**5000+1", "10**5000"])
 @pytest.mark.parametrize("point", WINDOW_POINTS)
 def test_window_beyond_int64_is_refused(point, value, text):
     # 10**400 raised a bare OverflowError from math.isfinite, and PeelPlan's
@@ -104,3 +116,13 @@ def test_window_beyond_int64_is_refused(point, value, text):
     call, error = WINDOW_POINTS[point]
     with pytest.raises(error, match=f"^{re.escape(text)}$"):
         call(value)
+
+
+@pytest.mark.parametrize("field, value, text", [
+    ("y", HUGE, "y must be a finite number, got an integer of 16610 bits"),
+    ("levels", [0.0, HUGE], "levels must be a number list, got a list holding an integer too long to write"),
+], ids=["y", "levels"])
+def test_float_field_past_the_text_limit(field, value, text):
+    # CPython's bare ValueError was raised while the message was formatted
+    with pytest.raises(ConfigError, match=f"^{re.escape(text)}$"):
+        ExperimentConfig(**{field: value})

@@ -231,6 +231,11 @@ class TestSmoothing:
         with pytest.raises(DomainError, match=f"window {w}, polyorder {p}"):
             DerivativeScheme(w, p)
 
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_series_shorter_than_the_stencil_rejected(self, n):
+        with pytest.raises(DataError, match="^derivative stencil needs at least 3 samples$"):
+            DerivativeScheme().apply(np.ones(n), 0.1)
+
     def test_series_shorter_than_the_window_rejected(self):
         with pytest.raises(DataError, match="shorter than the smoothing window"):
             DerivativeScheme(21).apply(np.zeros((2, 20)), 0.1)
@@ -615,6 +620,10 @@ BAD_SCHEDULE_KNOBS = {
         lambda q, w=w: PeelPlan([1.0], [w]),
         lambda q, w=w: PeelPlan([1.0, 2.0], np.array([1, w])),
     ], {"window": w} if isinstance(w, int) else None) for w in (4, 0, -3, 3.5, math.nan, math.inf)},
+    "plan-lengths": ("times and windows must have equal length", [
+        lambda q: PeelPlan([1.0, 0.5], [1]),
+        lambda q: PeelPlan([1.0], [1, 3]),
+    ], None),
     "plan-depth": ("schedule of 1 times does not match depth 2", [
         lambda q: InversionConfig(depth=2, schedule=PeelPlan([1.0])),
         lambda q: peel_sequential(q, 2, plan=PeelPlan([1.0])),

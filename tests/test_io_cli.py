@@ -5,6 +5,7 @@ import builtins
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import warnings
@@ -39,6 +40,7 @@ from heatinv.inverse import DET_EXACT, Diagnostics, Reconstruction
 from heatinv.io import (ExperimentConfig, _config_sha256, fmt, format_report, load_config,
                         read_observations, save_config, write_json, write_observations,
                         write_reconstruction, write_study)
+from heatinv.presets import PRESETS
 from heatinv.regularize import run_noise_study
 
 
@@ -70,6 +72,12 @@ class TestExperimentConfig:
     def test_unknown_keys_rejected(self):
         with pytest.raises(ConfigError, match="unknown config keys: bogus"):
             ExperimentConfig.from_dict({"preset": "generic", "bogus": 1})
+        # a key that is no string is named by its repr; joining it raised a
+        # bare TypeError, and sorting it among strings another
+        with pytest.raises(ConfigError, match="^unknown config keys: 5$"):
+            ExperimentConfig.from_dict({5: 1})
+        with pytest.raises(ConfigError, match="^unknown config keys: None, bogus$"):
+            ExperimentConfig.from_dict({None: 1, "bogus": 2})
 
     def test_unknown_preset_rejected(self):
         with pytest.raises(ConfigError, match="unknown preset"):
@@ -477,6 +485,20 @@ class TestObservationFiles:
             read_observations(path)
         assert str(exc.value) == "grid start must be finite, got nan"
 
+    def test_meta_integer_past_the_text_limit_exits_2(self, tmp_path, capsys):
+        # json refuses an integer literal of more than 4,300 digits with a bare
+        # ValueError, which read_observations let through
+        path, cfg_path = self._simulate_with_meta(tmp_path, "order", 7)
+        path.write_text(path.read_text().replace('"order": 7', '"order": ' + "1" * 5000))
+        with pytest.raises(ParseError, match="^line 2: metadata line is not valid JSON$"):
+            read_observations(path)
+        capsys.readouterr()
+        assert main(["invert", str(path), "--config", str(cfg_path),
+                     "--out", str(tmp_path / "out")]) == 2
+        (line,) = capsys.readouterr().err.splitlines()
+        assert json.loads(line) == {"error": "ParseError",
+                                    "message": "line 2: metadata line is not valid JSON"}
+
     @pytest.mark.parametrize("value", ["5", "null", '"y"', "[1, 2]"])
     def test_meta_not_an_object_exits_2(self, tmp_path, capsys, value):
         path, cfg_path = self._simulate_with_meta(tmp_path, "y", 1.0)
@@ -660,6 +682,22 @@ class TestCliSimulate:
         assert obs.u1.n == 6001
         assert meta["preset"] == "generic"
 
+    def test_config_integer_past_the_text_limit_exits_2(self, tmp_path, capsys):
+        # a depth of 5,000 digits ended invert in a traceback: json refused
+        # it with a bare ValueError, not a JSONDecodeError
+        bad = tmp_path / "bad.json"
+        bad.write_text('{"preset": "generic", "depth": ' + "1" * 5000 + "}")
+        with pytest.raises(ConfigError, match=f"^config {re.escape(str(bad))} is not valid JSON: "):
+            load_config(bad)
+        code = main(["invert", str(tmp_path / "observations.csv"), "--config", str(bad),
+                     "--out", str(tmp_path / "out")])
+        assert code == 2
+        (line,) = capsys.readouterr().err.splitlines()
+        diag = json.loads(line)
+        assert diag["error"] == "ConfigError"
+        assert diag["message"].startswith(f"config {bad} is not valid JSON: ")
+        assert not (tmp_path / "out").exists()
+
     def test_invalid_config_exits_with_diagnostic(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"
         bad.write_text('{"preset": "generic", "no_such_key": true}')
@@ -828,6 +866,16 @@ class TestCliParser:
             cli._build_parser.cache_clear()
         assert bad.value.code == 2 and "--bogus" in capsys.readouterr().err
         assert built.count("heatinv") == 1
+
+
+    @pytest.mark.parametrize("command", ["simulate", "invert", "study"])
+    def test_preset_help_describes_every_preset(self, capsys, command):
+        with pytest.raises(SystemExit) as done:
+            main([command, "--help"])
+        assert done.value.code == 0
+        text = "".join(capsys.readouterr().out.split())  # argparse wraps the help
+        for name, preset in PRESETS.items():
+            assert "".join(f"{name}, {preset.description}".split()) in text
 
 
 class TestCliStudy:

@@ -307,6 +307,14 @@ class TestPlanPeel:
         assert plan.times[0] == pytest.approx(expect1, rel=1e-3)
         assert plan.times[1] == pytest.approx(expect2, rel=1e-3)
 
+    def test_balance_reads_a_mode_at_the_start_below_the_noise_floor(self):
+        # q holds mode 1 alone: the fitted |b_2| lies under the noise floor
+        # sigma, so log(|b_2| / sigma) < 0 has no time and mode 1 is read at t0
+        q = exp_sum([1.0], 6.0, 1e-3, noise=1e-6, seed=1)
+        b_abs, sigma = _noise_floor(q, 1, _provisional_fit(q, 1))
+        assert b_abs[1] <= sigma
+        assert plan_peel(q, 1, method="balance").times.tolist() == [q.t0]
+
     def test_model_schedule_matches_reference_bit_for_bit(self):
         q = exp_sum([1.0 / m for m in range(1, 12)], 6.0, 1e-3)
         for depth in range(1, 11):
