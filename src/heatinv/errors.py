@@ -1,5 +1,7 @@
-"""Exception hierarchy shared across the package, and the integer-argument rule."""
+"""Exception hierarchy shared across the package, and the rules of integer and
+float arguments."""
 
+import math
 import numbers
 
 
@@ -64,6 +66,16 @@ def _text(value, fmt=repr) -> str:
             sign = "a negative" if value < 0 else "an"
             return f"{sign} integer of {int(value).bit_length()} bits"
         return f"a {type(value).__name__} holding an integer too long to write"
+
+
+def _finite(value) -> bool:
+    """The one rule of a float knob's value: math.isfinite(value), an integer
+    past float range (on which math.isfinite raises OverflowError) being
+    no finite float."""
+    try:
+        return math.isfinite(value)
+    except OverflowError:
+        return False
 
 
 def _require_int(name: str, value, error: type = DomainError, least: int | None = None) -> None:

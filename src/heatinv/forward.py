@@ -17,7 +17,7 @@ import numpy as np
 
 from .basis import (BASIS_NORM, DEFAULT_POINT_THRESHOLD, SineSeries, _near_zero, _on_rod,
                     _require_interior, basis_at, mode_constants, project)
-from .errors import DataError, DomainError, _require_int
+from .errors import DataError, DomainError, _finite, _require_int, _text
 from .grid import GridFn, _evaluate
 
 TimeInput = Union[Callable, GridFn]
@@ -107,11 +107,19 @@ def mode_evolve(g, v: GridFn, h: GridFn, weights=None) -> np.ndarray:
 
     [K_r | P_r], E and z are built once per grid (_block_kernel, cached).  A
     stack fills one [Z | C] of shape (rows, blocks, 2L + 2 + M) and the two
-    carry arrays, about rows x n x (2 + (3M + 2)/L) floats (355 KiB for a
-    noise-study chunk of 8 rows), and each product runs once over it:
+    carry arrays, about rows x n x (2 + (3M + 2)/L) floats (487 KiB for a
+    noise-study chunk of 11 rows), and each product runs once over it:
     np.matmul still calls one GEMM per (row, r) with a lone call's shapes,
     so each row keeps the bits of its own call.
     """
+    return _evolve(g, v, h, weights)
+
+
+def _evolve(g, v: GridFn, h: GridFn, weights=None, keep=slice(None)) -> np.ndarray:
+    """mode_evolve's output rows `keep` alone, shape (..., len(kept), n).  The
+    kept rows of the cached kernel of all the weights run each (row, r) GEMM
+    with the shapes of the whole call, so each row keeps its bits there; a
+    kernel built for the kept weights alone would not."""
     v.require_same_grid(h)
     g = np.atleast_1d(np.asarray(g, dtype=float))
     if g.ndim != 1 or g.size < 1:
@@ -122,13 +130,14 @@ def mode_evolve(g, v: GridFn, h: GridFn, weights=None) -> np.ndarray:
         raise DomainError(f"mode weights must have shape (K, {order}), got {w.shape}")
     key = None if weights is None else (w.tobytes(), w.shape)
     kernel, carry_kernel, z = _block_kernel(order, dt, key, span)
+    kernel = kernel[keep]
 
     batch = v.values.shape[:-1]
     vs, hs = (f.values.reshape(-1, n) for f in (v, h))
     rows, width = len(vs), 2 * span + 2
     blocks, full = -(-(n - 1) // span), (n - 1) // span
-    out = np.empty((rows, len(w), blocks * span + 1))
-    out[..., 0] = w @ g
+    out = np.empty((rows, len(kernel), blocks * span + 1))
+    out[..., 0] = (w @ g)[keep]
     if blocks:
         zc = np.zeros((rows, blocks, width + order))  # [Z_b | C_b]; zeros pad the last block
         for part, series in enumerate((vs, hs)):
@@ -145,10 +154,10 @@ def mode_evolve(g, v: GridFn, h: GridFn, weights=None) -> np.ndarray:
             carries[:, step:] += np.multiply(carries[:, :-step], factor, out=scratch[:, step:])
         zc[..., width:] = carries
         # one GEMM per (row, r); copy=False: a copy would drop the products
-        products = out[..., 1:].reshape(rows, len(w), blocks, span, copy=False)
+        products = out[..., 1:].reshape(rows, len(kernel), blocks, span, copy=False)
         np.matmul(zc[:, None], kernel.transpose(0, 2, 1), out=products)
     out.flags.writeable = False
-    return out.reshape(*batch, len(w), -1)[..., :n]
+    return out.reshape(*batch, len(kernel), -1)[..., :n]
 
 
 @dataclass(frozen=True)
@@ -167,10 +176,13 @@ class ProblemInstance:
     dt: float
 
     def __post_init__(self):
-        if not 0.0 < self.t_final < math.inf:
-            raise DataError(f"final time must be finite and positive, got {self.t_final}")
+        if not (_finite(self.t_final) and self.t_final > 0.0):
+            raise DataError(
+                f"final time must be finite and positive, got {_text(self.t_final, str)}")
         if not self.dt > 0.0:
-            raise DataError(f"time step must be positive, got {self.dt}")
+            raise DataError(f"time step must be positive, got {_text(self.dt, str)}")
+        if not (_finite(self.dt) or self.dt == math.inf):
+            raise DataError(f"time step must fit a float, got {_text(self.dt, str)}")
         steps = self.t_final / self.dt
         if not math.isfinite(steps) or abs(steps - round(steps)) > 1e-9 * max(1.0, steps):
             raise DataError(
@@ -289,8 +301,9 @@ class NoiseSpec:
     def __post_init__(self):
         if self.kind not in ("none", "absolute", "relative"):
             raise DataError(f"unknown noise kind '{self.kind}'")
-        if not (math.isfinite(self.level) and self.level >= 0.0):
-            raise DataError(f"noise level must be finite and non-negative, got {self.level}")
+        if not (_finite(self.level) and self.level >= 0.0):
+            raise DataError(
+                f"noise level must be finite and non-negative, got {_text(self.level, str)}")
         _require_int("noise seed", self.seed, DataError, least=0)
 
     @property

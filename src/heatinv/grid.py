@@ -8,7 +8,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import DataError, GridMismatchError
+from .errors import DataError, GridMismatchError, _finite, _text
 
 _REL_TOL = 1e-9
 
@@ -51,10 +51,10 @@ class GridFn:
             raise DataError("grid values must form a non-empty 1-D array or a 2-D stack")
         if not np.all(np.isfinite(v)):
             raise DataError("grid values contain non-finite entries")
-        if not math.isfinite(self.t0):
-            raise DataError(f"grid start must be finite, got {self.t0}")
-        if not 0.0 < self.dt < math.inf:
-            raise DataError(f"grid step must be finite and positive, got {self.dt}")
+        if not _finite(self.t0):
+            raise DataError(f"grid start must be finite, got {_text(self.t0, str)}")
+        if not (_finite(self.dt) and self.dt > 0.0):
+            raise DataError(f"grid step must be finite and positive, got {_text(self.dt, str)}")
         object.__setattr__(self, "values", v)
 
     @classmethod

@@ -35,10 +35,12 @@ from .errors import (
     DomainError,
     InversionError,
     ScheduleError,
+    _finite,
     _require_int,
     _text,
 )
-from .forward import Observations, _observed_rows, _require_observed_modes, mode_evolve
+from .forward import (Observations, _evolve, _observed_rows, _require_observed_modes,
+                      mode_evolve)
 from .grid import GridFn, _norm, _read_only, rel_l2
 
 #: exact determinant of the (f_1'(0), c_1; f_3'(0), c_3) system
@@ -222,14 +224,26 @@ def forced_mode_values(v_hat: GridFn, h_hat: GridFn, y: float, order: int) -> np
     stacked inputs, where w(y, t) = sum_m f_m(y) * (forced response of mode
     m) (mode_evolve).  Inputs that start after t = 0 (burn-in trim) are
     extended back by linear extrapolation before integrating."""
+    return mode_evolve(*_forced_args(v_hat, h_hat, y, order))
+
+
+def _forced_args(v_hat: GridFn, h_hat: GridFn, y: float, order: int) -> tuple:
+    """mode_evolve's arguments for the forced rows: zero initial data, v_hat
+    and h_hat from t = 0, and the observed rows' weights."""
     v_hat.require_same_grid(h_hat)
-    return mode_evolve(np.zeros(order), _extend_to_zero(v_hat), _extend_to_zero(h_hat),
-                       _observed_rows(y, order))
+    return (np.zeros(order), _extend_to_zero(v_hat), _extend_to_zero(h_hat),
+            _observed_rows(y, order))
+
+
+def _forced_w(v_hat: GridFn, h_hat: GridFn, y: float, order: int) -> np.ndarray:
+    """The row w of forced_mode_values alone, shape (1, n) or (rows, 1, n),
+    with its bits there (forward._evolve); u_1 and u_3 are not evolved."""
+    return _evolve(*_forced_args(v_hat, h_hat, y, order), keep=slice(2, 3))
 
 
 def compute_w(v_hat: GridFn, h_hat: GridFn, y: float, order: int) -> GridFn:
     """w(y, t) from t = 0: the last of forced_mode_values' rows, order >= 3."""
-    return GridFn(0.0, v_hat.dt, forced_mode_values(v_hat, h_hat, y, order)[..., 2, :])
+    return GridFn(0.0, v_hat.dt, _forced_w(v_hat, h_hat, y, order)[..., 0, :])
 
 
 # ---------------------------------------------------------------------------
@@ -267,13 +281,13 @@ def _exp_sums(b: np.ndarray, grid: GridFn, start: int = 0) -> np.ndarray:
 
 
 def _require_ridge(reg: float) -> None:
-    if not 0.0 <= reg < math.inf:
-        raise DomainError(f"ridge must be >= 0 and finite, got {reg}")
+    if not (_finite(reg) and reg >= 0.0):
+        raise DomainError(f"ridge must be >= 0 and finite, got {_text(reg, str)}")
 
 
 def _require_threshold(threshold: float) -> None:
     if not 0.0 <= threshold < 1.0:
-        raise DomainError(f"divisor threshold must be >= 0 and < 1, got {threshold}")
+        raise DomainError(f"divisor threshold must be >= 0 and < 1, got {_text(threshold, str)}")
 
 
 def _require_depth(depth: int, q: GridFn | None = None) -> None:
@@ -285,9 +299,12 @@ def _require_depth(depth: int, q: GridFn | None = None) -> None:
 
 
 def _require_cap(cap: float) -> None:
-    """The amplification cap's rule: cap > 0, inf (never warn) included."""
+    """The amplification cap's rule: cap > 0, inf (never warn) included, and
+    no integer past float range."""
     if not cap > 0.0:
-        raise DomainError(f"amplification cap must be > 0, got {cap}")
+        raise DomainError(f"amplification cap must be > 0, got {_text(cap, str)}")
+    if not (_finite(cap) or cap == math.inf):
+        raise DomainError(f"amplification cap must fit a float, got {_text(cap, str)}")
 
 
 def _require_schedule(method: str = "model", windows=()) -> None:
@@ -372,7 +389,11 @@ class PeelPlan:
     condition: float | None = field(default=None, init=False, compare=False)
 
     def __post_init__(self):
-        t = np.atleast_1d(np.asarray(self.times, dtype=float))
+        try:
+            t = np.atleast_1d(np.asarray(self.times, dtype=float))
+        except OverflowError:  # an integer past float range
+            raise ScheduleError(
+                f"schedule times must be finite, got {_text(self.times, str)}") from None
         if not np.all(np.isfinite(t)):
             raise ScheduleError(f"schedule times must be finite, got {t.tolist()}")
         w = np.ones(t.size, dtype=int) if self.windows is None else self.windows
@@ -734,25 +755,30 @@ class _Solved(NamedTuple):
     g3: np.ndarray
     v_hat: GridFn
     h_hat: GridFn
-    forced: np.ndarray                   # the forced rows [u_1; u_3; w], (rows, 3, n)
+    forced: np.ndarray                   # [u_1; u_3; w], (rows, 3, n); [w] alone if w_only
     b_hat: np.ndarray
     assembled: AssembledG
     cond: float
     peels: list                          # per row: (amplification, predicted, warnings)
 
 
-def _solve_stacked(obs: Observations, cfg: InversionConfig, cond: float | None = None) -> _Solved:
+def _solve_stacked(
+    obs: Observations, cfg: InversionConfig, cond: float | None = None, w_only: bool = False
+) -> _Solved:
     """The stages extract_g13 through assemble_g on a record whose series are
     (rows, n) stacks.  A given cond, the peel condition of an earlier solve
     on the same grid and depth, stands in for this solve's own, so the
-    ladder and a given plan skip their extra peel_lsq."""
+    ladder and a given plan skip their extra peel_lsq.  w_only evolves the
+    forced row w alone, which is all a solve reads: the u_1 and u_3 rows
+    serve only _report_stacked's residuals."""
     g1, g3 = _stage("extract_g13", extract_g13, obs)
     v_hat, h_hat = _stage("recover_vh", recover_vh, obs, g1, g3, cfg.deriv, cfg.burn_in)
 
     order = cfg.order if obs.order is None else obs.order
-    forced = _stage("compute_w", forced_mode_values, v_hat, h_hat, obs.y, order)
+    evolve = _forced_w if w_only else forced_mode_values
+    forced = _stage("compute_w", evolve, v_hat, h_hat, obs.y, order)
 
-    q = _stage("form_q", lambda: obs.uy - GridFn(0.0, v_hat.dt, forced[..., 2, :]))
+    q = _stage("form_q", lambda: obs.uy - GridFn(0.0, v_hat.dt, forced[..., -1, :]))
 
     if cfg.peel_method == "lsq":
         fits = [_stage("peel", peel_lsq, qr, cfg.depth, cfg.ridge) for qr in q.rows()]

@@ -15,13 +15,12 @@ import dataclasses
 import hashlib
 import json
 import math
-import sys
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
-from .errors import ConfigError, DataError, HeatInvError, ParseError, _text
+from .errors import ConfigError, DataError, HeatInvError, ParseError, _finite, _text
 from .forward import NoiseSpec, Observations, ProblemInstance, _safe_observed_rows
 from .grid import GridFn
 from .inverse import DET_EXACT, DerivativeScheme, InversionConfig, PeelPlan, Reconstruction
@@ -359,9 +358,10 @@ def read_observations(path: str | Path) -> tuple[Observations, dict]:
 
 def _is_number(x, kind: type) -> bool:
     """The one rule of a number read from JSON as a `kind`: an int for int, and
-    for float an int or float that is a finite float; never a bool."""
+    for float an int or float that is a finite float (errors._finite); never
+    a bool."""
     return (not isinstance(x, bool) and isinstance(x, int if kind is int else (int, float))
-            and (kind is int or abs(x) <= sys.float_info.max))
+            and (kind is int or _finite(x)))
 
 
 def _meta_value(meta: dict, key: str, kind: type, default=None):

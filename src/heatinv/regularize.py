@@ -22,8 +22,10 @@ from .inverse import InversionConfig, _solve_stacked
 
 #: a stacked chunk of noisy records holds rows * n <= this many samples per
 #: series: its (rows, n) series and temporaries, and mode_evolve's (rows, n/L,
-#: 2L + 2 + M) block matrix, about 2 + (M + 2)/L series more
-_CHUNK_SAMPLES = 2 ** 14
+#: 2L + 2 + M) block matrix, about 2 + (M + 2)/L series more.  At 2 001
+#: samples that is 12 rows, and a study's 41 distinct records run in balanced
+#: chunks of 11, 10, 10 and 10, whose tracemalloc peak is 2.4 MB
+_CHUNK_SAMPLES = 24_576
 
 
 @dataclass(frozen=True)
@@ -132,7 +134,7 @@ def _invert_chunk(
     HeatInvError: the same one its lone inversion raises.  cond stays None
     while no solve has succeeded."""
     try:
-        s = _solve_stacked(_noisy_stack(clean, noises), cfg, cond)
+        s = _solve_stacked(_noisy_stack(clean, noises), cfg, cond, w_only=True)
     except HeatInvError as exc:
         if len(noises) == 1:
             return [exc], cond
@@ -160,14 +162,15 @@ def run_noise_study(
     NoiseSpec(), so the clean record is inverted once, in the first chunk,
     and every level-0 trial gets that outcome under its own trial and seed.
     The distinct records are drawn and inverted a chunk at a time, as one
-    stack of at most _CHUNK_SAMPLES samples per series, and every trial's
-    record equals that of its own lone inversion.  Only the solve stages run (a
-    record holds no residual), and the peel condition, which depends on
-    the grid, depth and path alone, comes from the first solve that succeeds and
-    serves every later one.  A record that cannot be built
-    (an unsafe y or a negative base_seed, say) raises; a failure inside a
-    single trial's inversion is recorded, not raised.  Level 0 reproduces
-    the clean baseline exactly.
+    stack of at most _CHUNK_SAMPLES samples per series, in the fewest such
+    chunks, their sizes balanced; every trial's record equals that of its
+    own lone inversion.  Only the solve stages run (a record holds no
+    residual), evolving the one forced row w that they read, and the peel
+    condition, which depends on the grid, depth and path alone, comes from
+    the first solve that succeeds and serves every later one.  A record that
+    cannot be built (an unsafe y or a negative base_seed, say) raises; a
+    failure inside a single trial's inversion is recorded, not raised.
+    Level 0 reproduces the clean baseline exactly.
 
     Without an explicit inversion config the peeling runs on the 'ladder'
     schedule with single-point evaluation: its noise multipliers e^{m^2 t_m}
@@ -206,11 +209,14 @@ def run_noise_study(
     # every spec that adds no noise is the clean record's: one solve for all
     specs = [noise if noise.adds_noise else NoiseSpec() for _, noise in jobs]
     distinct = list(dict.fromkeys(specs))
-    rows = max(1, _CHUNK_SAMPLES // clean.u1.n)
+    # the fewest chunks of at most _CHUNK_SAMPLES // n rows, their sizes balanced
+    chunks = -(-len(distinct) // max(1, _CHUNK_SAMPLES // clean.u1.n))
+    bounds = [-(-len(distinct) * i // chunks) for i in range(chunks + 1)]
     outcomes, cond = {}, None
-    for start in range(0, len(distinct), rows):
-        chunk, cond = _invert_chunk(clean, distinct[start:start + rows], cfg, cond)
+    for start, stop in zip(bounds, bounds[1:]):
+        chunk, cond = _invert_chunk(clean, distinct[start:stop], cfg, cond)
         outcomes.update((spec, outcome(row, cond)) for spec, row in zip(distinct[start:], chunk))
+        del chunk  # its v_hat and h_hat stacks, freed before the next chunk is drawn
     records = [TrialRecord(noise.level, trial, noise.seed, **outcomes[spec])
                for (trial, noise), spec in zip(jobs, specs)]
     return NoiseStudy(

@@ -292,7 +292,8 @@ class TestKernelCache:
         forward._block_kernel.cache_clear()
         run_noise_study(make_problem("fourmode", 8, 4.0, 2e-3), 1.0, (0.0, 1e-6, 1e-4), 20)
         info = forward._block_kernel.cache_info()
-        assert (info.misses, info.hits) == (1, 6)  # 7 mode_evolve calls, one grid
+        # make_observations and 4 chunks: 5 evolutions on one grid
+        assert (info.misses, info.hits) == (1, 4)
 
 
 def test_import_loads_no_scipy():

@@ -8,6 +8,7 @@ from dataclasses import asdict, replace
 import numpy as np
 import pytest
 
+import heatinv.inverse
 from heatinv import (
     DET_EXACT,
     ConfigError,
@@ -327,6 +328,27 @@ class TestComputeW:
         ref = _observed_rows(1.0, order).astype(ld) @ modes
         for row, expect in zip(rows, ref):
             assert np.max(np.abs(row - expect)) <= 2e-15 * np.max(np.abs(expect))
+
+    @pytest.mark.parametrize("order", [8, 16])
+    @pytest.mark.parametrize("preset, t_final, dt", [("fourmode", 4.0, 2e-3),
+                                                     ("generic", 6.0, 1e-4)],
+                             ids=["n2001", "n60001"])
+    def test_w_row_alone_keeps_its_bits(self, preset, t_final, dt, order):
+        # a noise study evolves only w, from the rows of the three-row kernel:
+        # stacks of 1, 10 and 11 records (a study's chunk sizes) and a lone
+        # record keep the bits of row 2 of forced_mode_values, and compute_w
+        # reads the same row
+        p = make_problem(preset, order, t_final, dt)
+        v, h = p.v_grid(), p.h_grid()
+        rng = np.random.default_rng(5)
+        for rows in (1, 10, 11):
+            scale = 1.0 + 1e-3 * rng.standard_normal((rows, 1))
+            vs, hs = (GridFn(2 * dt, dt, scale * f.values[2:]) for f in (v, h))
+            w = heatinv.inverse._forced_w(vs, hs, 1.0, order)
+            assert w.shape == (rows, 1, v.n)
+            np.testing.assert_array_equal(w, forced_mode_values(vs, hs, 1.0, order)[:, 2:3])
+        w = compute_w(v, h, 1.0, order)
+        np.testing.assert_array_equal(w.values, forced_mode_values(v, h, 1.0, order)[2])
 
 
 class TestAssembleG:

@@ -43,9 +43,9 @@ def stack_calls(monkeypatch):
     calls = []
     real = heatinv.regularize._solve_stacked
 
-    def counting(obs, cfg, cond=None):
+    def counting(obs, cfg, cond=None, **kwargs):
         calls.append(list(zip(obs.u1.values, obs.u3.values, obs.uy.values)))
-        return real(obs, cfg, cond)
+        return real(obs, cfg, cond, **kwargs)
 
     monkeypatch.setattr(heatinv.regularize, "_solve_stacked", counting)
     return calls
@@ -178,8 +178,8 @@ class TestRunNoiseStudy:
         assert math.isfinite(study.mean_v_err(1e300))
 
     def test_chunked_stack_memory_bounded(self, fourmode_problem):
-        # the benchmark's study: 60 trials in chunks of 8 peak at 2.1 MB; one
-        # stack per level takes 8.8 MB
+        # the benchmark's study: 60 trials in chunks of 11, 10, 10 and 10 peak
+        # at 2.4 MB; one stack per level takes 8.8 MB
         tracemalloc.start()
         try:
             run_noise_study(fourmode_problem, 1.0, (0.0, 1e-6, 1e-4), 20, base_seed=0)
@@ -191,8 +191,8 @@ class TestRunNoiseStudy:
     def test_matches_per_trial_resimulation(self, fourmode_problem):
         # reference: every trial re-simulates its own noisy record; the trials
         # of the zero level share the one clean inversion.  20 trials a level
-        # run the noisy records in chunks of 8, and the peel condition of the
-        # first solve stands in for every later one
+        # run the noisy records in balanced chunks of at most 12, and the peel
+        # condition of the first solve stands in for every later one
         p, trials, base_seed = fourmode_problem, 20, 7
         ladder = InversionConfig(order=p.order, schedule_method="ladder", window=1)
         # the default (ladder, window 1), the 'model' schedule and the lsq peel
@@ -232,7 +232,7 @@ class TestRunNoiseStudy:
 
     def test_failing_first_chunk_keeps_lone_conditions(self, fourmode_problem, stack_calls,
                                                        lsq_calls):
-        # no level 0, and the first chunk (6 records at 1e-6, 2 at 1e308) fails
+        # no level 0, and the one chunk (6 records at 1e-6, 6 at 1e308) fails
         # at its draw: its records are solved alone, the first that succeeds
         # fits the peel condition, and every later solve reuses it
         p = fourmode_problem
@@ -326,16 +326,31 @@ class TestRunNoiseStudy:
 
     def test_clean_record_inverted_once(self, fourmode_problem, stack_calls):
         # the benchmark's study: 20 level-0 trials share one inversion of the
-        # clean record, which leads the 41 distinct records in chunks of
-        # 2**14 // 2001 = 8
+        # clean record, which leads the 41 distinct records in the fewest
+        # chunks of at most 24_576 // 2001 = 12, their sizes balanced
         p = fourmode_problem
         study = run_noise_study(p, 1.0, (0.0, 1e-6, 1e-4), 20, base_seed=0)
-        assert [len(records) for records in stack_calls] == [8] * 5 + [1]
+        assert [len(records) for records in stack_calls] == [11, 10, 10, 10]
         clean = make_observations(p, 1.0)
         assert [[_is_clean(r, clean) for r in records] for records in stack_calls] \
-            == [[True] + [False] * 7] + [[False] * 8] * 4 + [[False]]
+            == [[True] + [False] * 10] + [[False] * 10] * 3
         assert [(r.ok, r.trial, r.seed) for r in study.records[:20]] \
             == [(True, t, t) for t in range(20)]
+
+    @pytest.mark.parametrize("bound, sizes", [(1, [1] * 41), (5, [5, 5, 4, 5, 4, 5, 4, 5, 4]),
+                                              (12, [11, 10, 10, 10]), (20, [14, 14, 13]),
+                                              (41, [41]), (64, [41])])
+    def test_fewest_balanced_chunks(self, fourmode_problem, stack_calls, monkeypatch, bound,
+                                    sizes):
+        # the 41 distinct records of the benchmark's study under a bound of
+        # `bound` rows: ceil(41 / bound) chunks, whose sizes differ by at most
+        # one, and the clean record leads the first
+        monkeypatch.setattr(heatinv.regularize, "_CHUNK_SAMPLES", bound * 2001 + 2000)
+        run_noise_study(fourmode_problem, 1.0, (0.0, 1e-6, 1e-4), 20, base_seed=0)
+        assert [len(records) for records in stack_calls] == sizes
+        clean = make_observations(fourmode_problem, 1.0)
+        assert [_is_clean(r, clean) for records in stack_calls for r in records] \
+            == [True] + [False] * 40
 
     def test_repeated_zero_levels_invert_once(self, fourmode_problem, stack_calls):
         # a zero level is given once (levels are strictly ascending), and its

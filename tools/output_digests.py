@@ -41,10 +41,11 @@ CONFIGS = {
     "fourmode-ladder": {**_FOURMODE, "dt": 2e-4, "schedule_method": "ladder", "window": 5},
     "fourmode-model-huge": {**_FOURMODE, "schedule_method": "model", "y": 1.3,
                             "levels": [0.0, 1e-4, 1e300]},
-    # 20 noisy records in chunks of 8, 8 and 4: the second mixes 1e-6 with 1e308,
-    # whose draws overflow, so it falls back to lone records (2 pass, 6 fail)
+    # the clean record and 28 noisy ones in chunks of 10, 10 and 9: the second
+    # mixes 5 at 1e-6 with 5 at 1e308, whose draws overflow, so it falls back
+    # to lone records (5 pass, 5 fail)
     "fourmode-ladder-chunks": {**_FOURMODE, "schedule_method": "ladder", "window": 1,
-                               "levels": [0.0, 1e-6, 1e308], "trials": 10},
+                               "levels": [0.0, 1e-6, 1e308], "trials": 14},
     "steady": {"preset": "steady", "order": 8, "t_final": 2.0, "y": 2.0, "trials": 2},
     "generic-lsq-smooth": {"preset": "generic", "order": 8, "t_final": 3.0,
                            "peel_method": "lsq", "ridge": 1e-10, "smooth_window": 21,
