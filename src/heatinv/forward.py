@@ -139,7 +139,8 @@ def _evolve(g, v: GridFn, h: GridFn, weights=None, keep=slice(None)) -> np.ndarr
     out = np.empty((rows, len(kernel), blocks * span + 1))
     out[..., 0] = (w @ g)[keep]
     if blocks:
-        zc = np.zeros((rows, blocks, width + order))  # [Z_b | C_b]; zeros pad the last block
+        zc = np.empty((rows, blocks, width + order))  # [Z_b | C_b]
+        zc[:, full:, :width] = 0.0  # zeros pad the last block
         for part, series in enumerate((vs, hs)):
             start = part * (span + 1)
             zc[:, :full, start:start + span] = series[:, :full * span].reshape(rows, full, span)

@@ -172,10 +172,11 @@ def _norm(x: np.ndarray, sum_sq=_sum_sq) -> float:
 def rel_l2(approx: np.ndarray, exact: np.ndarray) -> float:
     """Relative L2 distance; falls back to the absolute norm for zero signals."""
     exact = np.asarray(exact, dtype=float).ravel()
-    return _rel_l2_to(np.asarray(approx, dtype=float).ravel(), exact, _norm(exact))
+    return _rel_l2_to(np.asarray(approx, dtype=float).ravel() - exact, _norm(exact))
 
 
-def _rel_l2_to(approx: np.ndarray, exact: np.ndarray, exact_norm: float) -> float:
-    """rel_l2 of 1-D float arrays, given exact_norm = _norm(exact)."""
-    num = _norm(approx - exact)
+def _rel_l2_to(diff: np.ndarray, exact_norm: float) -> float:
+    """rel_l2 given diff = approx - exact, 1-D float arrays, and exact_norm =
+    _norm(exact)."""
+    num = _norm(diff)
     return num / exact_norm if exact_norm > 0.0 else num

@@ -41,7 +41,7 @@ from .errors import (
 )
 from .forward import (Observations, _evolve, _observed_rows, _require_observed_modes,
                       mode_evolve)
-from .grid import GridFn, _norm, _read_only, rel_l2
+from .grid import GridFn, _norm, _read_only, _rel_l2_to
 
 #: exact determinant of the (f_1'(0), c_1; f_3'(0), c_3) system
 DET_EXACT = -32.0 / (3.0 * math.pi)
@@ -182,17 +182,25 @@ def recover_vh(
     t = obs.u1.times
     dt = obs.u1.dt
 
-    f1 = obs.u1.values - np.multiply.outer(g1, np.exp(-t))
-    f3 = obs.u3.values - np.multiply.outer(g3, np.exp(-9.0 * t))
+    # the arithmetic of the formulas above, in place on this call's fresh arrays
+    e9 = np.multiply(-9.0, t)
+    f1 = np.multiply.outer(g1, np.exp(np.negative(t, out=t), out=t))
+    np.subtract(obs.u1.values, f1, out=f1)
+    f3 = np.multiply.outer(g3, np.exp(e9, out=e9))
+    np.subtract(obs.u3.values, f3, out=f3)
     f1s, d1 = deriv.apply(f1, dt)
     f3s, d3 = deriv.apply(f3, dt)
-    r1 = d1 + f1s
-    r3 = d3 + 9.0 * f3s
+    r1 = np.add(d1, f1s, out=d1)
+    r3 = np.add(d3, np.multiply(9.0, f3s, out=f3s), out=d3)
 
     m1, m3 = mode_constants(1), mode_constants(3)
     det = system_determinant()
-    v = (m3.c_m * r1 - m1.c_m * r3) / det
-    h = (m1.fprime0 * r3 - m3.fprime0 * r1) / det
+    v, scratch = np.multiply(m3.c_m, r1), np.multiply(m1.c_m, r3)
+    v -= scratch
+    v /= det
+    h = np.multiply(m1.fprime0, r3, out=r3)
+    h -= np.multiply(m3.fprime0, r1, out=scratch)
+    h /= det
 
     return tuple(GridFn(obs.u1.t0, dt, _read_only(f)).trim_head(burn_in) for f in (v, h))
 
@@ -214,8 +222,9 @@ def _extend_to_zero(f: GridFn) -> GridFn:
         return f
     first = f.values[..., :1]
     slope = (f.values[..., 1:2] - first) / f.dt if f.n > 1 else 0.0
-    head = first + slope * f.dt * (np.arange(k) - k)
-    return GridFn(0.0, f.dt, _read_only(np.concatenate([head, f.values], axis=-1)))
+    # only the head is new: it alone is checked, then joined to f's checked values
+    head = GridFn(0.0, f.dt, _read_only(first + slope * f.dt * (np.arange(k) - k)))
+    return GridFn._checked(0.0, f.dt, _read_only(np.concatenate([head.values, f.values], axis=-1)))
 
 
 def forced_mode_values(v_hat: GridFn, h_hat: GridFn, y: float, order: int) -> np.ndarray:
@@ -254,18 +263,30 @@ def _design_tiles(grid: GridFn, depth: int, extra: int = 0, start: int = 0):
     """Yield (s, e, tile) over samples start..n-1: tile, the Fortran-order
     (e - s, depth + extra) view of one reused buffer, holds e^{-k^2 t},
     k = 1..depth, at t = t0 + dt * (s..e-1) (the bits of grid.times[s:e]),
-    then extra columns for the caller.  Tiles are whole 64s of samples, at
-    most _FIT_TILE_ELEMENTS elements where 64 rows fit."""
+    then extra columns for the caller.  Tiles are _tile_rows(depth + extra)
+    samples long, the last one the rest."""
     width = depth + extra
-    rows = max(64, _FIT_TILE_ELEMENTS // width // 64 * 64)
+    rows = _tile_rows(width)
     store = np.empty(min(rows, grid.n - start) * width)
     for s in range(start, grid.n, rows):
         e = min(s + rows, grid.n)
         tile = store[: (e - s) * width].reshape((e - s, width), order="F")
-        a = np.outer(grid.t0 + grid.dt * np.arange(s, e), -np.arange(1, depth + 1) ** 2,
+        a = np.outer(_time_at(grid, np.arange(s, e)), -np.arange(1, depth + 1) ** 2,
                      out=tile[:, :depth])
         np.exp(a, out=a)
         yield s, e, tile
+
+
+def _tile_rows(width: int) -> int:
+    """Samples in a design tile of width columns: whole 64s, at most
+    _FIT_TILE_ELEMENTS elements where 64 rows fit."""
+    return max(64, _FIT_TILE_ELEMENTS // width // 64 * 64)
+
+
+def _time_at(grid: GridFn, k):
+    """grid.times[k] for an index or index array k, without building
+    grid.times: t0 + dt * k, its expression, so its bits (-0.0 included)."""
+    return grid.t0 + grid.dt * k
 
 
 def _exp_sums(b: np.ndarray, grid: GridFn, start: int = 0) -> np.ndarray:
@@ -278,6 +299,22 @@ def _exp_sums(b: np.ndarray, grid: GridFn, start: int = 0) -> np.ndarray:
         for row, sums in zip(b, out):
             np.matmul(row, tile.T, out=sums[s - start:e - start])
     return out
+
+
+def _exp_sums_at(b: np.ndarray, grid: GridFn, idx: np.ndarray) -> np.ndarray:
+    """_exp_sums(b[None], grid)[0][idx], idx ascending, with its bits but at
+    those samples alone.  Those before `tail`, one whole 64 ahead of the last
+    partial 64 (or the sweep's last tile where it starts later), run on the
+    gemv's main path, as in a tile, their design padded to whole 64s; the
+    rest, by _exp_sums from `tail` on, on the tail path of the sweep's last tile."""
+    rows = _tile_rows(b.size)
+    tail = max(0, grid.n // 64 * 64 - 64, (grid.n - 1) // rows * rows)
+    head = idx[idx < tail]
+    design = np.zeros((b.size, -(-head.size // 64) * 64))  # the transpose of a tile
+    np.outer(-np.arange(1, b.size + 1) ** 2, _time_at(grid, head), out=design[:, :head.size])
+    np.exp(design, out=design)
+    return np.concatenate(((b @ design)[:head.size],
+                           _exp_sums(b[None], grid, tail)[0][idx[head.size:] - tail]))
 
 
 def _require_ridge(reg: float) -> None:
@@ -444,11 +481,12 @@ def plan_peel(
                  + sum_{k<m} err_k e^{(m^2-k^2) t}              inherited error
 
     with |b_k| and the noise scale sigma from a provisional ridge fit and
-    env(t) the fitted envelope of |q|, formed from the fit's design tiles.
-    err_m is a sum of exponentials in t with weights >= 0, so convex: it is
-    evaluated at every _SEARCH_STEP-th sample, then at the 2 _SEARCH_STEP - 1
-    samples around the first of those minima, which keeps np.argmin's index
-    and minimum over the whole grid bit for bit.
+    env(t) = sum_k |b_k| e^{-k^2 t} the fitted envelope of |q|.  err_m is a
+    sum of exponentials in t with weights >= 0, so convex: it is evaluated
+    at every _SEARCH_STEP-th sample, then at the 2 _SEARCH_STEP - 1 samples
+    around the first of those minima, which keeps np.argmin's index and
+    minimum over the whole grid bit for bit.  env(t) and t are formed there
+    alone, with the bits of the whole-record sum and of q.times.
     method 'balance' applies the plain two-term rule
     t_m = log(|b_{m+1}| / sigma) / (m^2 + (m+1)^2); both plans carry the
     condition number of the depth-mode design from the fit's R.  method
@@ -467,9 +505,9 @@ def plan_peel(
     """
     _require_depth(depth, q)
     _require_schedule(method, [window])
-    t = q.times
     n = q.n
     dt = q.dt
+    t_first, t_last = _time_at(q, 0), q.t_end
 
     def window_for(m: int) -> int:
         if window is not None:
@@ -480,9 +518,9 @@ def plan_peel(
     windows = np.array([window_for(m) for m in range(1, depth + 1)])
 
     if method == "ladder":
-        half = t[0] + 0.5 * (t[-1] - t[0])
+        half = t_first + 0.5 * (t_last - t_first)
         times = half / np.arange(1, depth + 1)
-        times = np.clip(times, t[0], t[-1])
+        times = np.clip(times, t_first, t_last)
         return PeelPlan(times=times, windows=windows)
 
     fit = _provisional_fit(q, depth)
@@ -502,40 +540,43 @@ def plan_peel(
         for m in range(1, depth + 1):
             b_next = b_abs[m]
             if b_next <= sigma_abs:
-                times[m - 1] = t[0]
+                times[m - 1] = t_first
             else:
                 tm = math.log(b_next / sigma_abs) / (m * m + (m + 1) ** 2)
-                times[m - 1] = min(max(tm, t[0]), t[-1])
+                times[m - 1] = min(max(tm, t_first), t_last)
         return fitted_plan(times)
 
     # propagation-aware greedy minimisation over the grid
-    noise_t = _exp_sums(b_abs[None, :fit_depth], q)[0]
-    noise_t *= 4.0 * _EPS
-    noise_t += sigma_abs
     times = np.empty(depth)
     errs = np.empty(depth)
 
-    def forecast(m: int, part: slice) -> np.ndarray:
-        """err_m at the samples t[part]."""
-        m2, ts = m * m, t[part]
+    def envelope(idx: np.ndarray) -> np.ndarray:
+        """sigma + 4 eps env(t) at the samples idx alone."""
+        return sigma_abs + 4.0 * _EPS * _exp_sums_at(b_abs[:fit_depth], q, idx)
+
+    def forecast(m: int, idx: np.ndarray, noise: np.ndarray) -> np.ndarray:
+        """err_m at the samples idx, given envelope(idx)."""
+        m2, ts = m * m, _time_at(q, idx)
         # late times overflow to +inf, which is never the argmin
         with np.errstate(over="ignore"):
-            model = noise_t[part] * np.exp(m2 * ts) / math.sqrt(windows[m - 1])
+            model = noise * np.exp(m2 * ts) / math.sqrt(windows[m - 1])
             terms = [(k, b_abs[k - 1]) for k in range(m + 1, depth + 2)]  # truncation
             for k, scale in terms + [(k, errs[k - 1]) for k in range(1, m)]:  # + inherited
                 model += np.exp((m2 - k * k) * ts) * scale
         return model
 
+    coarse = np.arange(0, n, _SEARCH_STEP)
+    coarse_noise = envelope(coarse)  # read by every mode
     for m in range(1, depth + 1):
         # err_m, a sum of exponentials in t with weights >= 0, is convex: samples
         # _SEARCH_STEP or more away from c, the first argmin of every
         # _SEARCH_STEP-th sample, are no lower than c and lie after c where
         # equal to it, so the first argmin of the samples between is np.argmin's
-        c = int(np.argmin(forecast(m, slice(0, n, _SEARCH_STEP)))) * _SEARCH_STEP
-        lo = max(0, c - _SEARCH_STEP + 1)
-        model = forecast(m, slice(lo, c + _SEARCH_STEP))
+        c = int(coarse[np.argmin(forecast(m, coarse, coarse_noise))])
+        near = np.arange(max(0, c - _SEARCH_STEP + 1), min(n, c + _SEARCH_STEP))
+        model = forecast(m, near, envelope(near))
         i = int(np.argmin(model))
-        times[m - 1] = t[lo + i]
+        times[m - 1] = _time_at(q, near[i])
         errs[m - 1] = model[i]
     return fitted_plan(times, errs)
 
@@ -571,7 +612,6 @@ def peel_sequential(
     if np.any(plan.times > q.t_end + 1e-12) or np.any(plan.times < q.t0 - 1e-12):
         raise ScheduleError("scheduled times fall outside the data grid")
 
-    t = q.times
     warnings: list[str] = []
     b_hat = np.zeros((*q.values.shape[:-1], depth))
     amp = np.empty(depth)
@@ -579,17 +619,17 @@ def peel_sequential(
         i = q.index_of(plan.times[m - 1])
         half = (int(plan.windows[m - 1]) - 1) // 2
         lo, hi = max(0, i - half), min(q.n, i + half + 1)
-        m2 = m * m
-        if m2 * t[hi - 1] > _LOG_MAX:
+        m2, t_hi = m * m, _time_at(q, hi - 1)
+        if m2 * t_hi > _LOG_MAX:
             raise ScheduleError(
-                f"mode {m} at t = {t[hi - 1]:.6g}: the multiplier e^(m^2 t) overflows"
+                f"mode {m} at t = {t_hi:.6g}: the multiplier e^(m^2 t) overflows"
             )
-        ts = t[lo:hi]
+        ts = _time_at(q, np.arange(lo, hi))
         bracket = q.values[..., lo:hi].copy()
         for k in range(1, m):
             bracket -= b_hat[..., k - 1:k] * np.exp(-(k * k) * ts)
         b_hat[..., m - 1] = np.mean(np.exp(m2 * ts) * bracket, axis=-1)
-        amp[m - 1] = math.exp(m2 * t[i])
+        amp[m - 1] = math.exp(m2 * _time_at(q, i))
         if amp[m - 1] > amplification_cap:
             warnings.append(
                 f"mode {m}: amplification {amp[m - 1]:.3e} exceeds cap {amplification_cap:.1e}"
@@ -816,9 +856,17 @@ def _solve_stacked(
 def _report_stacked(obs: Observations, cfg: InversionConfig, s: _Solved) -> list[Reconstruction]:
     """The Reconstructions of a solved stack, each with its self-consistency
     residuals: every reconstruction pushed back through the forward map."""
-    t = obs.u1.times
-    e1, e9 = np.exp(-t), np.exp(-9.0 * t)
-    peeled = _exp_sums(s.b_hat, obs.u1)
+    # approx - exact of u_1, u_3 and u(y, t), one row per record, in place;
+    # e^{-t} and e^{-9t} are columns 1 and 3 of the peeled sums' design tiles
+    diffs = np.empty((3, *obs.u1.values.shape))
+    for lo, hi, tile in _design_tiles(obs.u1, max(cfg.depth, 3)):
+        np.multiply.outer(s.g1, tile[:, 0], out=diffs[0, :, lo:hi])
+        np.multiply.outer(s.g3, tile[:, 2], out=diffs[1, :, lo:hi])
+        for row, sums in zip(s.b_hat, diffs[2]):
+            np.matmul(row, tile[:, :cfg.depth].T, out=sums[lo:hi])  # _exp_sums' gemv
+    for j, (diff, exact) in enumerate(zip(diffs, (obs.u1, obs.u3, obs.uy))):
+        diff += s.forced[:, j]
+        diff -= exact.values
     det = system_determinant()
     out = []
     rows = zip(s.peels, s.v_hat.rows(), s.h_hat.rows())
@@ -833,9 +881,9 @@ def _report_stacked(obs: Observations, cfg: InversionConfig, s: _Solved) -> list
             predicted_mode_error=predicted,
             divisors=s.assembled.divisors,
             rejected_modes=s.assembled.rejected,
-            residual_u1=rel_l2(s.g1[i] * e1 + s.forced[i, 0], obs.u1.values[i]),
-            residual_u3=rel_l2(s.g3[i] * e9 + s.forced[i, 1], obs.u3.values[i]),
-            residual_uy=rel_l2(s.forced[i, 2] + peeled[i], obs.uy.values[i]),
+            residual_u1=_rel_l2_to(diffs[0, i], _norm(obs.u1.values[i])),
+            residual_u3=_rel_l2_to(diffs[1, i], _norm(obs.u3.values[i])),
+            residual_uy=_rel_l2_to(diffs[2, i], _norm(obs.uy.values[i])),
             warnings=tuple(peel_warnings),
         )
         out.append(Reconstruction(

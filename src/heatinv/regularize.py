@@ -201,8 +201,8 @@ def run_noise_study(
             "ok": True,
             "b_err": np.abs(b_hat - b_true),
             "g_err": np.abs(coeffs - g_true),
-            "v_rel_l2": _rel_l2_to(v_hat, v_tail, v_norm),
-            "h_rel_l2": _rel_l2_to(h_hat, h_tail, h_norm),
+            "v_rel_l2": _rel_l2_to(v_hat - v_tail, v_norm),
+            "h_rel_l2": _rel_l2_to(h_hat - h_tail, h_norm),
             "peel_condition": cond,
         }
 

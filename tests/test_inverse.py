@@ -38,7 +38,8 @@ from heatinv import (
 )
 from heatinv.forward import Observations, _observed_rows
 from heatinv.io import ExperimentConfig
-from heatinv.inverse import PROVISIONAL_RIDGE, DerivativeScheme, PeelPlan, forced_mode_values
+from heatinv.inverse import (PROVISIONAL_RIDGE, DerivativeScheme, PeelPlan, _exp_sums,
+                             forced_mode_values)
 
 SQ = math.sqrt(2.0 / math.pi)
 
@@ -419,6 +420,23 @@ class TestInvert:
         assert d.peel_condition > 1.0
         assert len(d.amplification) == 2
         assert asdict(d)["burn_in"] == 2
+
+    @pytest.mark.parametrize("depth", [1, 2, 4])
+    def test_residuals_are_rel_l2_of_the_forward_map(self, depth):
+        # the residuals read e^{-t} and e^{-9t} off the peeled sums' design
+        # tiles, 3 columns wide below depth 3: the bits of rel_l2 on each
+        # reconstruction pushed back through the forward map, here on a
+        # 60 001-sample stack of two rows that spans three tiles
+        p = make_problem("generic", 16, 6.0, 1e-4)
+        records = [make_observations(p, 1.0, NoiseSpec("relative", 1e-8, seed)) for seed in (1, 2)]
+        t = records[0].u1.times
+        for obs, rec in zip(records, invert_stack(records, InversionConfig(order=16, depth=depth))):
+            forced = forced_mode_values(rec.v_hat, rec.h_hat, 1.0, 16)
+            peeled = _exp_sums(rec.b_hat[None], obs.u1)[0]
+            d = rec.diagnostics
+            assert d.residual_u1 == rel_l2(rec.g1 * np.exp(-t) + forced[0], obs.u1.values)
+            assert d.residual_u3 == rel_l2(rec.g3 * np.exp(-9.0 * t) + forced[1], obs.u3.values)
+            assert d.residual_uy == rel_l2(forced[2] + peeled, obs.uy.values)
 
     def test_lsq_method_agrees_on_clean_data(self):
         p, obs = observe("generic", order=16, t_final=6.0)

@@ -25,7 +25,7 @@ from heatinv import (
     recover_vh,
 )
 from heatinv import inverse
-from heatinv.inverse import _exp_sums, _noise_floor, _provisional_fit
+from heatinv.inverse import _exp_sums, _exp_sums_at, _noise_floor, _provisional_fit
 
 SQ = math.sqrt(2.0 / math.pi)
 
@@ -459,6 +459,26 @@ class TestTiledFit:
             np.testing.assert_array_equal(inverse._exp_sums(b, grid), [row @ decay for row in b])
             np.testing.assert_array_equal(inverse._exp_sums(b, grid, k),
                                           [row @ decay[:, k:] for row in b])
+
+    @pytest.mark.parametrize("depth", range(1, 18))
+    def test_exp_sums_at_samples_keep_the_sweeps_bits(self, depth):
+        # the 'model' forecast's noise term, computed at the samples its search
+        # reads alone: the coarse slice and windows of 127 samples at the
+        # start, middle and end, bit for bit the whole-record sweep's.  The
+        # lengths include each class of the record's last partial 64, and a
+        # sweep whose last tile holds 1 or 2 samples
+        rng = np.random.default_rng(depth)
+        rows = inverse._tile_rows(depth)
+        for n in (1, 2, 63, 64, 65, 127, 128, 129, 2001, 4097, 6001, 60001, rows + 1, rows + 2):
+            for dt in (1e-4, 1e-3, 2e-3):
+                grid = GridFn(0.0, dt, np.zeros(n))
+                b = np.abs(rng.standard_normal(depth)) * 10.0 ** rng.uniform(-8, 1, depth)
+                sweep = _exp_sums(b[None], grid)[0]
+                mid = n // 2
+                for part in (slice(0, n, 64), slice(0, 127), slice(max(0, mid - 63), mid + 64),
+                             slice(max(0, n - 127), n)):
+                    got = _exp_sums_at(b, grid, np.arange(*part.indices(n)))
+                    assert got.tobytes() == sweep[part].tobytes(), (n, dt, part)
 
     def test_rank_deficient_design_across_tiles(self, tile_elements, monkeypatch):
         monkeypatch.setattr(inverse, "_FIT_TILE_ELEMENTS", tile_elements)

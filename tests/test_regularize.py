@@ -179,7 +179,10 @@ class TestRunNoiseStudy:
 
     def test_chunked_stack_memory_bounded(self, fourmode_problem):
         # the benchmark's study: 60 trials in chunks of 11, 10, 10 and 10 peak
-        # at 2.4 MB; one stack per level takes 8.8 MB
+        # at 2.4 MB; one stack per level takes 8.8 MB.  One draw first: the
+        # lazy import of numpy.random (0.76 MB) stays out of the window when
+        # this test runs alone
+        np.random.default_rng(0).standard_normal()
         tracemalloc.start()
         try:
             run_noise_study(fourmode_problem, 1.0, (0.0, 1e-6, 1e-4), 20, base_seed=0)
