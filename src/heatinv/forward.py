@@ -381,6 +381,11 @@ def _require_observed_modes(order: int) -> None:
     _require_int("mode truncation", order, least=3)
 
 
+#: the row of u(y, t) in the observed rows [u_1; u_3; u(y, .)], and in the
+#: one row that _observe keeps with uy_only: the last
+_UY = -1
+
+
 def _observed_rows(y: float, order: int) -> np.ndarray:
     """Weights [e_1; e_3; f(y)], shape (3, order), that project modes 1..order
     onto the observed u_1(t), u_3(t) and u(y, t)."""
@@ -403,6 +408,17 @@ def _safe_observed_rows(y: float, order: int) -> np.ndarray:
     return weights
 
 
+def _observe(g, v: GridFn, h: GridFn, y: float, order: int, uy_only: bool = False):
+    """The observed rows [u_1; u_3; u(y, .)] of modes 1..order evolved from
+    initial values g under the forcing v, h: mode_evolve with the weights
+    _observed_rows(y, order), shape (..., 3, n).  uy_only evolves the row
+    u(y, .) alone, shape (..., 1, n), with its bits in the full call
+    (_evolve); row _UY is u(y, .) either way.  The forward record and the
+    inverse's rebuild of its forced part both come from here."""
+    rows = _observed_rows(y, order)
+    return _evolve(g, v, h, rows, keep=slice(_UY, None)) if uy_only else mode_evolve(g, v, h, rows)
+
+
 def make_observations(
     p: ProblemInstance,
     y: float,
@@ -411,11 +427,11 @@ def make_observations(
     """Generate the observation triple from the instance's M modes.
 
     The modes are evolved straight into their three observed projections
-    (_observed_rows), u(y, t) being the truncated synthesis over the M modes;
+    (_observe), u(y, t) being the truncated synthesis over the M modes;
     the optional noise is added to the three series by NoiseSpec.apply.  A y
     with some f_m(y) near zero is refused first (_safe_observed_rows).
     """
-    weights = _safe_observed_rows(y, p.order)
-    rows = mode_evolve(p.g_coeffs(), p.v_grid(), p.h_grid(), weights)
+    _safe_observed_rows(y, p.order)
+    rows = _observe(p.g_coeffs(), p.v_grid(), p.h_grid(), y, p.order)
     clean = Observations(*(GridFn(0.0, p.dt, r) for r in rows), y=float(y), order=p.order)
     return (noise or NoiseSpec()).apply(clean)

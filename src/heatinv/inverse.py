@@ -39,8 +39,7 @@ from .errors import (
     _require_int,
     _text,
 )
-from .forward import (Observations, _evolve, _observed_rows, _require_observed_modes,
-                      mode_evolve)
+from .forward import _UY, Observations, _observe, _require_observed_modes
 from .grid import GridFn, _norm, _read_only, _rel_l2_to
 
 #: exact determinant of the (f_1'(0), c_1; f_3'(0), c_3) system
@@ -231,28 +230,17 @@ def forced_mode_values(v_hat: GridFn, h_hat: GridFn, y: float, order: int) -> np
     """The zero-initial-data Duhamel response of modes 1..order, observed:
     the rows [u_1; u_3; w] from t = 0, shape (3, n), or (rows, 3, n) for
     stacked inputs, where w(y, t) = sum_m f_m(y) * (forced response of mode
-    m) (mode_evolve).  Inputs that start after t = 0 (burn-in trim) are
-    extended back by linear extrapolation before integrating."""
-    return mode_evolve(*_forced_args(v_hat, h_hat, y, order))
-
-
-def _forced_args(v_hat: GridFn, h_hat: GridFn, y: float, order: int) -> tuple:
-    """mode_evolve's arguments for the forced rows: zero initial data, v_hat
-    and h_hat from t = 0, and the observed rows' weights."""
-    v_hat.require_same_grid(h_hat)
-    return (np.zeros(order), _extend_to_zero(v_hat), _extend_to_zero(h_hat),
-            _observed_rows(y, order))
-
-
-def _forced_w(v_hat: GridFn, h_hat: GridFn, y: float, order: int) -> np.ndarray:
-    """The row w of forced_mode_values alone, shape (1, n) or (rows, 1, n),
-    with its bits there (forward._evolve); u_1 and u_3 are not evolved."""
-    return _evolve(*_forced_args(v_hat, h_hat, y, order), keep=slice(2, 3))
+    m), by the forward record's own rule (forward._observe).  Inputs that
+    start after t = 0 (burn-in trim) are extended back by linear
+    extrapolation before integrating."""
+    return _observe(np.zeros(order), *map(_extend_to_zero, (v_hat, h_hat)), y, order)
 
 
 def compute_w(v_hat: GridFn, h_hat: GridFn, y: float, order: int) -> GridFn:
-    """w(y, t) from t = 0: the last of forced_mode_values' rows, order >= 3."""
-    return GridFn(0.0, v_hat.dt, _forced_w(v_hat, h_hat, y, order)[..., 0, :])
+    """w(y, t) from t = 0, order >= 3: row _UY of forced_mode_values, evolved
+    alone with its bits there; u_1 and u_3 are not evolved."""
+    w = _observe(np.zeros(order), *map(_extend_to_zero, (v_hat, h_hat)), y, order, uy_only=True)
+    return GridFn(0.0, v_hat.dt, w[..., _UY, :])
 
 
 # ---------------------------------------------------------------------------
@@ -815,10 +803,11 @@ def _solve_stacked(
     v_hat, h_hat = _stage("recover_vh", recover_vh, obs, g1, g3, cfg.deriv, cfg.burn_in)
 
     order = cfg.order if obs.order is None else obs.order
-    evolve = _forced_w if w_only else forced_mode_values
-    forced = _stage("compute_w", evolve, v_hat, h_hat, obs.y, order)
+    forced = _stage("compute_w", lambda: _observe(
+        np.zeros(order), *map(_extend_to_zero, (v_hat, h_hat)), obs.y, order, uy_only=True)
+    ) if w_only else _stage("compute_w", forced_mode_values, v_hat, h_hat, obs.y, order)
 
-    q = _stage("form_q", lambda: obs.uy - GridFn(0.0, v_hat.dt, forced[..., -1, :]))
+    q = _stage("form_q", lambda: obs.uy - GridFn(0.0, v_hat.dt, forced[..., _UY, :]))
 
     if cfg.peel_method == "lsq":
         fits = [_stage("peel", peel_lsq, qr, cfg.depth, cfg.ridge) for qr in q.rows()]

@@ -152,8 +152,9 @@ def _config_sha256(config: dict) -> str:
 
 
 def load_config(path: str | Path) -> ExperimentConfig:
+    """The ExperimentConfig of a JSON file, read as UTF-8 past a byte-order mark."""
     try:
-        data = json.loads(Path(path).read_text())
+        data = json.loads(Path(path).read_text(encoding="utf-8-sig"))
     except UnicodeDecodeError as exc:
         raise ConfigError(f"config {path} is not {exc.encoding} text: {exc.reason}") from None
     except ValueError as exc:  # JSONDecodeError, or an integer past the int-to-text limit
@@ -249,7 +250,8 @@ def _read_table(
 ) -> tuple[dict, tuple[int, list[str]] | None, np.ndarray]:
     """Parse a CSV of `ncols` numeric columns; returns (meta, header, data).
 
-    Blank lines and '#' comments are skipped, except the '# meta' line, whose
+    The file is read as UTF-8, past a byte-order mark at its head.  Blank
+    lines and '#' comments are skipped, except the '# meta' line, whose
     JSON object after '=' becomes `meta`.  A first non-comment line that is not
     numeric is the header, returned as (line number, cell names); any later
     non-numeric line is an error.  `data` has one row per data line.
@@ -264,7 +266,7 @@ def _read_table(
     header = None
     values: list[float] = []
     try:
-        text = Path(path).read_text()
+        text = Path(path).read_text(encoding="utf-8-sig")
     except UnicodeDecodeError as exc:
         raise ParseError(f"{path} is not {exc.encoding} text: {exc.reason}") from None
     lines = text.splitlines()

@@ -36,7 +36,7 @@ from heatinv import (
     rel_l2,
     system_determinant,
 )
-from heatinv.forward import Observations, _observed_rows
+from heatinv.forward import Observations, _observe, _observed_rows
 from heatinv.io import ExperimentConfig
 from heatinv.inverse import (PROVISIONAL_RIDGE, DerivativeScheme, PeelPlan, _exp_sums,
                              forced_mode_values)
@@ -335,21 +335,37 @@ class TestComputeW:
                                                      ("generic", 6.0, 1e-4)],
                              ids=["n2001", "n60001"])
     def test_w_row_alone_keeps_its_bits(self, preset, t_final, dt, order):
-        # a noise study evolves only w, from the rows of the three-row kernel:
-        # stacks of 1, 10 and 11 records (a study's chunk sizes) and a lone
-        # record keep the bits of row 2 of forced_mode_values, and compute_w
-        # reads the same row
+        # a noise study evolves only w, from the rows of the three-row kernel
+        # (forward._observe with uy_only): stacks of 1, 10 and 11 records (a
+        # study's chunk sizes) and a lone record keep the bits of row 2 of
+        # forced_mode_values, and compute_w reads the same row
         p = make_problem(preset, order, t_final, dt)
         v, h = p.v_grid(), p.h_grid()
         rng = np.random.default_rng(5)
         for rows in (1, 10, 11):
             scale = 1.0 + 1e-3 * rng.standard_normal((rows, 1))
             vs, hs = (GridFn(2 * dt, dt, scale * f.values[2:]) for f in (v, h))
-            w = heatinv.inverse._forced_w(vs, hs, 1.0, order)
+            from_zero = [heatinv.inverse._extend_to_zero(f) for f in (vs, hs)]
+            w = _observe(np.zeros(order), *from_zero, 1.0, order, uy_only=True)
             assert w.shape == (rows, 1, v.n)
-            np.testing.assert_array_equal(w, forced_mode_values(vs, hs, 1.0, order)[:, 2:3])
+            full = forced_mode_values(vs, hs, 1.0, order)
+            np.testing.assert_array_equal(w, full[:, 2:3])
+            np.testing.assert_array_equal(compute_w(vs, hs, 1.0, order).values, full[:, 2])
         w = compute_w(v, h, 1.0, order)
         np.testing.assert_array_equal(w.values, forced_mode_values(v, h, 1.0, order)[2])
+
+    @pytest.mark.parametrize("preset, order, y", [("generic", 8, 1.0), ("fourmode", 16, 2.3)])
+    def test_record_and_rebuild_are_one_rule(self, preset, order, y):
+        # with zero g the observed record is its own forced part: the three
+        # rows of make_observations are forced_mode_values' bits, and
+        # compute_w is their row 2, as the record and the inverse's rebuild
+        # of w evolve through one function
+        p = replace(make_problem(preset, order, 4.0, 2e-3), g=SineSeries(np.zeros(order)))
+        obs = make_observations(p, y)
+        rows = forced_mode_values(p.v_grid(), p.h_grid(), y, order)
+        for j, series in enumerate((obs.u1, obs.u3, obs.uy)):
+            np.testing.assert_array_equal(series.values, rows[j])
+        np.testing.assert_array_equal(compute_w(p.v_grid(), p.h_grid(), y, order).values, rows[2])
 
 
 class TestAssembleG:

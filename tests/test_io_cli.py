@@ -135,6 +135,15 @@ class TestExperimentConfig:
         with pytest.raises(ConfigError, match=f"^config {path} is not valid JSON: "):
             load_config(path)
 
+    def test_byte_order_mark_read_past(self, tmp_path):
+        # a config saved with a UTF-8 byte-order mark was refused as
+        # "not valid JSON: Unexpected UTF-8 BOM"
+        cfg = ExperimentConfig(preset="generic", t_final=2.0, dt=1e-2, seed=5)
+        path = tmp_path / "config.json"
+        save_config(cfg, path)
+        path.write_bytes(b"\xef\xbb\xbf" + path.read_bytes())
+        assert load_config(path) == cfg
+
     def test_not_json_object(self, tmp_path):
         path = tmp_path / "bad.json"
         path.write_text("[1, 2]")
@@ -245,6 +254,13 @@ class TestSampleFiles:
     def test_header_after_first_row_rejected(self, tmp_path):
         with pytest.raises(ParseError, match="line 2"):
             self.load(tmp_path, "0,1\nt,value\n0.5,2\n1,3\n1.5,4\n")
+
+    def test_byte_order_mark_read_past(self, tmp_path):
+        # a sample CSV saved with a UTF-8 byte-order mark was refused with
+        # "line 1: expected a 't,...' header"
+        rows = "t,value\n0,1\n0.5,2\n1,3\n1.5,4\n"
+        np.testing.assert_array_equal(self.load(tmp_path, "\ufeff" + rows).values,
+                                      self.load(tmp_path, rows).values)
 
 
 class TestFormatPins:

@@ -229,3 +229,21 @@ class TestNumberBlock:
         diag = json.loads(line)
         assert diag["error"] == "ParseError" and "no data rows found" in diag["message"]
         assert not (tmp_path / "out").exists()
+
+
+def test_byte_order_mark_read_past(tmp_path):
+    # an observations.csv saved with a UTF-8 byte-order mark was refused with
+    # "line 1: expected 4 columns in ..., got 1"; it reads back bit for bit
+    t = 1e-3 * np.arange(7)
+    obs = Observations(*(GridFn(0.0, 1e-3, np.sin(k * t + 0.1)) for k in (1, 3, 5)), y=1.0,
+                       order=8)
+    path = tmp_path / "observations.csv"
+    write_observations(path, obs, {})
+    plain = read_observations(path)
+    path.write_bytes(b"\xef\xbb\xbf" + path.read_bytes())
+    back, meta = read_observations(path)
+    assert meta == plain[1] and (back.y, back.order) == (obs.y, obs.order)
+    for name in ("u1", "u3", "uy"):
+        got, sent = getattr(back, name), getattr(obs, name)
+        assert (got.t0, got.dt) == (sent.t0, sent.dt)
+        np.testing.assert_array_equal(got.values, sent.values)
