@@ -396,16 +396,17 @@ def _observed_rows(y: float, order: int) -> np.ndarray:
     return rows
 
 
-def _safe_observed_rows(y: float, order: int) -> np.ndarray:
-    """_observed_rows(y, order), refusing with a DomainError a y with some
-    f_m(y) near zero (basis._near_zero), the worst mode named."""
-    weights = _observed_rows(y, order)
-    if _near_zero(weights[2]).any():
-        worst = int(np.argmin(np.abs(weights[2])))
+def _require_safe_point(y: float, order: int) -> None:
+    """The rule of an observation point y for modes 1..order (at least 3):
+    a y with some f_m(y) near zero (basis._near_zero) is refused with a
+    DomainError, the worst mode named."""
+    _require_observed_modes(order)
+    fy = basis_at(y, order)
+    if _near_zero(fy).any():
+        worst = int(np.argmin(np.abs(fy)))
         raise DomainError(f"observation point y={y} unsafe: |sin({worst + 1} y)| = "
-                          f"{abs(weights[2, worst]) / BASIS_NORM:.3e} below threshold "
+                          f"{abs(fy[worst]) / BASIS_NORM:.3e} below threshold "
                           f"{DEFAULT_POINT_THRESHOLD:.3e}")
-    return weights
 
 
 def _observe(g, v: GridFn, h: GridFn, y: float, order: int, uy_only: bool = False):
@@ -429,9 +430,9 @@ def make_observations(
     The modes are evolved straight into their three observed projections
     (_observe), u(y, t) being the truncated synthesis over the M modes;
     the optional noise is added to the three series by NoiseSpec.apply.  A y
-    with some f_m(y) near zero is refused first (_safe_observed_rows).
+    with some f_m(y) near zero is refused first (_require_safe_point).
     """
-    _safe_observed_rows(y, p.order)
+    _require_safe_point(y, p.order)
     rows = _observe(p.g_coeffs(), p.v_grid(), p.h_grid(), y, p.order)
     clean = Observations(*(GridFn(0.0, p.dt, r) for r in rows), y=float(y), order=p.order)
     return (noise or NoiseSpec()).apply(clean)

@@ -170,9 +170,13 @@ def _norm(x: np.ndarray, sum_sq=_sum_sq) -> float:
 
 
 def rel_l2(approx: np.ndarray, exact: np.ndarray) -> float:
-    """Relative L2 distance; falls back to the absolute norm for zero signals."""
+    """Relative L2 distance; falls back to the absolute norm for zero signals.
+    approx and exact must hold as many values (DataError)."""
+    approx = np.asarray(approx, dtype=float).ravel()
     exact = np.asarray(exact, dtype=float).ravel()
-    return _rel_l2_to(np.asarray(approx, dtype=float).ravel() - exact, _norm(exact))
+    if approx.size != exact.size:
+        raise DataError(f"rel_l2 needs equal sizes, got {approx.size} and {exact.size} values")
+    return _rel_l2_to(approx - exact, _norm(exact))
 
 
 def _rel_l2_to(diff: np.ndarray, exact_norm: float) -> float:

@@ -66,8 +66,7 @@ _LOG_MAX = math.log(np.finfo(float).max)
 #: stay this size whatever the record length
 _FIT_TILE_ELEMENTS = 2 ** 16
 
-#: the stride of the 'model' schedule's coarse search: one sample in 64, as
-#: design tiles are whole 64s of samples
+#: the stride of the 'model' schedule's coarse search: one sample in 64
 _SEARCH_STEP = 64
 
 
@@ -251,10 +250,10 @@ def _design_tiles(grid: GridFn, depth: int, extra: int = 0, start: int = 0):
     """Yield (s, e, tile) over samples start..n-1: tile, the Fortran-order
     (e - s, depth + extra) view of one reused buffer, holds e^{-k^2 t},
     k = 1..depth, at t = t0 + dt * (s..e-1) (the bits of grid.times[s:e]),
-    then extra columns for the caller.  Tiles are _tile_rows(depth + extra)
-    samples long, the last one the rest."""
+    then extra columns for the caller.  Tiles are whole 64s of samples, at
+    most _FIT_TILE_ELEMENTS elements where 64 rows fit, the last one the rest."""
     width = depth + extra
-    rows = _tile_rows(width)
+    rows = max(64, _FIT_TILE_ELEMENTS // width // 64 * 64)
     store = np.empty(min(rows, grid.n - start) * width)
     for s in range(start, grid.n, rows):
         e = min(s + rows, grid.n)
@@ -263,12 +262,6 @@ def _design_tiles(grid: GridFn, depth: int, extra: int = 0, start: int = 0):
                      out=tile[:, :depth])
         np.exp(a, out=a)
         yield s, e, tile
-
-
-def _tile_rows(width: int) -> int:
-    """Samples in a design tile of width columns: whole 64s, at most
-    _FIT_TILE_ELEMENTS elements where 64 rows fit."""
-    return max(64, _FIT_TILE_ELEMENTS // width // 64 * 64)
 
 
 def _time_at(grid: GridFn, k):
@@ -287,22 +280,6 @@ def _exp_sums(b: np.ndarray, grid: GridFn, start: int = 0) -> np.ndarray:
         for row, sums in zip(b, out):
             np.matmul(row, tile.T, out=sums[s - start:e - start])
     return out
-
-
-def _exp_sums_at(b: np.ndarray, grid: GridFn, idx: np.ndarray) -> np.ndarray:
-    """_exp_sums(b[None], grid)[0][idx], idx ascending, with its bits but at
-    those samples alone.  Those before `tail`, one whole 64 ahead of the last
-    partial 64 (or the sweep's last tile where it starts later), run on the
-    gemv's main path, as in a tile, their design padded to whole 64s; the
-    rest, by _exp_sums from `tail` on, on the tail path of the sweep's last tile."""
-    rows = _tile_rows(b.size)
-    tail = max(0, grid.n // 64 * 64 - 64, (grid.n - 1) // rows * rows)
-    head = idx[idx < tail]
-    design = np.zeros((b.size, -(-head.size // 64) * 64))  # the transpose of a tile
-    np.outer(-np.arange(1, b.size + 1) ** 2, _time_at(grid, head), out=design[:, :head.size])
-    np.exp(design, out=design)
-    return np.concatenate(((b @ design)[:head.size],
-                           _exp_sums(b[None], grid, tail)[0][idx[head.size:] - tail]))
 
 
 def _require_ridge(reg: float) -> None:
@@ -474,7 +451,9 @@ def plan_peel(
     at every _SEARCH_STEP-th sample, then at the 2 _SEARCH_STEP - 1 samples
     around the first of those minima, which keeps np.argmin's index and
     minimum over the whole grid bit for bit.  env(t) and t are formed there
-    alone, with the bits of the whole-record sum and of q.times.
+    alone, env(t) summed over k in turn at each sample, so with the bits of
+    the same sum over the whole record (whatever the BLAS), t with those of
+    q.times.
     method 'balance' applies the plain two-term rule
     t_m = log(|b_{m+1}| / sigma) / (m^2 + (m+1)^2); both plans carry the
     condition number of the depth-mode design from the fit's R.  method
@@ -514,9 +493,8 @@ def plan_peel(
     fit = _provisional_fit(q, depth)
     b_abs, sigma_est = _noise_floor(q, depth, fit)
     sigma_abs = max(sigma_est, 1e-300)
-    fit_depth = fit.r.shape[1] - 1
     # the leading block of R is the depth-mode design's own R
-    condition = float(np.linalg.cond(fit.r[:depth, :depth])) if fit_depth >= depth else None
+    condition = float(np.linalg.cond(fit.r[:depth, :depth])) if fit.r.shape[1] > depth else None
 
     def fitted_plan(times: np.ndarray, predicted: np.ndarray | None = None) -> PeelPlan:
         plan = PeelPlan(times=times, windows=windows, predicted=predicted)
@@ -539,8 +517,11 @@ def plan_peel(
     errs = np.empty(depth)
 
     def envelope(idx: np.ndarray) -> np.ndarray:
-        """sigma + 4 eps env(t) at the samples idx alone."""
-        return sigma_abs + 4.0 * _EPS * _exp_sums_at(b_abs[:fit_depth], q, idx)
+        """sigma + 4 eps env(t) at the samples idx alone, summed over k in turn."""
+        # one sample's terms np.sum adds pairwise from 8 on; the one such gather,
+        # the coarse search of n <= 64 samples, has that sample for its argmin
+        decay = np.exp(np.outer(-np.arange(1, depth + 2) ** 2, _time_at(q, idx)))
+        return sigma_abs + 4.0 * _EPS * (b_abs[:, None] * decay).sum(axis=0)
 
     def forecast(m: int, idx: np.ndarray, noise: np.ndarray) -> np.ndarray:
         """err_m at the samples idx, given envelope(idx)."""

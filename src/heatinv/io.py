@@ -21,7 +21,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ConfigError, DataError, HeatInvError, ParseError, _finite, _text
-from .forward import NoiseSpec, Observations, ProblemInstance, _safe_observed_rows
+from .forward import NoiseSpec, Observations, ProblemInstance, _require_safe_point
 from .grid import GridFn
 from .inverse import DET_EXACT, DerivativeScheme, InversionConfig, PeelPlan, Reconstruction
 from .presets import make_problem
@@ -97,7 +97,7 @@ class ExperimentConfig:
             check_study(self.levels, self.trials)
             self.inversion_config()
             self.noise_spec()
-            _safe_observed_rows(self.y, self.order)
+            _require_safe_point(self.y, self.order)
             if self.preset is None:
                 self._unread_problem()
             else:
@@ -169,14 +169,13 @@ def save_config(cfg: ExperimentConfig, path: str | Path) -> None:
 def _json(x, pad: str = ""):
     """The text of json.dumps(x, indent=2, sort_keys=True, allow_nan=False) at
     indent `pad`, in pieces, for str dict keys, with ndarrays and numpy scalars
-    as plain values and every float that is not finite as null.  A list of
-    floats, or 1-D float64 array, of _SERIES_MIN values or more is formatted
-    by _json_floats a block of _WRITE_ROWS values at a time."""
+    as plain values and every float that is not finite as null.  A 1-D
+    float64 array of _SERIES_MIN values or more is formatted by _json_floats
+    a block of _WRITE_ROWS values at a time; lists and tuples go value by value."""
     inner = pad + "  "
-    floats = (x.ndim == 1 and x.dtype == np.float64 if isinstance(x, np.ndarray)
-              else isinstance(x, (list, tuple)) and all(isinstance(v, float) for v in x))
-    if floats and len(x) >= _SERIES_MIN:
-        x, sep = np.asarray(x, dtype=np.float64), ",\n" + inner
+    if (isinstance(x, np.ndarray) and x.ndim == 1 and x.dtype == np.float64
+            and x.size >= _SERIES_MIN):
+        sep = ",\n" + inner
         tail = np.frombuffer(sep.encode(), np.uint8)
         yield "[\n" + inner
         for start in range(0, x.size, _WRITE_ROWS):

@@ -4,25 +4,14 @@ least one forward.mode_evolve span and one inverse.peel_lsq span, the
 per-operation counts that bench/tests/test_bench.py asserts are above 0.  The bench files are loaded
 from their paths and never written; the operations run in this process."""
 
-import importlib.util
-import sys
-from pathlib import Path
-
 import pytest
+from script_modules import ROOT, load
 
-BENCH = Path(__file__).resolve().parents[1] / "bench"
-SRC = BENCH.parent / "src"
+BENCH = ROOT / "bench"
+SRC = ROOT / "src"
 
-
-def _load(name: str):
-    spec = importlib.util.spec_from_file_location(f"bench_{name}", BENCH / f"{name}.py")
-    module = importlib.util.module_from_spec(spec)
-    sys.modules[spec.name] = module  # dataclasses look their module up there
-    spec.loader.exec_module(module)
-    return module
-
-
-layers, workloads = _load("layers"), _load("workloads")
+layers = load(BENCH / "layers.py", "bench_layers")
+workloads = load(BENCH / "workloads.py", "bench_workloads")
 
 
 @pytest.mark.parametrize("name", list(workloads.WORKLOADS))

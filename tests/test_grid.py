@@ -110,6 +110,11 @@ def test_rel_l2():
     assert rel_l2(np.array([1.0, 1.0]), np.array([1.0, 1.0])) == 0.0
     assert rel_l2(np.array([2.0]), np.array([1.0])) == pytest.approx(1.0)
     assert rel_l2(np.array([0.5]), np.zeros(1)) == pytest.approx(0.5)  # zero signal
+    # arrays of different sizes are refused, not broadcast
+    with pytest.raises(DataError, match="got 1 and 3 values"):
+        rel_l2([1.0], [1.0, 2.0, 3.0])
+    with pytest.raises(DataError, match="got 2 and 3 values"):
+        rel_l2([1.0, 2.0], [1.0, 2.0, 3.0])
 
 
 @pytest.mark.parametrize("scale", [1e300, 1e-300, 1e-200])

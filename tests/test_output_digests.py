@@ -1,24 +1,16 @@
 """tools/output_digests.py: it runs, and a rerun elsewhere prints the same
 digests; tools/compare_outputs.py prints the digests two source trees differ in."""
 
-import importlib.util
 import shutil
-from pathlib import Path
+
+from script_modules import ROOT, load
 
 from heatinv.io import ExperimentConfig
 
-TOOLS = Path(__file__).resolve().parents[1] / "tools"
+TOOLS = ROOT / "tools"
 
-
-def _load(name):
-    spec = importlib.util.spec_from_file_location(name, TOOLS / f"{name}.py")
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
-
-
-digests = _load("output_digests")
-compare = _load("compare_outputs")
+digests = load(TOOLS / "output_digests.py", "output_digests")
+compare = load(TOOLS / "compare_outputs.py", "compare_outputs")
 
 SMALL = {"preset": "generic", "order": 8, "t_final": 1.0, "dt": 1e-2, "depth": 2,
          "levels": [0.0, 1e-6], "trials": 2}

@@ -25,7 +25,7 @@ from heatinv import (
     recover_vh,
 )
 from heatinv import inverse
-from heatinv.inverse import _exp_sums, _exp_sums_at, _noise_floor, _provisional_fit
+from heatinv.inverse import _noise_floor, _provisional_fit
 
 SQ = math.sqrt(2.0 / math.pi)
 
@@ -39,12 +39,13 @@ def model_schedule_reference(q, depth, window=None):
     """plan_peel's 'model' schedule with the forecast summed term by term over
     the whole grid, each argmin np.argmin's, and no overflow handling; where
     nothing overflows (depth <= 10 on T = 6) the two must agree bit for bit.
-    The noise envelope is _exp_sums', whose tiled gemv bits the schedule
-    reads (an elementwise sum differs in the last bit at some samples)."""
+    The noise envelope is summed over k in turn at every sample, as the
+    schedule sums it at the samples its search reads."""
     b_abs, sigma = _noise_floor(q, depth, _provisional_fit(q, depth))
     sigma = max(sigma, 1e-300)
     t, dt = q.times, q.dt
-    noise = sigma + 4.0 * np.finfo(float).eps * _exp_sums(b_abs[None], q)[0]
+    decay = np.exp(np.outer(-np.arange(1, depth + 2) ** 2, t))
+    noise = sigma + 4.0 * np.finfo(float).eps * (b_abs[:, None] * decay).sum(axis=0)
     times, errs = np.empty(depth), np.empty(depth)
     for m in range(1, depth + 1):
         w = window or max(1, min(int(round(0.25 / (m * m * dt))), max(1, q.n // 8))) | 1
@@ -340,6 +341,22 @@ class TestPlanPeel:
             np.testing.assert_array_equal(plan.times, times)
             np.testing.assert_array_equal(plan.predicted, errs)
 
+    @pytest.mark.parametrize("noise", [0.0, 1e-4])
+    @pytest.mark.parametrize("n", [2, 63, 64, 65, 127, 128, 129, 4097])
+    def test_searched_model_matches_reference_at_each_last_partial_64(self, n, noise):
+        # records that end at each class of their last partial 64 of samples,
+        # down to one coarse sample (n <= 64): the search reads the envelope at
+        # its own samples alone, yet its argmin and minimum are the whole grid's
+        q = exp_sum([1.0 / m for m in range(1, 10)], 6.0, 6.0 / (n - 1), noise=noise, seed=n)
+        assert q.n == n
+        for depth in range(1, min(8, n - 1) + 1):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                plan = plan_peel(q, depth)
+                times, errs = model_schedule_reference(q, depth)
+            np.testing.assert_array_equal(plan.times, times)
+            np.testing.assert_array_equal(plan.predicted, errs)
+
     @pytest.mark.parametrize("y", [1.0, 2.0])
     @pytest.mark.parametrize("noise", [0.0, 1e-8, 1e-4])
     def test_searched_model_matches_full_grid_on_a_long_record(self, noise, y):
@@ -459,26 +476,6 @@ class TestTiledFit:
             np.testing.assert_array_equal(inverse._exp_sums(b, grid), [row @ decay for row in b])
             np.testing.assert_array_equal(inverse._exp_sums(b, grid, k),
                                           [row @ decay[:, k:] for row in b])
-
-    @pytest.mark.parametrize("depth", range(1, 18))
-    def test_exp_sums_at_samples_keep_the_sweeps_bits(self, depth):
-        # the 'model' forecast's noise term, computed at the samples its search
-        # reads alone: the coarse slice and windows of 127 samples at the
-        # start, middle and end, bit for bit the whole-record sweep's.  The
-        # lengths include each class of the record's last partial 64, and a
-        # sweep whose last tile holds 1 or 2 samples
-        rng = np.random.default_rng(depth)
-        rows = inverse._tile_rows(depth)
-        for n in (1, 2, 63, 64, 65, 127, 128, 129, 2001, 4097, 6001, 60001, rows + 1, rows + 2):
-            for dt in (1e-4, 1e-3, 2e-3):
-                grid = GridFn(0.0, dt, np.zeros(n))
-                b = np.abs(rng.standard_normal(depth)) * 10.0 ** rng.uniform(-8, 1, depth)
-                sweep = _exp_sums(b[None], grid)[0]
-                mid = n // 2
-                for part in (slice(0, n, 64), slice(0, 127), slice(max(0, mid - 63), mid + 64),
-                             slice(max(0, n - 127), n)):
-                    got = _exp_sums_at(b, grid, np.arange(*part.indices(n)))
-                    assert got.tobytes() == sweep[part].tobytes(), (n, dt, part)
 
     def test_rank_deficient_design_across_tiles(self, tile_elements, monkeypatch):
         monkeypatch.setattr(inverse, "_FIT_TILE_ELEMENTS", tile_elements)

@@ -1,14 +1,9 @@
 """tools/src_lines.py: the line counts of a source tree, with and without
 docstrings, comments and blank lines."""
 
-import importlib.util
-from pathlib import Path
+from script_modules import ROOT, load
 
-TOOLS = Path(__file__).resolve().parents[1] / "tools"
-
-_spec = importlib.util.spec_from_file_location("src_lines", TOOLS / "src_lines.py")
-src_lines = importlib.util.module_from_spec(_spec)
-_spec.loader.exec_module(src_lines)
+src_lines = load(ROOT / "tools" / "src_lines.py", "src_lines")
 
 # 19 lines; the code lines are 4, 6, 11, 14, 17 and 18
 FIXTURE = '''"""Module docstring,
