@@ -17,37 +17,47 @@ import numpy as np
 _POW10 = np.array([float(10 ** k) for k in range(23)])  # each one an exact double
 
 
-def _digit_groups() -> np.ndarray:
-    """The ASCII text of 0000..9999, four bytes per entry, viewed as uint32."""
-    k = np.arange(10_000, dtype=np.uint16)[:, None]
-    chars = (k // np.array([1000, 100, 10, 1], np.uint16) % 10 + 48).astype(np.uint8)
-    return chars.view(np.uint32)[:, 0]
+def _digit_words() -> np.ndarray:
+    """The ASCII text of 0000..9999 as uint64 values whose little-endian
+    bytes 0-3 are the four digits and bytes 4-7 zero."""
+    digits = np.indices((10,) * 4, np.uint64).reshape(4, -1)  # thousands first
+    return ((digits + np.uint64(48)) << np.arange(0, 32, 8, dtype=np.uint64)[:, None]).sum(0)
 
 
-def _layouts(point: bool) -> np.ndarray:
-    """Where each byte of the fixed-point text of d0.d1...d16 x 10**e comes
-    from, for e in [-4, 15] and m trailing zero digits, as row (e + 4) * 17 + m
-    of 24 byte positions, right-aligned: source bytes 0-2 are '0', 3-19 the
-    digits d0..d16, 20 is '.' and 21 NUL.  Column 0 is left for the sign.
-    Trailing zeros of the fraction are dropped; when none of its digits is
-    left, the point goes too ('%g') or a 0 stays after it (repr, `point`)."""
-    rows = np.full((20 * 17, 24), 21, np.uint8)
-    digits = list(range(3, 20))
-    for e in range(-4, 16):
-        text = (digits[:e + 1] + [20] + digits[e + 1:] if e >= 0
-                else [0, 20] + [0] * (-e - 1) + digits)
-        for m in range(17):
-            cut = min(m, 16 - e)
-            kept = text[:len(text) - cut]
-            if cut == 16 - e:
-                kept = kept + [0] if point else kept[:-1]
-            rows[(e + 4) * 17 + m, 24 - len(kept):] = kept
-    return rows
+def _trailing_zeros() -> np.ndarray:
+    """The trailing zero digits of 0000..9999 as four digits, 4 for 0000."""
+    k = np.arange(10_000)
+    return sum((k % p == 0).astype(np.uint8) for p in (10, 100, 1000, 10_000))
 
 
-_DIGIT_GROUPS = _digit_groups()
-_G17_LAYOUTS, _REPR_LAYOUTS = _layouts(False), _layouts(True)
-_POINT = np.frombuffer(b".\0\0\0", np.uint32)[0]
+def _masks() -> np.ndarray:
+    """The masks that lay out the text of sign d0.d1...d16 x 10**e in a row
+    of 24 bytes, for e in [-4, 15], the last digit kept L in [0, 16] and the
+    sign s (1 for '-'), as row (e + 4) * 34 + 2 L + s of nine uint64 words:
+    for each word of the row, the bytes taken from the row moved one byte
+    toward its start, the bytes taken from the row in place, and the bytes
+    ORed in.
+
+    The row holds d0 at byte 7 and d1..d16 at bytes 8-23.  For e >= 0 the
+    shifted row gives d0..de at bytes 6..6+e, '.' goes to byte 7+e when a
+    fraction digit is kept, and the row gives d(e+1)..dL in place.  For
+    e < 0 the row gives d0..dL and '0.' and -e - 1 zeros go before them.
+    The sign goes to byte 5 + min(e, 0), right before the text."""
+    e = np.arange(-4, 16)[:, None, None, None]
+    last = np.arange(17)[:, None, None]
+    sign = np.arange(2)[:, None]
+    pos = np.arange(24)
+    shifted = (e >= 0) & (pos >= 6) & (pos <= 6 + e)
+    kept = (pos >= 7 + np.maximum(e + 1, 0)) & (pos <= 7 + last)
+    text = np.where((pos == 7 + e) & (last > e), ord("."), 0)
+    text = np.where((e < 0) & ((pos == 6 + e) | (pos >= 8 + e) & (pos <= 6)), ord("0"), text)
+    text = np.where((sign == 1) & (pos == 5 + np.minimum(e, 0)), ord("-"), text)
+    words = np.stack(np.broadcast_arrays(shifted * 255, kept * 255, text), -2).astype(np.uint8)
+    words = words.reshape(-1, 3, 3, 8).transpose(0, 2, 1, 3)  # word-major: word j's three masks
+    return np.ascontiguousarray(words).view("<u8").astype(np.uint64).reshape(-1, 9)
+
+
+_DIGIT_WORDS, _TRAILING_ZEROS, _MASKS = _digit_words(), _trailing_zeros(), _masks()
 
 
 def _two_product(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -91,22 +101,50 @@ def _decimal17(x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.nd
     return fast, e, hi.astype(np.int64) + k.astype(np.int64), lo - k
 
 
-def _fixed_text(x: np.ndarray, e: np.ndarray, n: np.ndarray, layouts: np.ndarray) -> np.ndarray:
+def _digit_row(n: np.ndarray) -> tuple[list[np.ndarray], np.ndarray]:
+    """The 17 digits d0..d16 of each n as three uint64 words, little-endian
+    bytes 7 and 8-23 of a row, and the number of trailing zero digits."""
+    def split(a, unit):
+        high = a // unit  # numpy divides by a constant fast, but not mod
+        return high, a - high * unit
+    high, low = split(n, 10 ** 8)
+    d0, mid = split(high, 10 ** 8)
+    groups = np.empty((4, n.size), np.intp)  # d1..d4, d5..d8, d9..d12, d13..d16
+    groups[0], groups[1] = split(mid, 10 ** 4)
+    groups[2], groups[3] = split(low, 10 ** 4)
+    text = _DIGIT_WORDS.take(groups)
+    row = [(d0 + 48).astype(np.uint64) << np.uint64(56),
+           text[0] | text[1] << np.uint64(32), text[2] | text[3] << np.uint64(32)]
+    zeros = _TRAILING_ZEROS.take(groups)
+    m = zeros[3]
+    for j in (2, 1, 0):  # only a group of zeros has 4 trailing zeros
+        m += (m == 12 - 4 * j) * zeros[j]
+    return row, m
+
+
+def _fixed_text(x: np.ndarray, e: np.ndarray, n: np.ndarray, point: int) -> np.ndarray:
     """The text of sign(v) n 10**(e - 16) for each v of x, with n of 17
-    digits, as (x.size, 24) uint8 rows of ASCII padded with NUL bytes, laid
-    out by `layouts`."""
-    src = np.empty((x.size, 6), np.uint32)  # '000' d0, d1..d16 in fours, '.'
-    for j in range(4, 0, -1):
-        n, src[:, j] = np.divmod(n, 10_000)
-    src[:, 0] = n
-    src[:, :5] = _DIGIT_GROUPS.take(src[:, :5])
-    src[:, 5] = _POINT
-    src = src.view(np.uint8)
-    m = np.argmax(src[:, 19:2:-1] != 48, axis=1)  # d0 > 0 ends every search
-    where = layouts.take((e + 4) * 17 + m, axis=0) + np.arange(0, src.size, 24)[:, None]
-    out = src.reshape(-1).take(where)
-    out[:, 0] = np.where(x < 0, 45, 0)  # '-'
-    return out
+    digits, as (x.size, 24) uint8 rows of ASCII padded with NUL bytes.
+    Trailing zeros of the fraction are dropped; when none of its digits is
+    left, the point goes too (`point` 0, '%g') or a 0 stays after it
+    (`point` 1, repr).
+
+    Each row is _digit_row's three words laid out by one row of _MASKS: the
+    last digit kept is the last nonzero one, or d(e + point) when that is
+    later."""
+    row, zeros = _digit_row(n)
+    last = np.maximum(16 - zeros, e + point)
+    masks = _MASKS.take((e + 4) * 34 + 2 * last + (x < 0), axis=0)
+    out = np.empty((x.size, 3), np.uint64)
+    for j, word in enumerate(row):
+        shifted = word >> np.uint64(8)
+        if j < 2:
+            shifted |= row[j + 1] << np.uint64(56)
+        shifted &= masks[:, 3 * j]
+        word &= masks[:, 3 * j + 1]
+        word |= shifted
+        np.bitwise_or(word, masks[:, 3 * j + 2], out=out[:, j])
+    return out.astype("<u8", copy=False).view(np.uint8)
 
 
 def _g17(x: np.ndarray) -> np.ndarray:
@@ -119,7 +157,7 @@ def _g17(x: np.ndarray) -> np.ndarray:
     """
     x = np.ravel(x)
     fast, e, n, _ = _decimal17(x)
-    out = _fixed_text(x, e, n, _G17_LAYOUTS)
+    out = _fixed_text(x, e, n, 0)
     slow = np.flatnonzero(~fast)
     if slow.size:
         text = np.array([b"%.17g" % v for v in x[slow].tolist()], "S24")
@@ -154,7 +192,7 @@ def _json_floats(x: np.ndarray) -> np.ndarray:
         slow |= (rest == unit / 2) | (np.abs(dist - half) <= 1e-9 * half)
         digits = np.where(dist < half, rounded, digits)
     slow = np.flatnonzero(slow | (digits == 10 ** 17))
-    out = _fixed_text(x, e, digits, _REPR_LAYOUTS)
+    out = _fixed_text(x, e, digits, 1)
     if slow.size:
         text = [float.__repr__(v) if math.isfinite(v) else "null" for v in x[slow].tolist()]
         out[slow] = np.array(text, "S24").view(np.uint8).reshape(-1, 24)

@@ -516,12 +516,16 @@ def plan_peel(
     times = np.empty(depth)
     errs = np.empty(depth)
 
+    # the sums run over the fit's own modes: a padded |b_k| = 0 times an
+    # exponential that overflows would make them nan
+    fitted = fit[0].size
+
     def envelope(idx: np.ndarray) -> np.ndarray:
         """sigma + 4 eps env(t) at the samples idx alone, summed over k in turn."""
         # one sample's terms np.sum adds pairwise from 8 on; the one such gather,
         # the coarse search of n <= 64 samples, has that sample for its argmin
-        decay = np.exp(np.outer(-np.arange(1, depth + 2) ** 2, _time_at(q, idx)))
-        return sigma_abs + 4.0 * _EPS * (b_abs[:, None] * decay).sum(axis=0)
+        decay = np.exp(np.outer(-np.arange(1, fitted + 1) ** 2, _time_at(q, idx)))
+        return sigma_abs + 4.0 * _EPS * (b_abs[:fitted, None] * decay).sum(axis=0)
 
     def forecast(m: int, idx: np.ndarray, noise: np.ndarray) -> np.ndarray:
         """err_m at the samples idx, given envelope(idx)."""
@@ -529,7 +533,7 @@ def plan_peel(
         # late times overflow to +inf, which is never the argmin
         with np.errstate(over="ignore"):
             model = noise * np.exp(m2 * ts) / math.sqrt(windows[m - 1])
-            terms = [(k, b_abs[k - 1]) for k in range(m + 1, depth + 2)]  # truncation
+            terms = [(k, b_abs[k - 1]) for k in range(m + 1, fitted + 1)]  # truncation
             for k, scale in terms + [(k, errs[k - 1]) for k in range(1, m)]:  # + inherited
                 model += np.exp((m2 - k * k) * ts) * scale
         return model

@@ -171,17 +171,18 @@ def _json(x, pad: str = ""):
     indent `pad`, in pieces, for str dict keys, with ndarrays and numpy scalars
     as plain values and every float that is not finite as null.  A 1-D
     float64 array of _SERIES_MIN values or more is formatted by _json_floats
-    a block of _WRITE_ROWS values at a time; lists and tuples go value by value."""
+    a block of _BLOCK_VALUES values at a time; lists and tuples go value by value."""
     inner = pad + "  "
     if (isinstance(x, np.ndarray) and x.ndim == 1 and x.dtype == np.float64
             and x.size >= _SERIES_MIN):
         sep = ",\n" + inner
         tail = np.frombuffer(sep.encode(), np.uint8)
         yield "[\n" + inner
-        for start in range(0, x.size, _WRITE_ROWS):
-            rows = _json_floats(x[start:start + _WRITE_ROWS])
+        for start in range(0, x.size, _BLOCK_VALUES):
+            rows = _json_floats(x[start:start + _BLOCK_VALUES])
             block = np.concatenate([rows, np.broadcast_to(tail, (len(rows), tail.size))], 1)
-            yield (sep if start else "") + block[block != 0][:-tail.size].tobytes().decode()
+            text = block.tobytes().translate(None, b"\0")[:-tail.size]  # NULs dropped
+            yield (sep if start else "") + text.decode()
         yield f"\n{pad}]"
         return
     if isinstance(x, (np.ndarray, np.generic)):
@@ -211,7 +212,7 @@ def write_json(path: str | Path, payload) -> None:
         f.write("\n")
 
 
-_WRITE_ROWS = 1024  # rows per write: bounds a write's temporaries, not the file
+_BLOCK_VALUES = 4096  # values per write: bounds a write's temporaries, not the file
 _SERIES_MIN = 64  # below this many floats, CPython's repr per value beats numpy's cost per block
 
 
@@ -229,9 +230,9 @@ def _write_table(path: str | Path, title: str, meta: dict, header, columns) -> N
             ",".join(header), ""]
     with open(path, "w") as f:
         f.write("\n".join(head))
-        n = len(columns[0])
-        for start in range(0, n, _WRITE_ROWS):
-            rows, size = slice(start, start + _WRITE_ROWS), min(_WRITE_ROWS, n - start)
+        n, step = len(columns[0]), max(1, _BLOCK_VALUES // len(columns))
+        for start in range(0, n, step):
+            rows, size = slice(start, start + step), min(step, n - start)
             texts = iter(_g17(np.array([c[rows] for c in floats]).T)
                          .reshape(size, -1, 24).transpose(1, 0, 2))
             cells = []
@@ -240,8 +241,7 @@ def _write_table(path: str | Path, title: str, meta: dict, header, columns) -> N
                     [b"%d" % v for v in c[rows]]).view(np.uint8).reshape(size, -1)
                 cells += [field, np.full((size, 1), ord(","), np.uint8)]
             cells[-1][:] = ord("\n")
-            block = np.concatenate(cells, axis=1)
-            f.write(block[block != 0].tobytes().decode())
+            f.write(np.concatenate(cells, axis=1).tobytes().translate(None, b"\0").decode())
 
 
 def _read_table(

@@ -6,6 +6,7 @@ import json
 import math
 import os
 import re
+import runpy
 import subprocess
 import sys
 import warnings
@@ -883,6 +884,15 @@ class TestCliParser:
         assert bad.value.code == 2 and "--bogus" in capsys.readouterr().err
         assert built.count("heatinv") == 1
 
+
+    def test_runs_as_a_script(self, capsys, monkeypatch):
+        # `python -m heatinv.cli`: the module's __main__ guard exits with main's code
+        monkeypatch.setattr(sys, "argv", ["heatinv", "--help"])
+        monkeypatch.delitem(sys.modules, "heatinv.cli")  # runpy warns when it is imported
+        with pytest.raises(SystemExit) as done:
+            runpy.run_module("heatinv.cli", run_name="__main__")
+        assert done.value.code == 0
+        assert capsys.readouterr().out.startswith("usage: heatinv")
 
     @pytest.mark.parametrize("command", ["simulate", "invert", "study"])
     def test_preset_help_describes_every_preset(self, capsys, command):

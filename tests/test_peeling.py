@@ -59,6 +59,28 @@ def model_schedule_reference(q, depth, window=None):
     return times, errs
 
 
+def forecast_at_plan(q, plan):
+    """plan.predicted recomputed at plan.times, each sample alone: err_m with
+    the noise envelope summed over the fitted modes k in turn, then the
+    truncation and inherited terms added in the schedule's order."""
+    fit = _provisional_fit(q, plan.times.size)
+    b_abs, sigma = _noise_floor(q, plan.times.size, fit)
+    fitted, errs = fit[0].size, []
+    for m, (t, w) in enumerate(zip(plan.times, plan.windows), 1):
+        terms = b_abs[:fitted] * np.exp(-np.arange(1, fitted + 1) ** 2 * t)
+        env = 0.0
+        for term in terms:
+            env += term
+        model = (max(sigma, 1e-300) + 4.0 * np.finfo(float).eps * env) * np.exp(m * m * t) \
+            / math.sqrt(w)
+        for k in range(m + 1, fitted + 1):
+            model += np.exp((m * m - k * k) * t) * b_abs[k - 1]
+        for k in range(1, m):
+            model += np.exp((m * m - k * k) * t) * errs[k - 1]
+        errs.append(model)
+    return np.array(errs)
+
+
 def exp_sum(b, t_final, dt, noise=0.0, seed=0):
     t = np.arange(round(t_final / dt) + 1) * dt
     q = np.exp(-np.outer(t, np.arange(1, len(b) + 1) ** 2)) @ np.asarray(b, dtype=float)
@@ -375,6 +397,32 @@ class TestPlanPeel:
                     times, errs = model_schedule_reference(q, depth, window)
                 np.testing.assert_array_equal(plan.times, times)
                 np.testing.assert_array_equal(plan.predicted, errs)
+
+    @pytest.mark.parametrize("b", [[1.7, 1.7, 1.3, 0.9, 0.6], [1.1, 1.9, 0.9, 0.6, 1.0],
+                                   [1.0, 0.5, 1.0 / 3, 0.25, 0.2]])
+    def test_model_forecast_keeps_the_envelope_bits(self, b):
+        # the last quarter of these clean records underflows to 0, so the noise
+        # scale is 0 and the noise term 4 eps env(t) alone, with several modes
+        # in env at the chosen samples: the envelope summed in reverse k order,
+        # or by gemv, moves a last bit of predicted
+        q = exp_sum(b, 1000.0, 0.5)
+        assert _noise_floor(q, 4, _provisional_fit(q, 4))[1] == 0.0
+        plan = plan_peel(q, 4)
+        np.testing.assert_array_equal(plan.predicted, forecast_at_plan(q, plan))
+
+    @pytest.mark.parametrize("q, depth, predicted", [
+        (GridFn(-100.0, 1.0, [1.0, 2.0, 0.5]), 2, [5.244554405699817e-44, 3.6569205275944076e-174]),
+        (GridFn(-200.0, 1.0, [1.0, 2.0]), 1, [1.9894440047167449e-87]),
+    ])
+    def test_model_sums_only_the_fitted_modes(self, q, depth, predicted):
+        # a record of at most depth + 1 samples fits fewer modes; on one that
+        # starts far before t = 0 a padded |b_k| = 0 times an exponential that
+        # overflows made the forecast nan, with numpy warnings
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            plan = plan_peel(q, depth)
+        np.testing.assert_allclose(plan.predicted, predicted, rtol=1e-12)
+        np.testing.assert_array_equal(plan.predicted, forecast_at_plan(q, plan))
 
     @pytest.mark.parametrize("method", ["model", "balance"])
     def test_condition_of_the_provisional_fit(self, method):

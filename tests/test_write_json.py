@@ -118,11 +118,11 @@ def observed_reconstruction(dt):
 class TestWriteJson:
     @settings(max_examples=200, deadline=None)
     @given(values=st.lists(st.floats(), min_size=1, max_size=12),
-           rows=st.sampled_from([1, 2, 3, 1024]), as_array=st.booleans())
+           rows=st.sampled_from([1, 2, 3, heatinv.io._BLOCK_VALUES]), as_array=st.booleans())
     def test_blocks_join_as_json_dumps(self, tmp_path_factory, values, rows, as_array):
         path = tmp_path_factory.mktemp("json") / "x.json"
         series = np.array(values) if as_array else values
-        with mock.patch.object(heatinv.io, "_WRITE_ROWS", rows), \
+        with mock.patch.object(heatinv.io, "_BLOCK_VALUES", rows), \
                 mock.patch.object(heatinv.io, "_SERIES_MIN", 1):
             write_json(path, {"a": {"values": series}, "b": [series, 1]})
         expect = [v if math.isfinite(v) else None for v in values]

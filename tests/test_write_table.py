@@ -17,6 +17,7 @@ from hypothesis import strategies as st
 import heatinv.io
 from heatinv import GridFn, Observations, make_problem
 from heatinv.inverse import InversionConfig
+from heatinv.floattext import _fixed_text, _json_floats
 from heatinv.io import _g17, _write_table, write_observations, write_study
 from heatinv.regularize import run_noise_study
 
@@ -108,6 +109,28 @@ class TestG17:
         assert bytes(out[1]).strip(b"\0") == b"0.5"
 
 
+def short_decimals():
+    """Floats in [1e-4, 1e16) near decimals of 1 to 17 significant digits
+    with each exponent, both signs, and their neighbours: their '%.17g' and
+    repr texts reach every row of floattext's mask table."""
+    values = [float(f"{k}e{e - last}") for e in range(-4, 16) for last in range(17)
+              for k in range(10 ** last, 10 ** last + 60) if last == 0 or k % 10]
+    values = np.array(values)
+    values = np.concatenate([values, np.nextafter(values, 0), np.nextafter(values, np.inf)])
+    values = values[(values >= 1e-4) & (values < 1e16)]
+    return np.concatenate([values, -values])
+
+
+def mask_row(text, point):
+    """The mask-table row (e, last digit kept, sign) of a fixed-point text
+    and the 17 digits n of its decimal, read off the text alone."""
+    whole, _, frac = text.lstrip("-").partition(".")
+    digits = (whole + frac).lstrip("0")
+    e = len(whole) - 1 if whole != "0" else len(digits) - len(frac) - 1
+    last = max(len(digits.rstrip("0")) - 1, e + point)
+    return (e, last, int(text[0] == "-")), int(digits.ljust(17, "0"))
+
+
 @st.composite
 def tables(draw):
     """Columns of one length: float and int64 arrays, and tuples of ints or
@@ -124,13 +147,32 @@ def tables(draw):
                                                     min_size=1, max_size=5))]
 
 
+class TestMaskTable:
+    @pytest.mark.parametrize("point, reference", [(0, lambda v: "%.17g" % v),
+                                                  (1, float.__repr__)], ids=["g17", "repr"])
+    def test_every_row_against_the_reference(self, point, reference):
+        # each exponent -4..15, each last digit kept and each sign, given the
+        # digits of the reference text; and the same values end to end
+        x = short_decimals()
+        text = [reference(v) for v in x.tolist()]
+        rows, n = zip(*(mask_row(t, point) for t in text))
+        assert set(rows) == {(e, last, sign) for e in range(-4, 16)
+                             for last in range(max(0, e + point), 17) for sign in (0, 1)}
+        e = np.array([row[0] for row in rows])
+        out = _fixed_text(x, e, np.array(n, np.int64), point)
+        assert out.shape == (x.size, 24) and out.dtype == np.uint8
+        assert [bytes(row).strip(b"\0").decode() for row in out] == text
+        rows = (_json_floats if point else _g17)(x)
+        assert [bytes(row[row != 0]).decode() for row in rows] == text
+
+
 class TestWriteTable:
     @settings(max_examples=300, deadline=None)
-    @given(columns=tables(), rows=st.sampled_from([1, 2, 3, 1024]))
-    def test_same_bytes_as_reference(self, tmp_path_factory, columns, rows):
+    @given(columns=tables(), values=st.sampled_from([1, 2, 3, 8, 16, heatinv.io._BLOCK_VALUES]))
+    def test_same_bytes_as_reference(self, tmp_path_factory, columns, values):
         path = tmp_path_factory.mktemp("t")
         header = [f"c{j}" for j in range(len(columns))]
-        with mock.patch.object(heatinv.io, "_WRITE_ROWS", rows):
+        with mock.patch.object(heatinv.io, "_BLOCK_VALUES", values):
             _write_table(path / "new.csv", "t", {"k": 1}, header, columns)
         reference_write_table(path / "ref.csv", "t", {"k": 1}, header, columns)
         assert (path / "new.csv").read_bytes() == (path / "ref.csv").read_bytes()
